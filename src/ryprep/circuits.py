@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,6 +27,14 @@ RY = "ry"
 X = "x"
 
 
+def _qubit_index(value) -> int:
+    """``operator.index`` without bools: qubit indices select array axes in
+    the simulator, so floats, strings, None and bools are all refused."""
+    if type(value) is bool:
+        raise TypeError(f"{value!r} is not a qubit index")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -36,15 +45,23 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in (RY, X):
             raise DomainError(f"unknown gate kind {self.kind!r}")
-        if not isinstance(self.target, int) or self.target < 0:
-            raise IndexOutOfRange(f"target must be a nonnegative integer, got {self.target!r}")
-        controls = tuple(sorted(int(c) for c in self.controls))
+        try:
+            target = _qubit_index(self.target)
+            controls = tuple(sorted(map(_qubit_index, self.controls)))
+        except TypeError:
+            raise IndexOutOfRange(
+                f"qubit indices must be integers, got target {self.target!r} "
+                f"and controls {self.controls!r}"
+            ) from None
+        if target < 0:
+            raise IndexOutOfRange(f"target must be nonnegative, got {target}")
         if any(c < 0 for c in controls):
             raise IndexOutOfRange(f"controls must be nonnegative, got {controls}")
         if len(set(controls)) != len(controls):
             raise ControlCollision(f"duplicate control in {controls}")
-        if self.target in controls:
-            raise ControlEqualsTarget(f"qubit {self.target} is both target and control")
+        if target in controls:
+            raise ControlEqualsTarget(f"qubit {target} is both target and control")
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "controls", controls)
         if self.kind == RY:
             if self.angle is None or not math.isfinite(self.angle):
@@ -138,8 +155,11 @@ class Circuit:
             kind = gd["kind"]
             target = gd["target"]
             controls = gd.get("controls", [])
-            if not isinstance(target, int) or not isinstance(controls, list):
+            if not isinstance(controls, list):
                 raise FormatError(f"malformed gate entry {gd!r}")
+            # type() rather than isinstance(): JSON true/false parse as bool
+            if type(target) is not int or any(type(c) is not int for c in controls):
+                raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
             angle = gd.get("angle")
             if angle is not None and (isinstance(angle, bool) or not isinstance(angle, (int, float))):
                 raise FormatError(f"gate angle must be a number, got {angle!r}")

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .circuits import RY, Circuit
 from .encoding import encode, load_pgm
-from .errors import DomainError, FormatError
+from .errors import DimensionMismatch, DomainError, FormatError
 from .qasm import export_qasm
 from .simulator import max_abs_diff, run
 from .states import RealState, normalize
@@ -100,6 +100,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
     circuit = Circuit.from_json(_read_bytes(args.circuit).decode("utf-8"))
+    if circuit.n_qubits != state.n_qubits:
+        raise DimensionMismatch(
+            f"circuit has {circuit.n_qubits} qubits but the state has {state.n_qubits}"
+        )
     diff = max_abs_diff(run(circuit), state)
     ok = diff <= args.tol
     print(json.dumps({"max_abs_diff": diff, "tol": args.tol, "ok": ok}))

@@ -1,8 +1,11 @@
 """Dense real-statevector simulation of Ry/X circuits.
 
 A gate on target t pairs index i (bit t clear) with i + 2**t and rotates or
-swaps the two amplitudes whenever every control bit of i is set.  This is
-the verification oracle for synthesized circuits.
+swaps the two amplitudes whenever every control bit of i is set.  The update
+touches only that control subspace: the statevector is viewed as a tensor of
+shape (2,) * n, where qubit q is axis n - 1 - q, each control axis is fixed
+to 1, and the target axis is fixed to 0 for one strided view and to 1 for
+the other.  This is the verification oracle for synthesized circuits.
 """
 
 from __future__ import annotations
@@ -11,28 +14,39 @@ import math
 
 import numpy as np
 
-from ._kernels import apply_ry as _kernel_ry
-from ._kernels import apply_x as _kernel_x
 from .circuits import RY, Circuit, Gate
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange
 from .states import RealState
 
-__all__ = ["apply_gate", "run", "max_abs_diff"]
+__all__ = ["MAX_QUBITS", "apply_gate", "run", "max_abs_diff"]
 
-
-def _control_mask(controls: tuple[int, ...]) -> int:
-    mask = 0
-    for c in controls:
-        mask |= 1 << c
-    return mask
+# 2**26 float64 amplitudes take 512 MiB.  The cap also keeps the
+# (2,) * n view within NumPy 1.x's limit of 32 array dimensions.
+MAX_QUBITS = 26
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
+    n = amps.size.bit_length() - 1
+    index: list = [slice(None)] * n
+    for c in gate.controls:
+        index[n - 1 - c] = 1
+    axis = n - 1 - gate.target
+    tensor = amps.reshape((2,) * n)
+    # Ellipsis keeps a fully fixed index a 0-d view rather than a scalar copy
+    index[axis] = 0
+    v0 = tensor[(*index, Ellipsis)]
+    index[axis] = 1
+    v1 = tensor[(*index, Ellipsis)]
+    a0 = v0.copy()
     if gate.kind == RY:
         half = 0.5 * gate.angle
-        _kernel_ry(amps, gate.target, _control_mask(gate.controls), math.cos(half), math.sin(half))
+        c, s = math.cos(half), math.sin(half)
+        a1 = v1.copy()
+        v0[...] = c * a0 - s * a1
+        v1[...] = s * a0 + c * a1
     else:
-        _kernel_x(amps, gate.target, _control_mask(gate.controls))
+        v0[...] = v1
+        v1[...] = a0
 
 
 def apply_gate(state: RealState, gate: Gate) -> RealState:
@@ -47,7 +61,15 @@ def apply_gate(state: RealState, gate: Gate) -> RealState:
 
 
 def run(circuit: Circuit) -> RealState:
-    """Apply every gate in order to |0...0> and return the prepared state."""
+    """Apply every gate in order to |0...0> and return the prepared state.
+
+    Raises ``DomainError``, before allocating, when the circuit has more than
+    ``MAX_QUBITS`` qubits.
+    """
+    if circuit.n_qubits > MAX_QUBITS:
+        raise DomainError(
+            f"cannot simulate {circuit.n_qubits} qubits; the simulator holds at most {MAX_QUBITS}"
+        )
     amps = np.zeros(1 << circuit.n_qubits, dtype=np.float64)
     amps[0] = 1.0
     for gate in circuit.gates:

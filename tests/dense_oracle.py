@@ -1,11 +1,16 @@
-"""Dense-matrix reference for gate semantics, built independently of the
-simulator's pairwise updates.
+"""References for gate semantics, built independently of the simulator's
+strided-view updates.
 
 The full operator of a controlled gate is assembled by Kronecker products:
 with P the projector onto the all-controls-set subspace and K the product
 that applies the 2x2 gate matrix on the target inside that subspace, the
 operator is I - P + K.  Factors are ordered from qubit n-1 down to qubit 0
 so that bit k of a statevector index is qubit k.
+
+``run_pairs`` is the pair-index algorithm: it lists every index with the
+target bit clear, keeps those with every control bit set, and updates each
+pair (i, i + 2**target) with the same floating-point operations as the
+simulator, so the two must agree bit for bit.
 """
 
 import math
@@ -51,3 +56,23 @@ def circuit_matrix(circuit) -> np.ndarray:
 def run_dense(circuit) -> np.ndarray:
     """Prepared statevector per the dense operator product."""
     return circuit_matrix(circuit)[:, 0].copy()
+
+
+def run_pairs(circuit) -> np.ndarray:
+    """Prepared statevector by explicit pair indices, gate by gate."""
+    amps = np.zeros(1 << circuit.n_qubits)
+    amps[0] = 1.0
+    for gate in circuit.gates:
+        t = gate.target
+        g = np.arange(amps.size >> 1, dtype=np.intp)
+        i0 = ((g >> t) << (t + 1)) | (g & ((1 << t) - 1))
+        cmask = sum(1 << c for c in gate.controls)
+        i0 = i0[(i0 & cmask) == cmask]
+        i1 = i0 + (1 << t)
+        a0, a1 = amps[i0], amps[i1]
+        if gate.kind == "ry":
+            c, s = math.cos(0.5 * gate.angle), math.sin(0.5 * gate.angle)
+            amps[i0], amps[i1] = c * a0 - s * a1, s * a0 + c * a1
+        else:
+            amps[i0], amps[i1] = a1, a0
+    return amps

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ryprep import Circuit, Gate, ry, x
@@ -43,6 +44,20 @@ def test_negative_indices_rejected():
         ry(1.0, -1)
     with pytest.raises(IndexOutOfRange):
         x(0, (-2,))
+
+
+@pytest.mark.parametrize(
+    "target, controls",
+    [(True, ()), (1.0, ()), ("0", ()), (None, ()), (0, (1.5,)), (0, (False,)), (0, ("1",))],
+)
+def test_non_integer_indices_rejected(target, controls):
+    with pytest.raises(IndexOutOfRange):
+        Gate("x", target, controls)
+
+
+def test_integer_like_indices_become_ints():
+    gate = Gate("x", np.int64(1), (np.int32(0),))
+    assert type(gate.target) is int and gate.controls == (0,) and type(gate.controls[0]) is int
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, None])
@@ -149,6 +164,12 @@ class TestCircuitJson:
             '{"gates": []}',
             '{"n_qubits": 2, "gates": [{"kind": "ry"}]}',
             '{"n_qubits": 2, "gates": [{"kind": "ry", "angle": "x", "target": 0, "controls": []}]}',
+            '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": [1.5]}]}',
+            '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": ["1"]}]}',
+            '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": [null]}]}',
+            '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": [true]}]}',
+            '{"n_qubits": 2, "gates": [{"kind": "x", "target": true, "controls": []}]}',
+            '{"n_qubits": 2, "gates": [{"kind": "x", "target": 1.0, "controls": []}]}',
         ],
     )
     def test_malformed_rejected(self, text):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ryprep import Circuit, encode, load_pgm, normalize, synth
+from ryprep import Circuit, cli, encode, load_pgm, normalize, synth
 from ryprep.cli import main
 
 WORKED_PGM = b"P2\n2 2\n255\n0 192\n128 255\n"
@@ -137,12 +137,37 @@ def test_verify_wrong_state_fails(worked_pgm, tmp_path, capsys):
     assert doc["ok"] is False and doc["max_abs_diff"] > 1e-9
 
 
-def test_verify_dimension_mismatch_is_domain_error(worked_pgm, tmp_path):
+def test_verify_dimension_mismatch_is_domain_error(worked_pgm, tmp_path, monkeypatch, capsys):
     circ = tmp_path / "c.json"
     state = tmp_path / "s.json"
     assert main(["synth", str(worked_pgm), "--out", str(circ)]) == 0
     state.write_text(normalize([1, 1]).to_json())
+    simulated = []
+    monkeypatch.setattr(cli, "run", simulated.append)
     assert main(["verify", str(state), str(circ)]) == 1
+    assert simulated == []
+    assert "DimensionMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "circuit_json",
+    [
+        '{"n_qubits": 1, "gates": [{"kind": "x", "target": 0, "controls": [1.5]}]}',
+        '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": [1.5]}]}',
+        '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": ["1"]}]}',
+        '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": [null]}]}',
+        '{"n_qubits": 1, "gates": [{"kind": "x", "target": true, "controls": []}]}',
+        '{"n_qubits": 40, "gates": []}',
+        '{"n_qubits": 70, "gates": []}',
+        '{"n_qubits": 1, "gates": [{"kind": "x", "target": 0, "controls": [99]}]}',
+    ],
+)
+def test_verify_bad_circuit_exits_cleanly(tmp_path, circuit_json):
+    state = tmp_path / "s.json"
+    state.write_text(normalize([3, 4]).to_json())
+    circ = tmp_path / "c.json"
+    circ.write_text(circuit_json)
+    assert main(["verify", str(state), str(circ)]) in (1, 2)
 
 
 def test_stats_exact_output(worked_pgm, tmp_path, capsys):

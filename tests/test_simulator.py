@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from dense_oracle import circuit_matrix, gate_matrix, run_dense
 from ryprep import Circuit, RealState, apply_gate, max_abs_diff, normalize, run, ry, x
-from ryprep.errors import DimensionMismatch, IndexOutOfRange
+from ryprep.errors import DimensionMismatch, DomainError, IndexOutOfRange
 
 
 def test_ry_pi_flips_one_qubit():
@@ -79,6 +79,13 @@ def test_two_qubit_preparation_stages():
 
 def test_run_empty_circuit():
     assert run(Circuit(3)).amplitudes == (1.0,) + (0.0,) * 7
+
+
+@pytest.mark.parametrize("n_qubits", [40, 70])
+def test_run_refuses_oversized_register(n_qubits):
+    # 40 qubits would need 8 TiB; the cap must act before the allocation
+    with pytest.raises(DomainError, match="at most 26"):
+        run(Circuit(n_qubits))
 
 
 def test_run_x_permutes_basis():
