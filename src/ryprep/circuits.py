@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._jsondoc import number, parse
 from .errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -64,7 +65,13 @@ class Gate:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "controls", controls)
         if self.kind == RY:
-            if self.angle is None or not math.isfinite(self.angle):
+            try:
+                finite = math.isfinite(self.angle)
+            except TypeError:
+                finite = False
+            except OverflowError:
+                raise DomainError("ry angle is an integer too large for a float") from None
+            if not finite:
                 raise DomainError(f"ry needs a finite angle, got {self.angle!r}")
             object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
@@ -82,7 +89,7 @@ class Gate:
 
 
 def ry(angle: float, target: int, controls: Iterable[int] = ()) -> Gate:
-    return Gate(RY, target, tuple(controls), float(angle))
+    return Gate(RY, target, tuple(controls), angle)
 
 
 def x(target: int, controls: Iterable[int] = ()) -> Gate:
@@ -95,7 +102,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
+        if type(self.n_qubits) is bool or not isinstance(self.n_qubits, int) or self.n_qubits < 1:
             raise DomainError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
@@ -133,10 +140,7 @@ class Circuit:
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid circuit JSON: {exc}") from exc
+        doc = parse(text, "circuit JSON")
         if not isinstance(doc, dict):
             raise FormatError("circuit JSON must be an object")
         try:
@@ -161,7 +165,7 @@ class Circuit:
             if type(target) is not int or any(type(c) is not int for c in controls):
                 raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
             angle = gd.get("angle")
-            if angle is not None and (isinstance(angle, bool) or not isinstance(angle, (int, float))):
-                raise FormatError(f"gate angle must be a number, got {angle!r}")
+            if angle is not None:
+                angle = number(angle, "gate angle")
             gates.append(Gate(kind, target, tuple(controls), angle))
         return cls(n_qubits, tuple(gates))

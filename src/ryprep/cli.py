@@ -13,6 +13,7 @@ import os
 import sys
 from typing import Callable
 
+from ._jsondoc import number, parse
 from .circuits import RY, Circuit
 from .encoding import encode, load_pgm
 from .errors import DimensionMismatch, DomainError, FormatError
@@ -43,6 +44,13 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def _read_text(path: str) -> str:
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -59,12 +67,9 @@ def _load_state(path: str) -> RealState:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: neither a PGM image nor JSON") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    doc = parse(text, f"JSON in {path}")
     if isinstance(doc, list):
-        return normalize(doc)
+        return normalize([number(v, "amplitude") for v in doc])
     if isinstance(doc, dict):
         return RealState.from_json(text)
     raise FormatError(f"{path}: expected a JSON object or array")
@@ -99,7 +104,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
-    circuit = Circuit.from_json(_read_bytes(args.circuit).decode("utf-8"))
+    circuit = Circuit.from_json(_read_text(args.circuit))
     if circuit.n_qubits != state.n_qubits:
         raise DimensionMismatch(
             f"circuit has {circuit.n_qubits} qubits but the state has {state.n_qubits}"
@@ -113,7 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    circuit = Circuit.from_json(_read_bytes(args.circuit).decode("utf-8"))
+    circuit = Circuit.from_json(_read_text(args.circuit))
     stats = {
         "gate_count": circuit.gate_count,
         "ry": sum(1 for g in circuit.gates if g.kind == RY),

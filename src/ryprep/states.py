@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._jsondoc import number, parse
 from .errors import AllZeroInput, DomainError, FormatError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
 
@@ -25,6 +26,13 @@ def _is_pow2(value: int) -> bool:
     return value > 0 and value & (value - 1) == 0
 
 
+def _floats(values: Iterable[float]) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise DomainError("amplitude is an integer too large for a float") from None
+
+
 @dataclass(frozen=True)
 class RealState:
     """Unit-norm real amplitudes; bit k of the index is qubit k (little-endian)."""
@@ -33,14 +41,14 @@ class RealState:
     amplitudes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        amps = tuple(float(a) for a in self.amplitudes)
+        amps = _floats(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 0:
-            raise DomainError(f"n_qubits must be a nonnegative integer, got {self.n_qubits!r}")
-        if len(amps) != 1 << self.n_qubits:
-            raise DomainError(
-                f"{self.n_qubits} qubits need {1 << self.n_qubits} amplitudes, got {len(amps)}"
-            )
+        n = self.n_qubits
+        if type(n) is bool or not isinstance(n, int) or n < 0:
+            raise DomainError(f"n_qubits must be a nonnegative integer, got {n!r}")
+        # compared through the bit length: 1 << n for an outside n could be huge
+        if not _is_pow2(len(amps)) or len(amps).bit_length() - 1 != n:
+            raise DomainError(f"{n} qubits need 2**{n} amplitudes, got {len(amps)}")
         norm_sq = math.fsum(a * a for a in amps)
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise DomainError(f"amplitudes are not unit norm: sum of squares = {norm_sq!r}")
@@ -50,10 +58,7 @@ class RealState:
 
     @classmethod
     def from_json(cls, text: str) -> "RealState":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid state JSON: {exc}") from exc
+        doc = parse(text, "state JSON")
         if not isinstance(doc, dict):
             raise FormatError("state JSON must be an object")
         try:
@@ -63,11 +68,9 @@ class RealState:
             raise FormatError(f"state JSON missing key {exc}") from exc
         if not isinstance(n_qubits, int) or isinstance(n_qubits, bool):
             raise FormatError("n_qubits must be an integer")
-        if not isinstance(amplitudes, list) or not all(
-            isinstance(a, (int, float)) and not isinstance(a, bool) for a in amplitudes
-        ):
+        if not isinstance(amplitudes, list):
             raise FormatError("amplitudes must be a list of numbers")
-        return cls(n_qubits, tuple(float(a) for a in amplitudes))
+        return cls(n_qubits, tuple(number(a, "amplitude") for a in amplitudes))
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class AngleList:
 
 def normalize(values: Iterable[float]) -> RealState:
     """Scale a nonzero vector of power-of-two length onto the unit sphere."""
-    vals = [float(v) for v in values]
+    vals = _floats(values)
     if len(vals) < 2 or not _is_pow2(len(vals)):
         raise NotPowerOfTwo(f"vector length must be a power of two >= 2, got {len(vals)}")
     norm = math.sqrt(math.fsum(v * v for v in vals))

@@ -9,6 +9,10 @@ rotate the residual amplitude onto the top qubit with one (n-1)-controlled
 Ry, relocate it from index 2**n - 1 down to index 2**(n-1) with n - 1
 CNOTs off the top qubit, then recurse on the remaining angles with every
 emitted gate controlled by the top qubit.
+
+Controls are passed down the recursion as a prefix: each level hands its
+top qubit, together with the controls it received, to the second
+recursion, so every gate is built once with its full control set.
 """
 
 from __future__ import annotations
@@ -59,23 +63,20 @@ def unpruned_gate_count(n_qubits: int) -> int:
 
 def synth_1q(theta: float) -> Circuit:
     """Single Ry taking |0> to [cos(theta/2), sin(theta/2)]."""
-    return Circuit(1, (ry(theta, 0),))
+    return Circuit(1, tuple(_emit((theta,), 1, None)))
 
 
 def synth_2q(theta1: float, theta2: float, theta3: float) -> Circuit:
     """Three gates taking |00> to the nested cos/sin product of the angles."""
-    return Circuit(
-        2,
-        (
-            ry(theta1, 0),
-            ry(-theta2, 1, (0,)),
-            ry(_PI + theta3, 0, (1,)),
-        ),
-    )
+    return Circuit(2, tuple(_emit((theta1, theta2, theta3), 2, None)))
 
 
-def _emit(angles: tuple[float, ...], n: int, tol: float | None) -> list[Gate]:
-    """Gate list preparing the state with the given 2**n - 1 angles.
+def _emit(
+    angles: tuple[float, ...], n: int, tol: float | None, controls: tuple[int, ...] = ()
+) -> list[Gate]:
+    """Gate list preparing the state with the given 2**n - 1 angles on
+    qubits 0..n-1, every gate also conditioned on ``controls`` (qubits n
+    and above, added by the enclosing recursion levels).
 
     With tol set, Ry gates whose angle is within tol of zero are dropped,
     and a block whose angle slice is entirely zero is elided outright: such
@@ -85,21 +86,20 @@ def _emit(angles: tuple[float, ...], n: int, tol: float | None) -> list[Gate]:
     if tol is not None and all(abs(a) <= tol for a in angles):
         return []
     if n == 1:
-        return [ry(angles[0], 0)]
+        return [ry(angles[0], 0, controls)]
     if n == 2:
         t1, t2, t3 = angles
-        gates = [ry(t1, 0), ry(-t2, 1, (0,)), ry(_PI + t3, 0, (1,))]
-        if tol is not None:
-            gates = [g for g in gates if abs(g.angle) > tol]
-        return gates
+        rules = ((t1, 0, controls), (-t2, 1, (0,) + controls), (_PI + t3, 0, (1,) + controls))
+        return [ry(a, t, c) for a, t, c in rules if tol is None or abs(a) > tol]
     half = 1 << (n - 1)
     top = n - 1
-    gates = _emit(angles[: half - 1], n - 1, tol)
+    gates = _emit(angles[: half - 1], n - 1, tol, controls)
     hinge = angles[half - 1]
     if tol is None or abs(hinge) > tol:
-        gates.append(ry(hinge, top, tuple(range(top))))
-    gates.extend(x(q, (top,)) for q in range(top))
-    gates.extend(g.with_control(top) for g in _emit(angles[half:], n - 1, tol))
+        gates.append(ry(hinge, top, tuple(range(top)) + controls))
+    lifted = (top,) + controls
+    gates.extend(x(q, lifted) for q in range(top))
+    gates.extend(_emit(angles[half:], n - 1, tol, lifted))
     return gates
 
 

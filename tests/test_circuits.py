@@ -60,7 +60,7 @@ def test_integer_like_indices_become_ints():
     assert type(gate.target) is int and gate.controls == (0,) and type(gate.controls[0]) is int
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, None])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, None, "1.0", 10**400, -(10**400)])
 def test_bad_ry_angle_rejected(angle):
     with pytest.raises(DomainError):
         Gate("ry", 0, (), angle)
@@ -107,6 +107,11 @@ class TestCircuit:
     def test_n_qubits_positive(self):
         with pytest.raises(DomainError):
             Circuit(0)
+
+    @pytest.mark.parametrize("n_qubits", [True, False, 1.0])
+    def test_n_qubits_must_be_int(self, n_qubits):
+        with pytest.raises(DomainError):
+            Circuit(n_qubits)
 
     def test_add_control(self):
         c = Circuit(3, (ry(0.7, 0),)).add_control(2)
@@ -170,6 +175,12 @@ class TestCircuitJson:
             '{"n_qubits": 2, "gates": [{"kind": "x", "target": 0, "controls": [true]}]}',
             '{"n_qubits": 2, "gates": [{"kind": "x", "target": true, "controls": []}]}',
             '{"n_qubits": 2, "gates": [{"kind": "x", "target": 1.0, "controls": []}]}',
+            '{"n_qubits": 1, "gates": [{"kind": "ry", "angle": true, "target": 0, "controls": []}]}',
+            '{"n_qubits": 1, "gates": [{"kind": "ry", "angle": 1%s, "target": 0, "controls": []}]}'
+            % ("0" * 400),
+            '{"n_qubits": 1, "gates": [{"kind": "ry", "angle": 1%s, "target": 0, "controls": []}]}'
+            % ("0" * 5000),
+            "[" * 100_000,
         ],
     )
     def test_malformed_rejected(self, text):

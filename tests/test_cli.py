@@ -1,11 +1,14 @@
 """CLI behavior: pipelines, exit codes, output formats, logging."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ryprep
 from ryprep import Circuit, cli, encode, load_pgm, normalize, synth
 from ryprep.cli import main
 
@@ -89,6 +92,29 @@ def test_synth_malformed_json_is_format_error(tmp_path):
     assert main(["synth", str(doc)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '["a", 1]',
+        "[null, 1]",
+        "[[1], 1]",
+        "[true, 1]",
+        "[1%s, 1]" % ("0" * 400),
+        '{"n_qubits": 1, "amplitudes": [1%s, 0]}' % ("0" * 400),
+        "[1%s, 1]" % ("0" * 5000),
+    ],
+)
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_non_number_amplitude_is_format_error(tmp_path, capsys, text, command):
+    vec = tmp_path / "v.json"
+    vec.write_text(text)
+    circ = tmp_path / "c.json"
+    circ.write_text(Circuit(1).to_json())
+    argv = [command, str(vec)] + ([str(circ)] if command == "verify" else [])
+    assert main(argv) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
 def test_synth_accepts_state_json(tmp_path):
     state = normalize([3, 4])
     path = tmp_path / "s.json"
@@ -170,6 +196,25 @@ def test_verify_bad_circuit_exits_cleanly(tmp_path, circuit_json):
     assert main(["verify", str(state), str(circ)]) in (1, 2)
 
 
+@pytest.mark.parametrize("command", ["verify", "stats"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"n_qubits": 1, "gates": [{"kind": "ry", "angle": 1%s, "target": 0, "controls": []}]}'
+        % (b"0" * 400),
+        b"\xff\xfe{}",
+    ],
+)
+def test_unreadable_circuit_is_format_error(tmp_path, capsys, command, data):
+    state = tmp_path / "s.json"
+    state.write_text(normalize([3, 4]).to_json())
+    circ = tmp_path / "c.json"
+    circ.write_bytes(data)
+    argv = [command] + ([str(state)] if command == "verify" else []) + [str(circ)]
+    assert main(argv) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
 def test_stats_exact_output(worked_pgm, tmp_path, capsys):
     circ = tmp_path / "c.json"
     assert main(["synth", str(worked_pgm), "--out", str(circ)]) == 0
@@ -206,10 +251,14 @@ def test_log_level_info_adds_chatter(worked_pgm, tmp_path, capsys, monkeypatch):
 
 def test_console_entry_point(worked_pgm, tmp_path):
     out = tmp_path / "s.json"
+    # the child imports the same package as this process, installed or not
+    package_root = str(pathlib.Path(ryprep.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ryprep", "encode", str(worked_pgm), str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["n_qubits"] == 2

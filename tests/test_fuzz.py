@@ -1,0 +1,147 @@
+"""Fuzzing of every input read from outside the program: PGM bytes, state
+JSON, bare amplitude arrays and circuit JSON, through the library parsers
+and through ``cli.main``.
+
+Only ``RyprepError`` may leave the library, and the CLI returns 0, 1 or 2
+without raising.  Generated states hold at most 2**6 amplitudes, so nothing
+large is simulated.  Examples are derandomized, which keeps tier-1
+deterministic.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ryprep import Circuit, RealState, normalize
+from ryprep.cli import main
+from ryprep.errors import RyprepError
+
+FUZZ = settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# integers around the edge of the float range: 2**1024 overflows, 2**1023 fits
+BIG_INTS = st.sampled_from([2**1023, 2**1024, -(2**1024), 10**400])
+NUMBERS = st.integers(-3, 3) | st.floats() | BIG_INTS
+SCALARS = st.none() | st.booleans() | NUMBERS | st.text(max_size=4)
+VALUES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+# mostly numbers, so that one odd element decides the outcome
+ELEMENTS = st.one_of(NUMBERS, NUMBERS, NUMBERS, VALUES)
+AMPLITUDES = st.sampled_from([1, 2, 4, 8, 16, 32, 64]).flatmap(
+    lambda k: st.lists(ELEMENTS, min_size=k, max_size=k)
+) | st.lists(ELEMENTS, max_size=64)
+STATE_DOCS = st.fixed_dictionaries(
+    {"n_qubits": st.integers(-1, 6) | VALUES, "amplitudes": AMPLITUDES | VALUES}
+)
+# mostly well-formed, so that the checks after the index checks are reached
+INDICES = st.one_of(st.integers(-1, 6), st.integers(0, 6), VALUES)
+GATE_DOCS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["ry", "ry", "x"]) | VALUES, "target": INDICES},
+    optional={"controls": st.lists(INDICES, max_size=3) | VALUES, "angle": NUMBERS | VALUES},
+)
+CIRCUIT_DOCS = st.fixed_dictionaries(
+    {"n_qubits": st.integers(1, 6) | VALUES, "gates": st.lists(GATE_DOCS, max_size=6) | VALUES}
+)
+MAGIC = st.sampled_from([b"P2", b"P5", b"P6", b""])
+HEADER = st.lists(st.integers(0, 70000), max_size=4)
+PGM_BYTES = st.binary(max_size=64) | st.builds(
+    lambda magic, fields, body: magic + b" " + b" ".join(b"%d" % f for f in fields) + b"\n" + body,
+    MAGIC,
+    HEADER,
+    st.binary(max_size=64),
+)
+
+
+def is_json_number(value):
+    """True for a JSON number that fits a float; JSON true/false are not numbers."""
+    if type(value) is float:
+        return True
+    if type(value) is not int:
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    states = {}
+    for n in range(1, 7):
+        path = root / f"state{n}.json"
+        path.write_text(normalize(range(1, (1 << n) + 1)).to_json())
+        states[n] = str(path)
+    return root, states
+
+
+def run_cli(argv):
+    code = main(argv)
+    assert code in (0, 1, 2)
+    return code
+
+
+@FUZZ
+@given(PGM_BYTES)
+def test_pgm_bytes_through_cli(files, data):
+    root, _ = files
+    image = root / "image.pgm"
+    image.write_bytes(data)
+    circuit = root / "from_image.json"
+    if run_cli(["synth", str(image), "--out", str(circuit)]) == 0:
+        assert run_cli(["verify", str(image), str(circuit)]) == 0
+
+
+@FUZZ
+@given(AMPLITUDES)
+def test_bare_array_through_cli(files, values):
+    root, _ = files
+    vec = root / "vec.json"
+    vec.write_text(json.dumps(values))
+    code = run_cli(["synth", str(vec), "--out", str(root / "from_vec.json")])
+    if not all(is_json_number(v) for v in values):
+        assert code == 2
+
+
+@FUZZ
+@given(STATE_DOCS)
+def test_state_json_through_cli(files, doc):
+    root, _ = files
+    path = root / "state.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli(["synth", str(path), "--out", str(root / "from_state.json")])
+    amplitudes = doc["amplitudes"]
+    if type(doc["n_qubits"]) is int and isinstance(amplitudes, list):
+        if not all(is_json_number(a) for a in amplitudes):
+            assert code == 2
+
+
+@FUZZ
+@given(CIRCUIT_DOCS | VALUES, st.integers(1, 6))
+def test_circuit_json_through_cli(files, doc, n):
+    root, states = files
+    path = root / "circuit.json"
+    path.write_text(json.dumps(doc))
+    run_cli(["stats", str(path)])
+    run_cli(["verify", states[n], str(path)])
+
+
+@FUZZ
+@given(st.text(max_size=40) | st.builds(json.dumps, STATE_DOCS | CIRCUIT_DOCS | VALUES))
+def test_from_json_raises_only_package_errors(text):
+    for parser in (RealState.from_json, Circuit.from_json):
+        try:
+            parser(text)
+        except RyprepError:
+            pass

@@ -95,6 +95,22 @@ class TestRealState:
         with pytest.raises(DomainError):
             RealState(-1, (1.0,))
 
+    @pytest.mark.parametrize("n_qubits", [True, 1.0])
+    def test_rejects_non_int_qubits(self, n_qubits):
+        with pytest.raises(DomainError):
+            RealState(n_qubits, (0.0, 1.0))
+
+    def test_huge_qubit_count_rejected_without_allocating(self):
+        # 1 << n would need about 2**61 bytes
+        with pytest.raises(DomainError):
+            RealState(1 << 64, (0.0, 1.0))
+
+    def test_amplitude_past_float_range_is_domain_error(self):
+        with pytest.raises(DomainError):
+            RealState(1, (10**400, 0.0))
+        with pytest.raises(DomainError):
+            normalize([10**400, 1])
+
     def test_zero_qubit_state_is_legal(self):
         assert RealState(0, (-1.0,)).amplitudes == (-1.0,)
 
@@ -109,7 +125,17 @@ class TestRealState:
 
     @pytest.mark.parametrize(
         "text",
-        ["not json", "[1, 0]", '{"amplitudes": [1.0, 0.0]}', '{"n_qubits": "1", "amplitudes": [1.0, 0.0]}'],
+        [
+            "not json",
+            "[1, 0]",
+            '{"amplitudes": [1.0, 0.0]}',
+            '{"n_qubits": "1", "amplitudes": [1.0, 0.0]}',
+            '{"n_qubits": true, "amplitudes": [0.0, 1.0]}',
+            '{"n_qubits": 1, "amplitudes": [true, 0]}',
+            '{"n_qubits": 1, "amplitudes": [1%s, 0]}' % ("0" * 400),
+            '{"n_qubits": 1, "amplitudes": [1%s, 0]}' % ("0" * 5000),
+            '{"n_qubits": 1, "amplitudes": %s}' % ("[" * 100_000),
+        ],
     )
     def test_from_json_rejects_malformed(self, text):
         with pytest.raises(FormatError):

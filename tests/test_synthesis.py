@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from reference_synth import emit_lifted
 from ryprep import (
+    Gate,
     AngleList,
     Circuit,
     RealState,
@@ -223,3 +225,40 @@ class TestPruning:
             '{"n_qubits": 2, "gate_count": 3, "pruned_count": 0, '
             '"max_control_arity": 1, "recursion_depth": 0}'
         )
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_gates_equal_lifted_reference(self, n):
+        rng = np.random.default_rng(400 + n)
+        for variant in range(3):
+            vec = rng.normal(size=1 << n)
+            if variant == 1:
+                vec[rng.random(size=vec.size) < 0.5] = 0.0
+            if variant == 2:
+                # whole zero blocks: the upper half and the second eighth
+                vec[vec.size // 2 :] = 0.0
+                vec[vec.size // 8 : vec.size // 4] = 0.0
+            if not vec.any():
+                vec[0] = 1.0
+            angles = to_angles(normalize(vec.tolist()))
+            for prune_on in (False, True):
+                got = synth_angles(angles, prune=prune_on).gates
+                expect = emit_lifted(angles.angles, n, 1e-12 if prune_on else None)
+                assert got == tuple(expect)
+        random = random_angles(rng, n)
+        assert synth_angles(random).gates == tuple(emit_lifted(random.angles, n))
+
+    def test_each_gate_is_built_once(self, monkeypatch):
+        built = []
+        post_init = Gate.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Gate, "__post_init__", counting)
+        angles = random_angles(np.random.default_rng(29), 10)
+        circuit = synth_angles(angles)
+        assert circuit.gate_count == EXPECTED_COUNTS[10] == 1780
+        assert len(built) == 1780
