@@ -7,7 +7,6 @@ Circuits are value objects; every operation returns a new circuit.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -26,6 +25,9 @@ __all__ = ["RY", "X", "Gate", "Circuit", "ry", "x"]
 
 RY = "ry"
 X = "x"
+
+_SEQUENCES = (tuple, list)
+_INTS = frozenset((int,))
 
 
 def _qubit_index(value) -> int:
@@ -46,24 +48,39 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in (RY, X):
             raise DomainError(f"unknown gate kind {self.kind!r}")
-        try:
-            target = _qubit_index(self.target)
-            controls = tuple(sorted(map(_qubit_index, self.controls)))
-        except TypeError:
-            raise IndexOutOfRange(
-                f"qubit indices must be integers, got target {self.target!r} "
-                f"and controls {self.controls!r}"
-            ) from None
+        target = self.target
+        controls = self.controls
+        # Plain ints in a tuple or list, the common case, need no Python-level
+        # call per control.  Other containers take the indexing path, since
+        # the type test would use up a generator.
+        if (
+            type(target) is int
+            and type(controls) in _SEQUENCES
+            and _INTS.issuperset(map(type, controls))
+        ):
+            ordered = tuple(sorted(controls))
+            changed = ordered != controls
+        else:
+            try:
+                target = _qubit_index(target)
+                ordered = tuple(sorted(map(_qubit_index, controls)))
+            except TypeError:
+                raise IndexOutOfRange(
+                    f"qubit indices must be integers, got target {self.target!r} "
+                    f"and controls {self.controls!r}"
+                ) from None
+            object.__setattr__(self, "target", target)
+            changed = True
         if target < 0:
             raise IndexOutOfRange(f"target must be nonnegative, got {target}")
-        if any(c < 0 for c in controls):
-            raise IndexOutOfRange(f"controls must be nonnegative, got {controls}")
-        if len(set(controls)) != len(controls):
-            raise ControlCollision(f"duplicate control in {controls}")
-        if target in controls:
+        if ordered and ordered[0] < 0:
+            raise IndexOutOfRange(f"controls must be nonnegative, got {ordered}")
+        if len(set(ordered)) != len(ordered):
+            raise ControlCollision(f"duplicate control in {ordered}")
+        if target in ordered:
             raise ControlEqualsTarget(f"qubit {target} is both target and control")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "controls", controls)
+        if changed:
+            object.__setattr__(self, "controls", ordered)
         if self.kind == RY:
             try:
                 finite = math.isfinite(self.angle)
@@ -73,13 +90,16 @@ class Gate:
                 raise DomainError("ry angle is an integer too large for a float") from None
             if not finite:
                 raise DomainError(f"ry needs a finite angle, got {self.angle!r}")
-            object.__setattr__(self, "angle", float(self.angle))
+            if type(self.angle) is not float:
+                object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
             raise DomainError("x takes no angle")
 
     @property
     def max_index(self) -> int:
-        return max(self.controls + (self.target,))
+        # controls are sorted, so the last one is the largest
+        controls = self.controls
+        return max(controls[-1], self.target) if controls else self.target
 
     def with_control(self, control: int) -> "Gate":
         """Copy of this gate conditioned on one more qubit."""
@@ -106,8 +126,9 @@ class Circuit:
             raise DomainError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
+        n = self.n_qubits
         for gate in gates:
-            if gate.max_index >= self.n_qubits:
+            if gate.max_index >= n:
                 raise IndexOutOfRange(
                     f"gate touches qubit {gate.max_index} but the circuit has "
                     f"{self.n_qubits} qubits"
@@ -128,15 +149,21 @@ class Circuit:
         return Circuit(self.n_qubits, tuple(g.with_control(control) for g in self.gates))
 
     def to_json(self) -> str:
-        gates = []
+        """The circuit as JSON text, byte for byte what ``json.dumps`` writes
+        for the schema's dicts: angles are finite floats and qubit indices
+        exact ints, which json prints with their ``__repr__``, as it prints
+        an int subclass n_qubits with ``int.__repr__``."""
+        docs = []
         for g in self.gates:
-            doc: dict = {"kind": g.kind}
+            controls = ", ".join(map(str, g.controls))
             if g.kind == RY:
-                doc["angle"] = g.angle
-            doc["target"] = g.target
-            doc["controls"] = list(g.controls)
-            gates.append(doc)
-        return json.dumps({"n_qubits": self.n_qubits, "gates": gates})
+                docs.append(
+                    f'{{"kind": "ry", "angle": {g.angle!r}, "target": {g.target}, '
+                    f'"controls": [{controls}]}}'
+                )
+            else:
+                docs.append(f'{{"kind": "x", "target": {g.target}, "controls": [{controls}]}}')
+        return f'{{"n_qubits": {int.__repr__(self.n_qubits)}, "gates": [{", ".join(docs)}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
@@ -153,19 +180,20 @@ class Circuit:
         if not isinstance(gate_docs, list):
             raise FormatError("gates must be a list")
         gates = []
-        for gd in gate_docs:
+        for i, gd in enumerate(gate_docs):
             if not isinstance(gd, dict) or "kind" not in gd or "target" not in gd:
                 raise FormatError(f"malformed gate entry {gd!r}")
-            kind = gd["kind"]
             target = gd["target"]
             controls = gd.get("controls", [])
             if not isinstance(controls, list):
                 raise FormatError(f"malformed gate entry {gd!r}")
             # type() rather than isinstance(): JSON true/false parse as bool
-            if type(target) is not int or any(type(c) is not int for c in controls):
+            if type(target) is not int or not _INTS.issuperset(map(type, controls)):
                 raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
             angle = gd.get("angle")
-            if angle is not None:
+            if angle is not None and type(angle) is not float:
                 angle = number(angle, "gate angle")
-            gates.append(Gate(kind, target, tuple(controls), angle))
+            gates.append(Gate(gd["kind"], target, controls, angle))
+            # hold each gate as a dict or as a Gate, never both
+            gate_docs[i] = None
         return cls(n_qubits, tuple(gates))

@@ -13,6 +13,7 @@ import os
 import sys
 from typing import Callable
 
+from . import KERNEL_BACKEND, __version__
 from ._jsondoc import number, parse
 from .circuits import RY, Circuit
 from .encoding import encode, load_pgm
@@ -21,7 +22,7 @@ from .qasm import export_qasm
 from .simulator import max_abs_diff, run
 from .states import RealState, normalize
 from .synthesis import synth
-from .tolerances import VERIFY_ATOL
+from .tolerances import VERIFY_ATOL, check_tol
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -71,7 +72,7 @@ def _load_state(path: str) -> RealState:
     if isinstance(doc, list):
         return normalize([number(v, "amplitude") for v in doc])
     if isinstance(doc, dict):
-        return RealState.from_json(text)
+        return RealState.from_doc(doc)
     raise FormatError(f"{path}: expected a JSON object or array")
 
 
@@ -103,6 +104,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    check_tol(args.tol, "--tol")
     state = _load_state(args.input)
     circuit = Circuit.from_json(_read_text(args.circuit))
     if circuit.n_qubits != state.n_qubits:
@@ -134,6 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ryprep",
         description="Encode grayscale images as real statevectors and synthesize "
         "Ry/X preparation circuits.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"ryprep {__version__} (kernel: {KERNEL_BACKEND})"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,10 +14,14 @@ __all__ = ["export_qasm"]
 
 
 def export_qasm(circuit: Circuit) -> str:
+    gates = circuit.gates
+    # one operand string per qubit the gates touch, which may be far fewer
+    # than the register declares
+    names = [f"q[{q}]" for q in range(1 + max((g.max_index for g in gates), default=-1))]
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";', f"qubit[{circuit.n_qubits}] q;"]
-    for gate in circuit.gates:
+    for gate in gates:
+        controls = gate.controls
         call = f"ry({gate.angle!r})" if gate.kind == RY else "x"
-        mods = "ctrl @ " * len(gate.controls)
-        operands = ", ".join(f"q[{q}]" for q in (*gate.controls, gate.target))
-        lines.append(f"{mods}{call} {operands};")
+        operands = ", ".join(map(names.__getitem__, (*controls, gate.target)))
+        lines.append(f"{'ctrl @ ' * len(controls)}{call} {operands};")
     return "\n".join(lines) + "\n"

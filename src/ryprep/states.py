@@ -58,7 +58,11 @@ class RealState:
 
     @classmethod
     def from_json(cls, text: str) -> "RealState":
-        doc = parse(text, "state JSON")
+        return cls.from_doc(parse(text, "state JSON"))
+
+    @classmethod
+    def from_doc(cls, doc: object) -> "RealState":
+        """The state in a parsed state-JSON document."""
         if not isinstance(doc, dict):
             raise FormatError("state JSON must be an object")
         try:

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 from .circuits import RY, Circuit, Gate, ry, x
 from .errors import DomainError
 from .states import AngleList, RealState, to_angles
+from .tolerances import check_tol
 
 __all__ = [
     "SynthReport",
@@ -105,8 +106,7 @@ def _emit(
 
 def synth_angles(angles: AngleList, *, prune: bool = False, prune_tol: float = 1e-12) -> Circuit:
     """Build the preparation circuit directly from an angle list."""
-    if prune_tol < 0.0:
-        raise DomainError(f"prune_tol must be nonnegative, got {prune_tol}")
+    check_tol(prune_tol, "prune_tol")
     n = angles.n_qubits
     gates = _emit(angles.angles, n, prune_tol if prune else None)
     return Circuit(n, tuple(gates))
@@ -143,7 +143,6 @@ def prune(circuit: Circuit, tol: float) -> tuple[Circuit, int]:
     numerically indistinguishable from zero qualify; a 2*pi rotation flips
     the sign of half its subspace and is kept.
     """
-    if tol < 0.0:
-        raise DomainError(f"tol must be nonnegative, got {tol}")
+    check_tol(tol, "tol")
     kept = tuple(g for g in circuit.gates if g.kind != RY or abs(g.angle) > tol)
     return Circuit(circuit.n_qubits, kept), circuit.gate_count - len(kept)

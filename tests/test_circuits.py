@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ryprep import Circuit, Gate, ry, x
+import reference_circuits
+from reference_circuits import ReferenceGate
+from ryprep import Circuit, Gate, export_qasm, ry, x
 from ryprep.errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -190,3 +194,89 @@ class TestCircuitJson:
     def test_content_errors_are_domain_errors(self):
         with pytest.raises(DomainError):
             Circuit.from_json('{"n_qubits": 1, "gates": [{"kind": "ry", "angle": 1.0, "target": 1, "controls": []}]}')
+
+
+def _outcome(cls, kind, target, controls, angle):
+    """Fields and their exact types, or the exception class and message."""
+    try:
+        g = cls(kind, target, controls, angle)
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = (g.kind, g.target, g.controls, g.angle)
+    return fields, tuple(map(type, fields)), tuple(map(type, g.controls))
+
+
+_INDEX = st.integers(-2, 6)
+INDEX_VALUES = st.one_of(
+    _INDEX,
+    _INDEX,
+    _INDEX,
+    _INDEX.map(np.int64),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 1.5, -1.0]),
+    st.sampled_from(["0", "1", ""]),
+    st.none(),
+)
+CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda values: (v for v in values),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["ry", "x"]),
+    target=INDEX_VALUES,
+    controls=st.lists(INDEX_VALUES, max_size=5),
+    container=st.sampled_from(sorted(CONTAINERS)),
+    angle=st.sampled_from([None, 0.5, -0.0, 2, np.float64(0.25), math.nan, "1.0"]),
+)
+def test_gate_validation_matches_reference(kind, target, controls, container, angle):
+    make = CONTAINERS[container]
+    got = _outcome(Gate, kind, target, make(controls), angle)
+    expect = _outcome(ReferenceGate, kind, target, make(controls), angle)
+    if container == "generator" and isinstance(expect[0], type):
+        # the message shows the repr of its own generator object
+        assert got[0] is expect[0]
+    else:
+        assert got == expect
+
+
+def _random_circuit(rng, n, count):
+    gates = []
+    for _ in range(count):
+        target = int(rng.integers(n))
+        others = [q for q in range(n) if q != target]
+        controls = [int(q) for q in rng.permutation(others)[: int(rng.integers(len(others) + 1))]]
+        if rng.random() < 0.4:
+            gates.append(x(target, controls))
+        else:
+            angle = float(rng.normal()) * 10.0 ** int(rng.integers(-300, 300))
+            gates.append(ry(angle, target, controls))
+    return Circuit(n, tuple(gates))
+
+
+_rng = np.random.default_rng(2024)
+TEXT_CIRCUITS = [
+    Circuit(1),
+    Circuit(3, (x(0), x(2), ry(0.5, 1))),
+    Circuit(
+        2,
+        (ry(-0.0, 0), ry(5e-324, 1), ry(1e300, 0, (1,)), ry(math.pi, 1, (0,)), ry(-1e-300, 0)),
+    ),
+    Circuit(20, (ry(1.0, 19, tuple(range(19))), x(0, tuple(range(1, 20))), x(10))),
+    # a register far wider than the qubits its gates touch
+    Circuit(10**12, (x(3, (0,)), ry(2.5, 1))),
+] + [_random_circuit(_rng, n, count) for n in (1, 2, 5, 12) for count in (1, 40)]
+
+
+@pytest.mark.parametrize("circuit", TEXT_CIRCUITS)
+def test_to_json_matches_json_dumps(circuit):
+    assert circuit.to_json() == reference_circuits.to_json(circuit)
+    assert Circuit.from_json(circuit.to_json()) == circuit
+
+
+@pytest.mark.parametrize("circuit", TEXT_CIRCUITS)
+def test_export_qasm_matches_reference(circuit):
+    assert export_qasm(circuit) == reference_circuits.export_qasm(circuit)

@@ -124,6 +124,36 @@ def test_synth_accepts_state_json(tmp_path):
     assert Circuit.from_json(out.read_text()).gate_count == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_synth_bad_prune_tol_is_domain_error(tmp_path, capsys, tol):
+    vec = tmp_path / "v.json"
+    vec.write_text("[1, 2, 3, 4, 5, 6, 7, 8]")
+    out = tmp_path / "c.json"
+    assert main(["synth", str(vec), f"--prune-tol={tol}", "--out", str(out)]) == 1
+    assert "DomainError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_state_file_is_parsed_once(tmp_path, monkeypatch):
+    state = tmp_path / "s.json"
+    state.write_text(normalize([1, 2, 3, 4]).to_json())
+    circ = tmp_path / "c.json"
+    assert main(["synth", str(state), "--out", str(circ)]) == 0
+    parsed = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    assert main(["synth", str(state), "--out", str(circ)]) == 0
+    assert parsed == [state.read_text()]
+    parsed.clear()
+    assert main(["verify", str(state), str(circ)]) == 0
+    assert parsed == [state.read_text(), circ.read_text()]
+
+
 def test_synth_prune_flag_matters(tmp_path):
     vec = tmp_path / "v.json"
     vec.write_text("[1, 0, 0, 0, 0, 0, 0, 0]")
@@ -161,6 +191,20 @@ def test_verify_wrong_state_fails(worked_pgm, tmp_path, capsys):
     assert main(["verify", str(other), str(circ)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False and doc["max_abs_diff"] > 1e-9
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_bad_tol_is_domain_error(worked_pgm, tmp_path, monkeypatch, capsys, tol):
+    circ = tmp_path / "c.json"
+    assert main(["synth", str(worked_pgm), "--out", str(circ)]) == 0
+    capsys.readouterr()
+    touched = []
+    monkeypatch.setattr(cli, "_read_bytes", lambda path: touched.append(path))
+    monkeypatch.setattr(cli, "run", lambda circuit: touched.append(circuit))
+    assert main(["verify", str(worked_pgm), str(circ), f"--tol={tol}"]) == 1
+    assert touched == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DomainError" in captured.err
 
 
 def test_verify_dimension_mismatch_is_domain_error(worked_pgm, tmp_path, monkeypatch, capsys):
@@ -249,16 +293,31 @@ def test_log_level_info_adds_chatter(worked_pgm, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_console_entry_point(worked_pgm, tmp_path):
-    out = tmp_path / "s.json"
-    # the child imports the same package as this process, installed or not
+def _run_module(*args):
+    """``python -m ryprep`` in a child that imports the same package as this
+    process, installed or not."""
     package_root = str(pathlib.Path(ryprep.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ryprep", "encode", str(worked_pgm), str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "ryprep", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(worked_pgm, tmp_path):
+    out = tmp_path / "s.json"
+    proc = _run_module("encode", str(worked_pgm), str(out))
     assert proc.returncode == 0
     assert json.loads(out.read_text())["n_qubits"] == 2
+
+
+def test_version_names_kernel_backend(capsys):
+    expect = f"ryprep {ryprep.__version__} (kernel: {ryprep.KERNEL_BACKEND})\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == expect
+    proc = _run_module("--version")
+    assert (proc.returncode, proc.stdout) == (0, expect)

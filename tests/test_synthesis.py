@@ -181,6 +181,17 @@ class TestPruning:
         pruned, removed = prune(circuit, 1e-6)
         assert removed == 0 and pruned.gate_count == 1
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_non_finite_or_negative_tol_rejected(self, tol):
+        angles = to_angles(normalize(range(1, 9)))
+        for prune_on in (True, False):
+            with pytest.raises(DomainError):
+                synth_angles(angles, prune=prune_on, prune_tol=tol)
+        with pytest.raises(DomainError):
+            synth(normalize(range(1, 9)), prune=True, prune_tol=tol)
+        with pytest.raises(DomainError):
+            prune(synth_angles(angles), tol)
+
     def test_prune_rejects_negative_tol(self):
         with pytest.raises(DomainError):
             prune(Circuit(1), -1e-9)
@@ -262,3 +273,17 @@ class TestBuildOnce:
         circuit = synth_angles(angles)
         assert circuit.gate_count == EXPECTED_COUNTS[10] == 1780
         assert len(built) == 1780
+
+    def test_from_json_builds_each_gate_once(self, monkeypatch):
+        circuit = synth_angles(random_angles(np.random.default_rng(31), 8))
+        text = circuit.to_json()
+        built = []
+        post_init = Gate.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Gate, "__post_init__", counting)
+        assert Circuit.from_json(text) == circuit
+        assert len(built) == circuit.gate_count == EXPECTED_COUNTS[8]
