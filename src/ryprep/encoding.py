@@ -7,8 +7,13 @@ becomes the amplitudes of a ceil(log2(M*L))-qubit state.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     AllZeroImage,
@@ -23,7 +28,29 @@ from .states import RealState, normalize
 
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+# Skips whitespace and '#' comments (up to LF or CR), then captures the next
+# token, which is empty only at the end of the data.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|#[^\n\r]*)*([^ \t\n\r\x0b\x0c#]*)")
+
+
+def _num(n: int) -> str:
+    """``str(n)``, or n's size when it has more digits than the interpreter
+    will print."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' * (n < 0)}<{n.bit_length()}-bit integer>"
+
+
+def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``operator.index`` of every value, bools refused, as plain ints."""
+    try:
+        values = tuple(values)
+        if bool in map(type, values):
+            raise TypeError("a bool is not an integer")
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise DomainError(f"{what} must be integers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -36,61 +63,38 @@ class GrayImage:
     maxval: int = 255
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pixels", tuple(int(p) for p in self.pixels))
-        if self.rows < 1 or self.cols < 1:
-            raise DomainError(f"image dimensions must be positive, got {self.rows}x{self.cols}")
-        if not 1 <= self.maxval <= 65535:
-            raise MaxvalOutOfRange(f"maxval must lie in [1, 65535], got {self.maxval}")
-        if len(self.pixels) != self.rows * self.cols:
-            raise DomainError(
-                f"{self.rows}x{self.cols} image needs {self.rows * self.cols} pixels, "
-                f"got {len(self.pixels)}"
-            )
-        for p in self.pixels:
-            if not 0 <= p <= self.maxval:
-                raise PixelExceedsMaxval(f"pixel value {p} outside [0, {self.maxval}]")
+        rows, cols, maxval = _exact_ints((self.rows, self.cols, self.maxval), "rows, cols, maxval")
+        pixels = _exact_ints(self.pixels, "pixels")
+        for name, value in zip(("rows", "cols", "maxval", "pixels"), (rows, cols, maxval, pixels)):
+            object.__setattr__(self, name, value)
+        if rows < 1 or cols < 1:
+            raise DomainError(f"image dimensions must be positive, got {_num(rows)}x{_num(cols)}")
+        if not 1 <= maxval <= 65535:
+            raise MaxvalOutOfRange(f"maxval must lie in [1, 65535], got {_num(maxval)}")
+        if len(pixels) != rows * cols:
+            size = f"{_num(rows)}x{_num(cols)}"
+            raise DomainError(f"{size} image needs {_num(rows * cols)} pixels, got {len(pixels)}")
+        if min(pixels) < 0 or max(pixels) > maxval:
+            p = next(p for p in pixels if not 0 <= p <= maxval)
+            raise PixelExceedsMaxval(f"pixel value {_num(p)} outside [0, {maxval}]")
 
     def pixel(self, i: int, j: int) -> int:
         """Value at row i, column j (0-based)."""
+        i, j = _exact_ints((i, j), "pixel indices")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise DomainError(f"pixel ({i}, {j}) outside {self.rows}x{self.cols} image")
+            raise DomainError(f"pixel ({_num(i)}, {_num(j)}) outside {self.rows}x{self.cols} image")
         return self.pixels[i * self.cols + j]
 
 
-class _Scanner:
-    """Token scanner over PGM header bytes; '#' starts a comment to end of line."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def _skip_filler(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            byte = data[self.pos]
-            if byte in _WHITESPACE:
-                self.pos += 1
-            elif byte == 0x23:  # '#'
-                while self.pos < n and data[self.pos] not in (0x0A, 0x0D):
-                    self.pos += 1
-            else:
-                return
-
-    def next_token(self) -> bytes:
-        self._skip_filler()
-        if self.pos >= len(self.data):
-            raise TruncatedData("header ended early")
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos] not in _WHITESPACE and data[self.pos] != 0x23:
-            self.pos += 1
-        return data[start : self.pos]
-
-    def next_int(self, what: str) -> int:
-        token = self.next_token()
-        if not token.isdigit():
-            raise PgmError(f"malformed {what} token {token!r}")
+def _int(token: bytes, what: str) -> int:
+    if not token:
+        raise TruncatedData("header ended early")
+    if not token.isdigit():
+        raise PgmError(f"malformed {what} token {token!r}")
+    try:
         return int(token)
+    except ValueError:  # more digits than int() converts
+        raise PgmError(f"{what} token of {len(token)} digits is too long") from None
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -99,16 +103,16 @@ def load_pgm(data: bytes) -> GrayImage:
     Binary 16-bit samples are big-endian per the Netpbm convention.  Bytes
     past the declared raster are ignored.
     """
-    scanner = _Scanner(data)
-    try:
-        magic = scanner.next_token()
-    except TruncatedData:
-        raise BadMagic("empty input") from None
+    tokens = _TOKEN.finditer(data)
+    magic = next(tokens)[1]
+    if not magic:
+        raise BadMagic("empty input")
     if magic not in (b"P2", b"P5"):
         raise BadMagic(f"expected P2 or P5, got {magic!r}")
-    width = scanner.next_int("width")
-    height = scanner.next_int("height")
-    maxval = scanner.next_int("maxval")
+    width = _int(next(tokens)[1], "width")
+    height = _int(next(tokens)[1], "height")
+    match = next(tokens)
+    maxval = _int(match[1], "maxval")
     if not 1 <= maxval <= 65535:
         raise MaxvalOutOfRange(f"maxval must lie in [1, 65535], got {maxval}")
     if width < 1 or height < 1:
@@ -116,35 +120,27 @@ def load_pgm(data: bytes) -> GrayImage:
     count = width * height
 
     if magic == b"P2":
-        pixels = [scanner.next_int("sample") for _ in range(count)]
+        # the data holds at most len(data) tokens before the empty one at its end
+        pixels = [_int(m[1], "sample") for m in islice(tokens, min(count, len(data) + 1))]
     else:
         # exactly one whitespace byte separates the maxval token from the raster
-        if scanner.pos >= len(data):
+        start = match.end() + 1
+        if start > len(data):
             raise TruncatedData("no raster after header")
-        if data[scanner.pos] not in _WHITESPACE:
+        if not data[start - 1 : start].isspace():
             raise PgmError("maxval must be followed by a single whitespace byte")
-        start = scanner.pos + 1
-        if maxval < 256:
-            raster = data[start : start + count]
-            if len(raster) < count:
-                raise TruncatedData(f"raster holds {len(raster)} of {count} samples")
-            pixels = list(raster)
-        else:
-            raster = data[start : start + 2 * count]
-            if len(raster) < 2 * count:
-                raise TruncatedData(f"raster holds {len(raster) // 2} of {count} samples")
-            pixels = [raster[2 * k] << 8 | raster[2 * k + 1] for k in range(count)]
-
-    for p in pixels:
-        if p > maxval:
-            raise PixelExceedsMaxval(f"sample {p} exceeds maxval {maxval}")
-    return GrayImage(rows=height, cols=width, pixels=tuple(pixels), maxval=maxval)
+        depth = 1 if maxval < 256 else 2
+        raster = data[start : start + depth * count]
+        if len(raster) < depth * count:
+            raise TruncatedData(f"raster holds {len(raster) // depth} of {_num(count)} samples")
+        pixels = np.frombuffer(raster, "u1" if depth == 1 else ">u2").tolist()
+    return GrayImage(rows=height, cols=width, pixels=pixels, maxval=maxval)
 
 
 def unfold(image: GrayImage) -> list[float]:
     """Flatten column-major: column 0 top to bottom, then column 1, and so on."""
-    rows, cols, px = image.rows, image.cols, image.pixels
-    return [float(px[i * cols + j]) for j in range(cols) for i in range(rows)]
+    cols, px = image.cols, image.pixels
+    return [float(p) for j in range(cols) for p in px[j::cols]]
 
 
 def pad_pow2(values: Sequence[float] | Iterable[float]) -> list[float]:

@@ -44,6 +44,47 @@ def test_encode_bad_magic_is_format_error(tmp_path, capsys):
     assert "BadMagic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encode", "synth"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P2 1 1 " + b"9" * 5000 + b" 0",
+        b"P2 " + b"9" * 4301 + b" 1 255 0",
+        b"P2 2 1 255 7 " + b"1" * 5000,
+    ],
+    ids=["maxval", "width", "sample"],
+)
+def test_over_long_token_is_format_error(tmp_path, capsys, command, data):
+    img = tmp_path / "long.pgm"
+    img.write_bytes(data)
+    out = tmp_path / "out.json"
+    argv = [command, str(img), str(out)] if command == "encode" else [command, str(img)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: PgmError: ") and "digits is too long" in captured.err
+
+
+@pytest.mark.parametrize("command", ["encode", "synth"])
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"P2 99999999999999999999 1 255 0", "header ended early"),
+        (b"P5 " + b"9" * 3000 + b" " + b"9" * 3000 + b" 255 \x00", "raster holds 1 of <19932-bit"),
+    ],
+    ids=["p2", "p5-unprintable"],
+)
+def test_huge_dimensions_are_format_error(tmp_path, capsys, command, data, message):
+    img = tmp_path / "huge.pgm"
+    img.write_bytes(data)
+    out = tmp_path / "out.json"
+    argv = [command, str(img), str(out)] if command == "encode" else [command, str(img)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: TruncatedData: {message}")
+
+
 def test_encode_missing_file_is_io_error(tmp_path):
     assert main(["encode", str(tmp_path / "nope.pgm"), str(tmp_path / "out.json")]) == 2
 

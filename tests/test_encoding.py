@@ -1,10 +1,15 @@
 """PGM parsing, column-major unfolding, padding, and amplitude encoding."""
 
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import reference_pgm
 from ryprep import GrayImage, encode, load_pgm, pad_pow2, unfold
 from ryprep.errors import (
     AllZeroImage,
@@ -15,6 +20,7 @@ from ryprep.errors import (
     PixelExceedsMaxval,
     TruncatedData,
 )
+from test_fuzz import FILLER, PGM_BYTES, WHITESPACE
 
 WORKED = GrayImage(rows=2, cols=2, pixels=(0, 192, 128, 255))
 
@@ -93,6 +99,126 @@ def test_malformed_headers(data):
         load_pgm(data)
 
 
+HUGE = b"9" * 20  # past sys.maxsize
+WIDE = b"9" * 3000  # two of them multiply past the digits str() prints
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"P2 " + HUGE + b" 1 255 0", "header ended early"),
+        (b"P2 1 " + HUGE + b" 255 0 1 2", "header ended early"),
+        (b"P2 " + HUGE + b" " + HUGE + b" 255 1 x", "malformed sample token b'x'"),
+        (b"P5 " + HUGE + b" 1 255 \x00\x01", f"raster holds 2 of {10**20 - 1} samples"),
+        (b"P5 1 " + WIDE + b" 255 \x00", f"raster holds 1 of {10**3000 - 1} samples"),
+        (
+            b"P5 " + WIDE + b" " + WIDE + b" 65535 \x00\x01",
+            "raster holds 1 of <19932-bit integer> samples",
+        ),
+    ],
+    ids=["p2-width", "p2-height", "p2-both", "p5-width", "p5-wide", "p5-unprintable"],
+)
+def test_huge_dimensions_are_pgm_errors(data, message):
+    with pytest.raises(PgmError, match=f"^{re.escape(message)}$"):
+        load_pgm(data)
+
+
+LONG = b"9" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "data,what",
+    [
+        (b"P2 " + LONG + b" 1 255 0", "width"),
+        (b"P5 1 " + LONG + b" 255 \x00", "height"),
+        (b"P2 1 1 " + LONG + b" 0", "maxval"),
+        (b"P2 2 1 255 7 " + LONG, "sample"),
+    ],
+    ids=["width", "height", "maxval", "sample"],
+)
+def test_over_long_token_is_pgm_error(data, what):
+    with pytest.raises(PgmError, match=f"^{what} token of 5000 digits is too long$"):
+        load_pgm(data)
+
+
+@pytest.mark.parametrize(
+    "samples,message",
+    [
+        (LONG + b" x", "sample token of 5000 digits is too long"),
+        (LONG, "sample token of 5000 digits is too long"),  # then the data ends
+        (b"x " + LONG, "malformed sample token b'x'"),
+    ],
+    ids=["long-then-bad", "long-then-end", "bad-then-long"],
+)
+def test_first_bad_sample_decides(samples, message):
+    with pytest.raises(PgmError, match=message):
+        load_pgm(b"P2 4 1 255 1 " + samples)
+
+
+@st.composite
+def pgm_files(draw):
+    """Well-formed P2 and P5 images, some cut short, some with trailing bytes."""
+    binary = draw(st.booleans())
+    maxval = draw(st.sampled_from([1, 15, 255, 256, 4095, 65535]) | st.integers(1, 65535))
+    if binary and maxval < 256:
+        top = 255  # a one-byte sample may still exceed a small maxval
+    else:
+        top = 65535 if draw(st.integers(0, 9)) == 0 else maxval
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pixels = draw(st.lists(st.integers(0, top), min_size=rows * cols, max_size=rows * cols))
+    fields = [b"P5" if binary else b"P2", b"%d" % cols, b"%d" % rows, b"%d" % maxval]
+    data = b"".join(field + draw(FILLER) for field in fields[:-1]) + fields[-1]
+    if binary:
+        # one whitespace byte before the raster, or now and then some other filler
+        data += draw(st.just(b"\n") | st.sampled_from(WHITESPACE) | FILLER)
+        data += np.array(pixels, "u1" if maxval < 256 else ">u2").tobytes()
+    else:
+        data += b"".join(draw(FILLER) + b"%d" % p for p in pixels)
+    data = draw(FILLER) + data if draw(st.booleans()) else data
+    if draw(st.integers(0, 3)) == 3:
+        data = data[: draw(st.integers(0, len(data)))]
+    if draw(st.booleans()):
+        data += draw(st.sampled_from(WHITESPACE)) + draw(st.binary(max_size=8))
+    return data
+
+
+def parse(load, data):
+    try:
+        return load(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(data):
+    expect = parse(reference_pgm.load_pgm, data)
+    got = parse(load_pgm, data)
+    if isinstance(expect, GrayImage):
+        assert got == expect and type(got.pixels[0]) is int
+    elif expect[0] is ValueError:  # the interpreter's limit on int() digits
+        digits = re.search(r"value has (\d+) digits", expect[1])[1]
+        assert got[0] is PgmError and got[1].endswith(f" token of {digits} digits is too long")
+    elif expect[0] is PixelExceedsMaxval:  # the text is GrayImage's
+        sample, maxval = re.fullmatch(r"sample (\d+) exceeds maxval (\d+)", expect[1]).groups()
+        assert got == (PixelExceedsMaxval, f"pixel value {sample} outside [0, {maxval}]")
+    else:
+        assert got == expect
+
+
+PARITY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@PARITY
+@given(pgm_files())
+def test_load_pgm_matches_reference(data):
+    assert_matches_reference(data)
+
+
+@PARITY
+@given(PGM_BYTES)
+def test_load_pgm_matches_reference_on_fuzz_bytes(data):
+    assert_matches_reference(data)
+
+
 class TestGrayImage:
     def test_pixel_bounds_checked(self):
         with pytest.raises(PixelExceedsMaxval):
@@ -107,6 +233,71 @@ class TestGrayImage:
     def test_pixel_accessor_bounds(self):
         with pytest.raises(DomainError):
             WORKED.pixel(2, 0)
+
+    @pytest.mark.parametrize(
+        "pixels",
+        [(1.5, 2.7), ("7", "3"), (True, False), (1, None), (1, 2.0), (np.float64(1), 2), None, 5],
+    )
+    def test_pixels_must_be_exact_integers(self, pixels):
+        with pytest.raises(DomainError, match="^pixels must be integers"):
+            GrayImage(rows=1, cols=2, pixels=pixels)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rows": 1.0},
+            {"rows": "1"},
+            {"rows": True},
+            {"cols": 2.0},
+            {"cols": None},
+            {"cols": False},
+            {"maxval": 255.0},
+            {"maxval": True},
+            {"maxval": "255"},
+        ],
+    )
+    def test_sizes_must_be_exact_integers(self, fields):
+        with pytest.raises(DomainError, match="^rows, cols, maxval must be integers"):
+            GrayImage(**{"rows": 1, "cols": 2, "pixels": (1, 2), **fields})
+
+    @pytest.mark.parametrize("index", [(0.5, 1), (0, 1.0), (True, 0), (0, "1"), (None, 0)])
+    def test_pixel_indices_must_be_exact_integers(self, index):
+        with pytest.raises(DomainError, match="^pixel indices must be integers"):
+            WORKED.pixel(*index)
+
+    def test_numpy_integers_become_ints(self):
+        img = GrayImage(
+            rows=np.int64(2), cols=np.uint8(2), pixels=np.array([0, 1, 2, 3]), maxval=np.int32(3)
+        )
+        assert img == GrayImage(rows=2, cols=2, pixels=(0, 1, 2, 3), maxval=3)
+        assert {type(v) for v in (img.rows, img.cols, img.maxval, *img.pixels)} == {int}
+        assert img.pixel(np.int64(1), np.int8(0)) == 2
+
+    def test_pixels_from_any_iterable(self):
+        img = GrayImage(rows=1, cols=3, pixels=(p for p in [4, 5, 6]), maxval=6)
+        assert img.pixels == (4, 5, 6)
+
+    @pytest.mark.parametrize(
+        "fields,error,message",
+        [
+            ({"rows": -(10**5000)}, DomainError, "got -<16610-bit integer>x2"),
+            ({"cols": 10**5000}, DomainError, "needs <16610-bit integer> pixels, got 2"),
+            ({"maxval": 10**5000}, MaxvalOutOfRange, "got <16610-bit integer>"),
+            ({"pixels": (1, 10**5000)}, PixelExceedsMaxval, "value <16610-bit integer> outside"),
+        ],
+    )
+    def test_unprintable_values_are_named_by_size(self, fields, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            GrayImage(**{"rows": 1, "cols": 2, "pixels": (1, 2), **fields})
+
+    def test_unprintable_pixel_index_is_named_by_size(self):
+        with pytest.raises(DomainError, match=re.escape("pixel (-<16610-bit integer>, 0) outside")):
+            WORKED.pixel(-(10**5000), 0)
+
+    @pytest.mark.parametrize("pixels,bad", [((0, -1, 2), -1), ((0, 9, -1), 9)])
+    def test_first_pixel_out_of_range_is_named(self, pixels, bad):
+        with pytest.raises(PixelExceedsMaxval, match=rf"^pixel value {bad} outside \[0, 3\]$"):
+            GrayImage(rows=1, cols=3, pixels=pixels, maxval=3)
 
 
 class TestUnfold:

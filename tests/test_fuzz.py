@@ -53,12 +53,33 @@ CIRCUIT_DOCS = st.fixed_dictionaries(
     {"n_qubits": st.integers(1, 6) | VALUES, "gates": st.lists(GATE_DOCS, max_size=6) | VALUES}
 )
 MAGIC = st.sampled_from([b"P2", b"P5", b"P6", b""])
-HEADER = st.lists(st.integers(0, 70000), max_size=4)
+# now and then a 20-digit field, whose products pass sys.maxsize
+SMALL = st.integers(0, 70000)
+HEADER_INT = st.one_of(SMALL, SMALL, SMALL, st.integers(10**19, 10**20 - 1))
+HEADER = st.lists(HEADER_INT, max_size=4)
+# what the tokenizer skips: runs of whitespace bytes and '#' comments, which
+# may follow a token directly and end at LF or CR
+WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+COMMENTS = [b"#\n", b"# note\r", b"#x\r\n", b"##\x0c\n"]
+FILLER = st.lists(st.sampled_from(WHITESPACE + COMMENTS), min_size=1, max_size=3).map(b"".join)
+# more digits than int() converts; b"%d" % 10**5000 would itself raise
+LONG_TOKEN = b"1" + b"0" * 5000
+DECIMAL = HEADER_INT.map(b"%d".__mod__)
+FIELD = st.one_of(DECIMAL, DECIMAL, DECIMAL, st.just(LONG_TOKEN))
+TOKENS = st.lists(st.tuples(FILLER, FIELD), max_size=4).map(
+    lambda pairs: b"".join(map(b"".join, pairs))
+)
 PGM_BYTES = st.binary(max_size=64) | st.builds(
     lambda magic, fields, body: magic + b" " + b" ".join(b"%d" % f for f in fields) + b"\n" + body,
     MAGIC,
     HEADER,
     st.binary(max_size=64),
+) | st.builds(
+    lambda magic, header, filler, body: magic + header + filler + body,
+    MAGIC,
+    TOKENS,
+    FILLER,
+    st.binary(max_size=64) | TOKENS,
 )
 
 
