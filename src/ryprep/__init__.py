@@ -5,7 +5,7 @@ dense statevector simulator for verification."""
 from .circuits import RY, X, Circuit, Gate, ry, x
 from .encoding import GrayImage, encode, load_pgm, pad_pow2, unfold
 from .qasm import export_qasm
-from .simulator import apply_gate, max_abs_diff, run
+from .simulator import KERNEL_BACKEND, apply_gate, max_abs_diff, run
 from .states import AngleList, RealState, from_angles, normalize, to_angles
 from .synthesis import (
     SynthReport,
@@ -18,9 +18,6 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
-
-# The simulator has one implementation, in NumPy.
-KERNEL_BACKEND = "numpy"
 
 __all__ = [
     "KERNEL_BACKEND",

@@ -1,21 +1,37 @@
-"""The control-subspace kernel: hand-checked updates, and bit-identity with
-the pair-index reference on random circuits."""
+"""The control-subspace kernels: hand-checked updates, bit-identity of the
+compiled kernel with the NumPy kernel and the pair-index reference, the
+compiled kernel's argument checks, and which kernel a build ends up with."""
 
 import math
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ryprep
 from dense_oracle import run_pairs
-from ryprep import Circuit, run, ry, x
-from ryprep.simulator import _apply_inplace
+from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
+from ryprep import simulator
+from ryprep.simulator import MAX_QUBITS, _apply_inplace, _columns
 
-# The kernel is NumPy code called from Python; the id keeps these tests'
-# names stable across versions of the package.
-KERNELS = [pytest.param(_apply_inplace, id="python")]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("apply", KERNELS)
+@pytest.fixture(params=["python", "c"])
+def apply(request):
+    """One gate applied in place: ``python`` is the NumPy kernel that runs
+    when the extension is absent; ``c`` is the compiled kernel, fed the
+    columns ``run`` packs."""
+    if request.param == "python":
+        return _apply_inplace
+    run_gates = request.getfixturevalue("simkernel").run_gates
+    return lambda amps, gate: run_gates(amps, *_columns((gate,)))
+
+
 def test_uncontrolled_ry_on_basis(apply):
     amps = np.zeros(4)
     amps[0] = 1.0
@@ -24,14 +40,12 @@ def test_uncontrolled_ry_on_basis(apply):
     np.testing.assert_allclose(amps, [math.cos(theta / 2), math.sin(theta / 2), 0, 0], atol=0)
 
 
-@pytest.mark.parametrize("apply", KERNELS)
 def test_controlled_ry_skips_unset_control(apply):
     amps = np.array([1.0, 0.0, 0.0, 0.0])
     apply(amps, ry(0.8, 0, (1,)))
     np.testing.assert_array_equal(amps, [1.0, 0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("apply", KERNELS)
 def test_controlled_ry_acts_when_control_set(apply):
     amps = np.array([0.0, 0.0, 1.0, 0.0])  # |10>: qubit 1 set
     h = 0.9 / 2
@@ -39,33 +53,276 @@ def test_controlled_ry_acts_when_control_set(apply):
     np.testing.assert_allclose(amps, [0.0, 0.0, math.cos(h), math.sin(h)], atol=0)
 
 
-@pytest.mark.parametrize("apply", KERNELS)
 def test_x_swaps_pairs(apply):
     amps = np.array([0.1, 0.2, 0.3, 0.4])
     apply(amps, x(1))
     np.testing.assert_array_equal(amps, [0.3, 0.4, 0.1, 0.2])
 
 
-@pytest.mark.parametrize("apply", KERNELS)
 def test_cnot(apply):
     amps = np.array([0.1, 0.2, 0.3, 0.4])
     apply(amps, x(0, (1,)))  # flip qubit 0 where qubit 1 is set
     np.testing.assert_array_equal(amps, [0.1, 0.2, 0.4, 0.3])
 
 
-def test_run_matches_pair_index_reference():
+def _random_circuit(rng, n: int, count: int) -> Circuit:
+    """Ry and X gates with 0..n-1 controls; every fifth gate is controlled
+    on every qubit but its target."""
+    gates = []
+    for k in range(count):
+        target = int(rng.integers(n))
+        others = [q for q in range(n) if q != target]
+        rng.shuffle(others)
+        controls = others if k % 5 == 0 else others[: int(rng.integers(n))]
+        if rng.random() < 0.5:
+            gates.append(ry(float(rng.uniform(-2 * math.pi, 2 * math.pi)), target, controls))
+        else:
+            gates.append(x(target, controls))
+    return Circuit(n, tuple(gates))
+
+
+def _synthesized_circuit(rng, n: int, prune: bool) -> Circuit:
+    """A circuit synthesized for a signed state whose last quarter is zero,
+    like a padded image, so pruning has rotations to remove."""
+    v = rng.normal(size=1 << n)
+    v[(3 << n) // 4 :] = 0.0
+    if not v.any():
+        v[0] = 1.0
+    v /= np.linalg.norm(v)
+    return synth(RealState(n, tuple(v.tolist())), prune=prune)[0]
+
+
+@pytest.fixture(params=["python", "c"])
+def kernel(request, monkeypatch):
+    """The kernel ``run`` and ``apply_gate`` dispatch to in this test."""
+    run_gates = None
+    if request.param == "c":
+        run_gates = request.getfixturevalue("simkernel").run_gates
+    monkeypatch.setattr(simulator, "_run_gates", run_gates)
+
+
+def _numpy_run(circuit: Circuit) -> np.ndarray:
+    amps = np.zeros(1 << circuit.n_qubits)
+    amps[0] = 1.0
+    for gate in circuit.gates:
+        _apply_inplace(amps, gate)
+    return amps
+
+
+def _assert_run_matches_references(circuit: Circuit) -> None:
+    prepared = run(circuit).amplitudes
+    np.testing.assert_array_equal(prepared, _numpy_run(circuit))
+    np.testing.assert_array_equal(prepared, run_pairs(circuit))
+
+
+def test_run_matches_pair_index_reference(kernel):
     rng = np.random.default_rng(2718)
-    for n in range(1, 9):
+    for n in range(1, 11):
         for _ in range(5):
-            gates = []
-            for _ in range(60):
-                target = int(rng.integers(n))
-                others = [q for q in range(n) if q != target]
-                rng.shuffle(others)
-                controls = others[: int(rng.integers(n))]  # 0..n-1 controls
-                if rng.random() < 0.5:
-                    gates.append(ry(float(rng.uniform(-2 * math.pi, 2 * math.pi)), target, controls))
-                else:
-                    gates.append(x(target, controls))
-            circuit = Circuit(n, tuple(gates))
-            np.testing.assert_array_equal(run(circuit).amplitudes, run_pairs(circuit))
+            _assert_run_matches_references(_random_circuit(rng, n, 60))
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_run_matches_references_on_synthesized_circuits(kernel, prune):
+    rng = np.random.default_rng(1414 + prune)
+    for n in range(1, 13):
+        _assert_run_matches_references(_synthesized_circuit(rng, n, prune))
+
+
+def test_dispatch_fallback_is_bit_identical(simkernel, monkeypatch):
+    """``run`` and ``apply_gate`` give the same states through either kernel."""
+    circuit = _random_circuit(np.random.default_rng(577), 6, 80)
+    states = []
+    for run_gates in (simkernel.run_gates, None):
+        monkeypatch.setattr(simulator, "_run_gates", run_gates)
+        steps = [run(circuit)]
+        for gate in circuit.gates[:20]:
+            steps.append(apply_gate(steps[-1], gate))
+        states.append(steps)
+    assert states[0] == states[1]
+
+
+def test_kernel_backend_names_the_dispatched_kernel():
+    if simulator._run_gates is None:
+        assert ryprep.KERNEL_BACKEND == "numpy"
+    else:
+        assert ryprep.KERNEL_BACKEND == "c"
+        assert simulator._run_gates.__module__ == "ryprep._simkernel"
+
+
+def test_extension_constant_matches_simulator(simkernel):
+    assert simkernel.MAX_QUBITS == MAX_QUBITS
+
+
+# The compiled kernel's argument checks: each bad call raises ValueError and
+# leaves amps as it was.  Every call starts from three valid gates on two
+# qubits, the first of which would change amps.
+
+
+def _columns3():
+    return (
+        np.array([1, 0, 1], dtype=np.uint8),
+        np.array([0, 1, 0], dtype=np.int32),
+        np.array([0, 1, 2], dtype=np.uint64),
+        np.array([0.0, 0.7, 0.0]),
+    )
+
+
+def _refused(simkernel, amps, *cols, match):
+    before = np.array(amps, copy=True)
+    with pytest.raises(ValueError, match=match):
+        simkernel.run_gates(amps, *cols)
+    np.testing.assert_array_equal(amps, before)
+
+
+def test_valid_columns_are_accepted(simkernel):
+    amps = np.array([0.1, 0.2, 0.3, 0.4])
+    simkernel.run_gates(amps, *_columns3())
+    expected = np.array([0.1, 0.2, 0.3, 0.4])
+    for gate in (x(0), ry(0.7, 1, (0,)), x(0, (1,))):
+        _apply_inplace(expected, gate)
+    np.testing.assert_array_equal(amps, expected)
+
+
+@pytest.mark.parametrize(
+    "column, dtype",
+    [(0, np.float32), (1, np.int8), (1, np.bool_), (2, np.int64), (2, np.uint32)]
+    + [(3, np.int64), (3, np.float64), (4, np.float32), (4, np.int64)],
+)
+def test_wrong_dtype_refused(simkernel, column, dtype):
+    args = [np.array([0.1, 0.2, 0.3, 0.4]), *_columns3()]
+    args[column] = args[column].astype(dtype)
+    _refused(simkernel, *args, match="wrong item type")
+
+
+@pytest.mark.parametrize("column", range(5))
+def test_non_contiguous_buffer_refused(simkernel, column):
+    args = [np.array([0.1, 0.2, 0.3, 0.4]), *_columns3()]
+    spread = np.zeros(2 * len(args[column]), dtype=args[column].dtype)
+    spread[::2] = args[column]
+    args[column] = spread[::2]
+    _refused(simkernel, *args, match="C-contiguous")
+    args[column] = spread[::2].reshape(1, -1)  # contiguous, but two-dimensional
+    _refused(simkernel, *args, match="one-dimensional")
+
+
+def test_read_only_amps_refused(simkernel):
+    amps = np.array([0.1, 0.2, 0.3, 0.4])
+    amps.flags.writeable = False
+    _refused(simkernel, amps, *_columns3(), match="writable")
+
+
+@pytest.mark.parametrize("column", range(1, 5))
+def test_unequal_column_lengths_refused(simkernel, column):
+    args = [np.array([0.1, 0.2, 0.3, 0.4]), *_columns3()]
+    args[column] = args[column][:2].copy()
+    _refused(simkernel, *args, match="differ in length")
+
+
+@pytest.mark.parametrize("column", range(1, 5))
+def test_column_sharing_memory_with_amps_refused(simkernel, column):
+    args = [np.array([0.1, 0.2, 0.3, 0.4]), *_columns3()]
+    # the column is a view of the last bytes of amps
+    args[column] = args[0].view(np.uint8)[-args[column].nbytes :].view(args[column].dtype)
+    _refused(simkernel, *args, match="shares memory with amps")
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 6, 1000, 1 << (MAX_QUBITS + 1)])
+def test_amps_length_not_a_register_refused(simkernel, size):
+    # np.empty does not touch its pages, so the largest size costs no memory
+    amps = np.empty(size)
+    with pytest.raises(ValueError, match="not 2\\*\\*n"):
+        simkernel.run_gates(amps, *_columns3())
+
+
+@pytest.mark.parametrize("target", [2, 3, 40, -1, -(2**31)])
+def test_target_outside_register_refused(simkernel, target):
+    kind, targets, cmask, angle = _columns3()
+    targets[2] = target
+    cmask[2] = 0
+    amps = np.array([0.1, 0.2, 0.3, 0.4])
+    _refused(simkernel, amps, kind, targets, cmask, angle, match="targets")
+
+
+@pytest.mark.parametrize(
+    "target, mask", [(0, 4), (0, 2**63), (0, 2**64 - 1), (1, 2), (0, 1), (0, 3)]
+)
+def test_control_mask_outside_register_or_on_target_refused(simkernel, target, mask):
+    kind, targets, cmask, angle = _columns3()
+    targets[2] = target
+    cmask[2] = mask
+    amps = np.array([0.1, 0.2, 0.3, 0.4])
+    _refused(simkernel, amps, kind, targets, cmask, angle, match="control mask")
+
+
+def test_unknown_kind_refused(simkernel):
+    kind, targets, cmask, angle = _columns3()
+    kind[2] = 2
+    amps = np.array([0.1, 0.2, 0.3, 0.4])
+    _refused(simkernel, amps, kind, targets, cmask, angle, match="kind")
+
+
+# Which kernel a build ends up with, checked in a fresh interpreter on a copy
+# of the package, so an in-tree build cannot leak into the answer.
+
+
+def _package_copy(dest: pathlib.Path) -> pathlib.Path:
+    shutil.copytree(
+        ROOT / "src" / "ryprep",
+        dest / "ryprep",
+        ignore=shutil.ignore_patterns("*.so", "*.c", "__pycache__"),
+    )
+    return dest
+
+
+_PROBE = """
+import ryprep
+from ryprep import Circuit, run, ry, simulator, x
+state = run(Circuit(3, (ry(0.3, 0), x(1, (0,)), ry(1.1, 2, (0, 1)))))
+print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, repr(state.amplitudes))
+"""
+
+
+def _probe(lib: pathlib.Path) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": str(lib)}
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, cwd=lib, check=True
+    )
+    version = subprocess.run(
+        [sys.executable, "-m", "ryprep", "--version"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=lib,
+        check=True,
+    )
+    return out.stdout.split(" ", 2) + [version.stdout]
+
+
+def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
+    lib = _package_copy(tmp_path)
+    shutil.copy(simkernel.__file__, lib / "ryprep")
+    with_c = _probe(lib)
+    (lib / "ryprep" / pathlib.Path(simkernel.__file__).name).unlink()
+    without = _probe(lib)
+    assert with_c[:2] == ["c", "False"]
+    assert with_c[3] == f"ryprep {ryprep.__version__} (kernel: c)\n"
+    assert without[:2] == ["numpy", "True"]
+    assert without[3] == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
+    assert with_c[2] == without[2]
+
+
+def test_build_without_compiler_succeeds_on_numpy(tmp_path):
+    """``setup.py build_ext`` with a compiler that always fails exits 0
+    (the extension is optional), and the package then runs on NumPy."""
+    lib = _package_copy(tmp_path / "lib")
+    cmd = [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib)]
+    cmd += ["--build-temp", str(tmp_path / "temp")]
+    res = subprocess.run(
+        cmd, cwd=ROOT, capture_output=True, text=True, env={**os.environ, "CC": "false"}
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert not list((lib / "ryprep").glob("_simkernel*"))
+    kernel, fallback, _, version = _probe(lib)
+    assert (kernel, fallback) == ("numpy", "True")
+    assert version.endswith("(kernel: numpy)\n")
