@@ -7,6 +7,7 @@ becomes the amplitudes of a ceil(log2(M*L))-qubit state.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import (
     PixelExceedsMaxval,
     TruncatedData,
 )
-from .states import RealState, normalize
+from .states import RealState
 
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
@@ -143,18 +144,46 @@ def unfold(image: GrayImage) -> list[float]:
     return [float(p) for j in range(cols) for p in px[j::cols]]
 
 
+def _pow2_size(length: int) -> int:
+    """The next power of two at or above length, never below 2."""
+    return 1 << max(1, (length - 1).bit_length())
+
+
 def pad_pow2(values: Sequence[float] | Iterable[float]) -> list[float]:
     """Append zeros up to the next power of two, never below length 2."""
     vals = [float(v) for v in values]
     if not vals:
         raise DomainError("cannot pad an empty sequence")
-    target = 1 << max(1, (len(vals) - 1).bit_length())
-    return vals + [0.0] * (target - len(vals))
+    return vals + [0.0] * (_pow2_size(len(vals)) - len(vals))
+
+
+def _norm(pixels: np.ndarray) -> float:
+    """``math.sqrt(math.fsum(float(p) ** 2 for p in pixels))``, bit for bit.
+
+    The int64 sum of the squares is exact below 2**31 pixels, since each
+    square is below 2**32 (the pixel tuple of a larger image would alone
+    take 16 GiB).  ``float()`` of an int rounds the exact sum half to even,
+    and so does fsum of the float squares, which are exact.
+    """
+    return math.sqrt(float(int(np.dot(pixels, pixels))))
 
 
 def encode(image: GrayImage) -> RealState:
-    """Unfold, pad, and normalize an image into a statevector."""
-    vec = unfold(image)
-    if not any(vec):
+    """Unfold, pad, and normalize an image into a statevector.
+
+    Gives the same state as ``normalize(pad_pow2(unfold(image)))``, bit for
+    bit, with one float per pixel value: the values 0..maxval are divided by
+    the norm once, and every amplitude is the float of its pixel's value, so
+    equal pixels share one float object.
+    """
+    rows, cols, count = image.rows, image.cols, len(image.pixels)
+    size = _pow2_size(count)
+    vec = np.zeros(size, np.int64)
+    # the column-major order is the transpose of the row-major raster
+    raster = np.fromiter(image.pixels, np.int64, count).reshape(rows, cols)
+    vec[:count].reshape(cols, rows)[...] = raster.T
+    norm = _norm(vec)
+    if norm == 0.0:
         raise AllZeroImage("every pixel is zero; the image encodes no state")
-    return normalize(pad_pow2(vec))
+    table = (np.arange(image.maxval + 1) / norm).astype(object)
+    return RealState(size.bit_length() - 1, table[vec].tolist())

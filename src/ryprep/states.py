@@ -8,10 +8,13 @@ to floating-point roundoff, which is what makes circuit synthesis exact.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from ._jsondoc import number, parse
 from .errors import AllZeroInput, DomainError, FormatError, NotPowerOfTwo
@@ -28,9 +31,18 @@ def _is_pow2(value: int) -> bool:
 
 def _floats(values: Iterable[float]) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in values)
+        return tuple(map(float, values))
     except OverflowError:
         raise DomainError("amplitude is an integer too large for a float") from None
+
+
+def _fsum(squares: Iterable[float]) -> float:
+    """``math.fsum`` of nonnegative terms, inf where their sum passes the float
+    range (fsum raises instead when every term is finite)."""
+    try:
+        return math.fsum(squares)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -49,12 +61,21 @@ class RealState:
         # compared through the bit length: 1 << n for an outside n could be huge
         if not _is_pow2(len(amps)) or len(amps).bit_length() - 1 != n:
             raise DomainError(f"{n} qubits need 2**{n} amplitudes, got {len(amps)}")
-        norm_sq = math.fsum(a * a for a in amps)
+        norm_sq = _fsum(map(operator.mul, amps, amps))
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise DomainError(f"amplitudes are not unit norm: sum of squares = {norm_sq!r}")
 
     def to_json(self) -> str:
-        return json.dumps({"n_qubits": self.n_qubits, "amplitudes": list(self.amplitudes)})
+        """``json.dumps({"n_qubits": ..., "amplitudes": [...]})``, byte for byte,
+        with each distinct amplitude formatted once: an image state holds at
+        most maxval + 1 of them, however many pixels it has.  Amplitudes are
+        finite, since the norm check refuses inf and NaN."""
+        amps = np.fromiter(self.amplitudes, np.float64, len(self.amplitudes))
+        # keyed on the bits, so that 0.0 and -0.0 keep their own text
+        bits, where = np.unique(amps.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+        body = ", ".join(texts[where].tolist())
+        return f'{{"n_qubits": {int.__repr__(self.n_qubits)}, "amplitudes": [{body}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "RealState":
@@ -109,13 +130,31 @@ class AngleList:
 
 
 def normalize(values: Iterable[float]) -> RealState:
-    """Scale a nonzero vector of power-of-two length onto the unit sphere."""
+    """Scale a nonzero vector of power-of-two length onto the unit sphere.
+
+    Each amplitude is ``v / math.sqrt(math.fsum(v * v for v in values))``.
+    Where the squares underflow or overflow, so that their sum is zero,
+    subnormal or infinite, the vector is first scaled by a power of two that
+    brings its largest magnitude into [0.5, 1).  That scales the sum by a
+    power of four and its root by the same power of two, so each quotient
+    is what the plain formula gives without the underflow or overflow.  A
+    vector whose plain sum is a normal float keeps its bits; one whose sum
+    is subnormal but nonzero gets the rescaled, more accurate result, e.g.
+    exactly ``(1.0, 0.0)`` for ``[1e-155, 0.0]``.
+    """
     vals = _floats(values)
     if len(vals) < 2 or not _is_pow2(len(vals)):
         raise NotPowerOfTwo(f"vector length must be a power of two >= 2, got {len(vals)}")
-    norm = math.sqrt(math.fsum(v * v for v in vals))
-    if norm == 0.0:
+    norm_sq = _fsum(v * v for v in vals)
+    if norm_sq < sys.float_info.min or norm_sq == math.inf:
+        peak = max(map(abs, vals))
+        if 0.0 < peak < math.inf:
+            shift = -math.frexp(peak)[1]
+            vals = tuple(math.ldexp(v, shift) for v in vals)
+            norm_sq = _fsum(v * v for v in vals)
+    if norm_sq == 0.0:
         raise AllZeroInput("all-zero vector cannot be normalized")
+    norm = math.sqrt(norm_sq)
     return RealState(len(vals).bit_length() - 1, tuple(v / norm for v in vals))
 
 
@@ -163,7 +202,10 @@ def to_angles(state: RealState) -> AngleList:
         if k < n - 2:
             angles[k] = 2.0 * math.atan2(math.sqrt(suffix[k + 1]), c[k])
         else:
-            angles[k] = 2.0 * math.atan2(c[n - 1], c[n - 2])
+            # atan2 is -pi for a negative c_secondlast when c_last is -0.0 or
+            # too small to move it; 2*pi is the same rotation and in range
+            last = 2.0 * math.atan2(c[n - 1], c[n - 2])
+            angles[k] = _TWO_PI if last == -_TWO_PI else last
     return AngleList(tuple(angles))
 
 

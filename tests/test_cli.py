@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -154,6 +155,20 @@ def test_non_number_amplitude_is_format_error(tmp_path, capsys, text, command):
     argv = [command, str(vec)] + ([str(circ)] if command == "verify" else [])
     assert main(argv) == 2
     assert "FormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vector", ["[1e-200, 1e-200]", "[1e200, 1e200]", "[3e-162, 4e-162]", "[1.3e154, 1.3e154]"]
+)
+def test_vector_with_squares_outside_float_range_synthesizes(tmp_path, capsys, vector):
+    vec = tmp_path / "vec.json"
+    vec.write_text(vector)
+    circuit = str(tmp_path / "c.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", str(vec), "--out", circuit]) == 0
+        assert main(["verify", str(vec), circuit]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_synth_accepts_state_json(tmp_path):

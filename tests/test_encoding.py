@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import reference_pgm
-from ryprep import GrayImage, encode, load_pgm, pad_pow2, unfold
+from ryprep import GrayImage, encode, load_pgm, normalize, pad_pow2, unfold
+from ryprep.encoding import _norm
 from ryprep.errors import (
     AllZeroImage,
     BadMagic,
@@ -388,3 +389,48 @@ class TestEncode:
         state = encode(img)
         assert all(a >= 0.0 for a in state.amplitudes)
         assert abs(math.fsum(a * a for a in state.amplitudes) - 1.0) <= 1e-12
+
+
+@st.composite
+def images(draw):
+    """8- and 16-bit images, some all zero and some all maxval."""
+    maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    fill = draw(st.sampled_from(["random", "random", "zero", "maxval"]))
+    if fill == "random":
+        pixels = draw(st.lists(st.integers(0, maxval), min_size=rows * cols, max_size=rows * cols))
+    else:
+        pixels = [0 if fill == "zero" else maxval] * (rows * cols)
+    return GrayImage(rows, cols, tuple(pixels), maxval)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(images())
+def test_encode_matches_normalize_of_unfold_and_pad(img):
+    if not any(img.pixels):
+        with pytest.raises(AllZeroImage):
+            encode(img)
+        return
+    got = encode(img)
+    want = normalize(pad_pow2(unfold(img)))
+    assert got.n_qubits == want.n_qubits
+    # float.hex tells the values and their signs apart
+    assert list(map(float.hex, got.amplitudes)) == list(map(float.hex, want.amplitudes))
+    # equal pixels share one float
+    assert len(set(map(id, got.amplitudes))) <= img.maxval + 1
+
+
+def test_norm_rounds_a_sum_past_2_to_the_53_like_fsum():
+    # past 2**53 a float no longer holds every integer; the exact sum of the
+    # squares is made odd there, so it must round
+    target = (1 << 53) + 3
+    pixels = [65535] * (target // 65535**2)
+    rest = target - 65535**2 * len(pixels)
+    while rest:
+        root = math.isqrt(rest)
+        pixels.append(root)
+        rest -= root * root
+    vec = np.array(pixels, np.int64)
+    assert vec.max() <= 65535 and sum(p * p for p in pixels) == target != float(target)
+    squares = (vec.astype(np.float64) ** 2).tolist()
+    assert _norm(vec) == math.sqrt(math.fsum(squares))

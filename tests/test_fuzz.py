@@ -8,7 +8,11 @@ large is simulated.  Examples are derandomized, which keeps tier-1
 deterministic.
 """
 
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +44,15 @@ ELEMENTS = st.one_of(NUMBERS, NUMBERS, NUMBERS, VALUES)
 AMPLITUDES = st.sampled_from([1, 2, 4, 8, 16, 32, 64]).flatmap(
     lambda k: st.lists(ELEMENTS, min_size=k, max_size=k)
 ) | st.lists(ELEMENTS, max_size=64)
+# magnitudes whose squares, or the sum of the squares, leave the normal range
+EXTREME = st.builds(
+    lambda m, scale: m * scale,
+    st.floats(-4.0, 4.0),
+    st.sampled_from([1e300, 1e-300, 1e160, 1e-160, 1e154]),
+)
+BARE_ARRAYS = AMPLITUDES | st.sampled_from([1, 2, 4, 8, 16, 32, 64]).flatmap(
+    lambda k: st.lists(EXTREME | st.sampled_from([0.0, 1.0]), min_size=k, max_size=k)
+)
 STATE_DOCS = st.fixed_dictionaries(
     {"n_qubits": st.integers(-1, 6) | VALUES, "amplitudes": AMPLITUDES | VALUES}
 )
@@ -125,14 +138,25 @@ def test_pgm_bytes_through_cli(files, data):
 
 
 @FUZZ
-@given(AMPLITUDES)
+@given(BARE_ARRAYS)
 def test_bare_array_through_cli(files, values):
     root, _ = files
     vec = root / "vec.json"
     vec.write_text(json.dumps(values))
-    code = run_cli(["synth", str(vec), "--out", str(root / "from_vec.json")])
-    if not all(is_json_number(v) for v in values):
-        assert code == 2
+    circuit = str(root / "from_vec.json")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run_cli(["synth", str(vec), "--out", circuit])
+        if not all(is_json_number(v) for v in values):
+            assert code == 2
+        elif len(values) in (2, 4, 8, 16, 32, 64) and any(values):
+            if all(map(math.isfinite, map(float, values))):
+                # any finite nonzero vector normalizes, whatever its scale
+                assert code == 0
+                assert run_cli(["verify", str(vec), circuit]) == 0
+                assert err.getvalue() == ""
+    assert "Warning" not in err.getvalue()
 
 
 @FUZZ

@@ -1,6 +1,7 @@
 """Statevector type, normalization, and the spherical-angle codec."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ryprep import AngleList, RealState, from_angles, max_abs_diff, normalize, to_angles
+import reference_states
+from ryprep import (
+    AngleList,
+    GrayImage,
+    RealState,
+    encode,
+    from_angles,
+    max_abs_diff,
+    normalize,
+    to_angles,
+)
 from ryprep.errors import AllZeroInput, DomainError, FormatError, NotPowerOfTwo
 
 TWO_PI = 2.0 * math.pi
@@ -81,6 +92,89 @@ class TestNormalize:
             total = math.fsum(a * a for a in normalize(vec.tolist()).amplitudes)
             assert abs(total - 1.0) <= 1e-12
 
+    @given(
+        st.sampled_from([2, 4, 8, 16, 64]).flatmap(
+            lambda k: st.lists(
+                st.floats(-1e150, 1e150).filter(lambda v: v == 0.0 or abs(v) >= 1e-150),
+                min_size=k,
+                max_size=k,
+            )
+        )
+        | st.lists(st.integers(-65535, 65535), min_size=8, max_size=8)
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_reference_bit_for_bit(self, values):
+        # squares and their sum stay in the normal range: the plain division
+        if not any(values):
+            return
+        got = normalize(values).amplitudes
+        assert list(map(float.hex, got)) == list(map(float.hex, reference_states.normalize(values)))
+
+    @pytest.mark.parametrize(
+        "values,expect",
+        [
+            ([3 * 2.0**-600, 4 * 2.0**-600], (0.6, 0.8)),  # squares underflow to zero
+            # subnormal sum: the plain formula gives 1.0000000000000016
+            ([1e-155, 0.0], (1.0, 0.0)),
+        ],
+    )
+    def test_underflowing_squares_are_rescaled_exactly(self, values, expect):
+        assert normalize(values).amplitudes == expect
+
+    def test_overflowing_squares_are_rescaled_exactly(self):
+        assert normalize([2.0**600, 2.0**600]) == normalize([1, 1])
+
+    @pytest.mark.parametrize(
+        "values,expect",
+        [
+            ([1e-200, 1e-200], [math.sqrt(0.5)] * 2),  # squares underflow to zero
+            ([1e200, 1e200], [math.sqrt(0.5)] * 2),  # squares overflow to inf
+            ([3e-162, 4e-162], [0.6, 0.8]),  # squares and their sum are subnormal
+            ([1.3e154, 1.3e154], [math.sqrt(0.5)] * 2),  # finite squares, fsum overflows
+            ([1e300, 1.0, 0.0, -1e300], [math.sqrt(0.5), 0.0, 0.0, -math.sqrt(0.5)]),
+            ([5e-324, 0.0], [1.0, 0.0]),
+            ([1e-155, 0.0], [1.0, 0.0]),
+        ],
+    )
+    def test_squares_outside_the_normal_range(self, values, expect):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = normalize(values)
+        assert_allclose(state.amplitudes, expect, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("values", [[math.inf, 1.0], [math.nan, 1.0], [1e200, math.inf]])
+    def test_inf_and_nan_stay_domain_errors_without_warnings(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sum of squares = nan$"):
+                normalize(values)
+
+
+def _json_states():
+    rng = np.random.default_rng(8)
+    image8 = GrayImage(21, 30, tuple(rng.integers(0, 256, size=630).tolist()), 255)
+    image16 = GrayImage(40, 50, tuple(rng.integers(0, 65536, size=2000).tolist()), 65535)
+    distinct = rng.normal(size=256)
+
+    class Count(int):
+        def __repr__(self):
+            return f"Count({int(self)})"
+
+        __str__ = __repr__
+
+    return {
+        "8-bit image": encode(image8),
+        "16-bit image": encode(image16),
+        "all distinct": RealState(8, tuple((distinct / math.sqrt(distinct @ distinct)).tolist())),
+        "signed zeros": RealState(3, (0.0, -0.0, 0.6, -0.0, 0.0, -0.8, -0.0, 0.0)),
+        "smallest subnormal": RealState(1, (5e-324, 1.0)),
+        "no qubits": RealState(0, (-1.0,)),
+        "int subclass": RealState(Count(2), (0.5, -0.5, 0.5, -0.5)),
+    }
+
+
+JSON_STATES = _json_states()
+
 
 class TestRealState:
     def test_rejects_wrong_length(self):
@@ -119,6 +213,16 @@ class TestRealState:
         again = RealState.from_json(state.to_json())
         assert again.n_qubits == state.n_qubits
         assert again.amplitudes == state.amplitudes
+
+    @pytest.mark.parametrize("name", JSON_STATES)
+    def test_to_json_matches_json_dumps(self, name):
+        state = JSON_STATES[name]
+        assert state.to_json() == reference_states.to_json(state)
+
+    def test_sum_of_squares_past_float_range_is_domain_error(self):
+        # each square is finite, their sum is not: fsum raises OverflowError
+        with pytest.raises(DomainError, match="sum of squares = inf$"):
+            RealState(1, (1.3e154, 1.3e154))
 
     def test_json_key_order(self):
         assert normalize([1, 0]).to_json() == '{"n_qubits": 1, "amplitudes": [1.0, 0.0]}'
@@ -188,6 +292,16 @@ class TestToAngles:
         # atan2(0.0, -0.0) is pi, so a sign-carrying zero must not leak through
         state = RealState(2, (0.6, 0.8, -0.0, -0.0))
         assert to_angles(state).angles[1:] == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "amps", [(-1.0, -0.0), (-1.0, -1e-300), (0.6, 0.0, -0.8, -0.0), (0.0, -0.0, -1.0, -0.0)]
+    )
+    def test_final_angle_at_minus_2pi_becomes_2pi(self, amps):
+        # atan2(-0.0, -1.0) is -pi, and -2*pi lies outside the last angle's range
+        state = RealState(len(amps).bit_length() - 1, amps)
+        angles = to_angles(state).angles
+        assert angles[-1] == TWO_PI
+        assert max_abs_diff(from_angles(AngleList(angles)), state) <= 1e-15
 
     def test_nonnegative_states_use_first_quadrant(self):
         rng = np.random.default_rng(99)
