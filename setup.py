@@ -7,20 +7,17 @@ warning and succeeds, and ryprep runs on its NumPy kernel.
 
 from setuptools import Extension, setup
 
-# -ffp-contract=off: no multiply-add is fused into an FMA, which rounds once
-# instead of twice, so the compiled kernel stays bit-identical to the NumPy
-# one on targets where FMA is part of the baseline instruction set.
-COMPILE_ARGS = ["-O2", "-ffp-contract=off"]
-
-# Guarded, so that the tests can read COMPILE_ARGS without running setup().
-if __name__ == "__main__":
-    setup(
-        ext_modules=[
-            Extension(
-                "ryprep._simkernel",
-                ["src/ryprep/_simkernel.c"],
-                extra_compile_args=COMPILE_ARGS,
-                optional=True,
-            )
-        ]
-    )
+setup(
+    ext_modules=[
+        Extension(
+            "ryprep._simkernel",
+            ["src/ryprep/_simkernel.c"],
+            # -ffp-contract=off: no multiply-add is fused into an FMA, which
+            # rounds once instead of twice, so the compiled kernel stays
+            # bit-identical to the NumPy one on targets where FMA is part of
+            # the baseline instruction set.
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

@@ -8,11 +8,10 @@ Circuits are value objects; every operation returns a new circuit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._jsondoc import number, parse
+from ._values import header, integers, json_reals, parse, reals
 from .errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -30,14 +29,6 @@ _SEQUENCES = (tuple, list)
 _INTS = frozenset((int,))
 
 
-def _qubit_index(value) -> int:
-    """``operator.index`` without bools: qubit indices select array axes in
-    the simulator, so floats, strings, None and bools are all refused."""
-    if type(value) is bool:
-        raise TypeError(f"{value!r} is not a qubit index")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -50,27 +41,23 @@ class Gate:
             raise DomainError(f"unknown gate kind {self.kind!r}")
         target = self.target
         controls = self.controls
-        # Plain ints in a tuple or list, the common case, need no Python-level
-        # call per control.  Other containers take the indexing path, since
+        # Qubit indices select array axes.  Plain ints in a tuple or list, the
+        # common case, skip the integer rule; other containers take it, since
         # the type test would use up a generator.
-        if (
+        if not (
             type(target) is int
             and type(controls) in _SEQUENCES
             and _INTS.issuperset(map(type, controls))
         ):
-            ordered = tuple(sorted(controls))
-            changed = ordered != controls
-        else:
             try:
-                target = _qubit_index(target)
-                ordered = tuple(sorted(map(_qubit_index, controls)))
+                target, *controls = integers((target, *controls))
             except TypeError:
                 raise IndexOutOfRange(
                     f"qubit indices must be integers, got target {self.target!r} "
                     f"and controls {self.controls!r}"
                 ) from None
             object.__setattr__(self, "target", target)
-            changed = True
+        ordered = tuple(sorted(controls))
         if target < 0:
             raise IndexOutOfRange(f"target must be nonnegative, got {target}")
         if ordered and ordered[0] < 0:
@@ -79,19 +66,23 @@ class Gate:
             raise ControlCollision(f"duplicate control in {ordered}")
         if target in ordered:
             raise ControlEqualsTarget(f"qubit {target} is both target and control")
-        if changed:
+        # a list, as callers and the rule's path give, never equals the tuple
+        if ordered != controls:
             object.__setattr__(self, "controls", ordered)
         if self.kind == RY:
+            angle = self.angle
             try:
-                finite = math.isfinite(self.angle)
+                if type(angle) is not float:
+                    (angle,) = reals((angle,))
+                finite = math.isfinite(angle)
             except TypeError:
                 finite = False
             except OverflowError:
                 raise DomainError("ry angle is an integer too large for a float") from None
             if not finite:
                 raise DomainError(f"ry needs a finite angle, got {self.angle!r}")
-            if type(self.angle) is not float:
-                object.__setattr__(self, "angle", float(self.angle))
+            if angle is not self.angle:
+                object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise DomainError("x takes no angle")
 
@@ -122,11 +113,15 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        if type(self.n_qubits) is bool or not isinstance(self.n_qubits, int) or self.n_qubits < 1:
+        try:
+            (n,) = integers((self.n_qubits,))
+        except TypeError:
+            n = 0
+        if n < 1:
             raise DomainError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         gates = tuple(self.gates)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
-        n = self.n_qubits
         for gate in gates:
             if gate.max_index >= n:
                 raise IndexOutOfRange(
@@ -149,10 +144,8 @@ class Circuit:
         return Circuit(self.n_qubits, tuple(g.with_control(control) for g in self.gates))
 
     def to_json(self) -> str:
-        """The circuit as JSON text, byte for byte what ``json.dumps`` writes
-        for the schema's dicts: angles are finite floats and qubit indices
-        exact ints, which json prints with their ``__repr__``, as it prints
-        an int subclass n_qubits with ``int.__repr__``."""
+        """The circuit as JSON text, byte for byte what ``json.dumps`` writes for
+        the schema's dicts: json prints the finite angles and exact ints by ``__repr__``."""
         docs = []
         for g in self.gates:
             controls = ", ".join(map(str, g.controls))
@@ -163,22 +156,11 @@ class Circuit:
                 )
             else:
                 docs.append(f'{{"kind": "x", "target": {g.target}, "controls": [{controls}]}}')
-        return f'{{"n_qubits": {int.__repr__(self.n_qubits)}, "gates": [{", ".join(docs)}]}}'
+        return f'{{"n_qubits": {self.n_qubits}, "gates": [{", ".join(docs)}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
-        doc = parse(text, "circuit JSON")
-        if not isinstance(doc, dict):
-            raise FormatError("circuit JSON must be an object")
-        try:
-            n_qubits = doc["n_qubits"]
-            gate_docs = doc["gates"]
-        except KeyError as exc:
-            raise FormatError(f"circuit JSON missing key {exc}") from exc
-        if not isinstance(n_qubits, int) or isinstance(n_qubits, bool):
-            raise FormatError("n_qubits must be an integer")
-        if not isinstance(gate_docs, list):
-            raise FormatError("gates must be a list")
+        n_qubits, gate_docs = header(parse(text, "circuit JSON"), "circuit JSON", "gates")
         gates = []
         for i, gd in enumerate(gate_docs):
             if not isinstance(gd, dict) or "kind" not in gd or "target" not in gd:
@@ -187,12 +169,12 @@ class Circuit:
             controls = gd.get("controls", [])
             if not isinstance(controls, list):
                 raise FormatError(f"malformed gate entry {gd!r}")
-            # type() rather than isinstance(): JSON true/false parse as bool
+            # the integer rule, for the types JSON has: true/false parse as bool
             if type(target) is not int or not _INTS.issuperset(map(type, controls)):
                 raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
             angle = gd.get("angle")
             if angle is not None and type(angle) is not float:
-                angle = number(angle, "gate angle")
+                (angle,) = json_reals((angle,), "gate angles")
             gates.append(Gate(gd["kind"], target, controls, angle))
             # hold each gate as a dict or as a Gate, never both
             gate_docs[i] = None

@@ -14,7 +14,7 @@ import sys
 from typing import Callable
 
 from . import KERNEL_BACKEND, __version__
-from ._jsondoc import number, parse
+from ._values import json_reals, parse
 from .circuits import RY, Circuit
 from .encoding import encode, load_pgm
 from .errors import DimensionMismatch, DomainError, FormatError
@@ -70,7 +70,7 @@ def _load_state(path: str) -> RealState:
         raise FormatError(f"{path}: neither a PGM image nor JSON") from exc
     doc = parse(text, f"JSON in {path}")
     if isinstance(doc, list):
-        return normalize([number(v, "amplitude") for v in doc])
+        return normalize(json_reals(doc, "amplitudes"))
     if isinstance(doc, dict):
         return RealState.from_doc(doc)
     raise FormatError(f"{path}: expected a JSON object or array")
@@ -181,12 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except DomainError as exc:
-        _say("error", f"{type(exc).__name__}: {exc}")
-        return EXIT_DOMAIN
+    # first: a pixel or maxval out of range is both, and a format error in a file
     except (FormatError, OSError) as exc:
         _say("error", f"{type(exc).__name__}: {exc}")
         return EXIT_FORMAT
+    except DomainError as exc:
+        _say("error", f"{type(exc).__name__}: {exc}")
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ becomes the amplitudes of a ceil(log2(M*L))-qubit state.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -16,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._values import integers
 from .errors import (
     AllZeroImage,
     BadMagic,
@@ -44,12 +44,8 @@ def _num(n: int) -> str:
 
 
 def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
-    """``operator.index`` of every value, bools refused, as plain ints."""
     try:
-        values = tuple(values)
-        if bool in map(type, values):
-            raise TypeError("a bool is not an integer")
-        return tuple(map(operator.index, values))
+        return integers(values)
     except TypeError as exc:
         raise DomainError(f"{what} must be integers: {exc}") from None
 

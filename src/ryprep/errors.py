@@ -58,9 +58,9 @@ class TruncatedData(PgmError):
     """Header or raster ends before the declared amount of data."""
 
 
-class PixelExceedsMaxval(PgmError):
+class PixelExceedsMaxval(PgmError, DomainError):
     """A sample value lies outside [0, maxval]."""
 
 
-class MaxvalOutOfRange(PgmError):
+class MaxvalOutOfRange(PgmError, DomainError):
     """Declared maxval outside [1, 65535]."""

@@ -16,8 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ._jsondoc import number, parse
-from .errors import AllZeroInput, DomainError, FormatError, NotPowerOfTwo
+from ._values import header, integers, json_reals, parse, reals
+from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
 
 __all__ = ["RealState", "AngleList", "normalize", "to_angles", "from_angles"]
@@ -29,11 +29,11 @@ def _is_pow2(value: int) -> bool:
     return value > 0 and value & (value - 1) == 0
 
 
-def _floats(values: Iterable[float]) -> tuple[float, ...]:
+def _floats(values: Iterable[float], what: str) -> tuple[float, ...]:
     try:
-        return tuple(map(float, values))
-    except OverflowError:
-        raise DomainError("amplitude is an integer too large for a float") from None
+        return reals(values)
+    except (TypeError, OverflowError) as exc:
+        raise DomainError(f"{what} must be real numbers that fit a float: {exc}") from None
 
 
 def _fsum(squares: Iterable[float]) -> float:
@@ -53,11 +53,15 @@ class RealState:
     amplitudes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        amps = _floats(self.amplitudes)
+        amps = _floats(self.amplitudes, "amplitudes")
+        try:
+            (n,) = integers((self.n_qubits,))
+        except TypeError:
+            n = -1
+        if n < 0:
+            raise DomainError(f"n_qubits must be a nonnegative integer, got {self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
-        n = self.n_qubits
-        if type(n) is bool or not isinstance(n, int) or n < 0:
-            raise DomainError(f"n_qubits must be a nonnegative integer, got {n!r}")
         # compared through the bit length: 1 << n for an outside n could be huge
         if not _is_pow2(len(amps)) or len(amps).bit_length() - 1 != n:
             raise DomainError(f"{n} qubits need 2**{n} amplitudes, got {len(amps)}")
@@ -75,7 +79,7 @@ class RealState:
         bits, where = np.unique(amps.view(np.int64), return_inverse=True)
         texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         body = ", ".join(texts[where].tolist())
-        return f'{{"n_qubits": {int.__repr__(self.n_qubits)}, "amplitudes": [{body}]}}'
+        return f'{{"n_qubits": {self.n_qubits}, "amplitudes": [{body}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "RealState":
@@ -84,18 +88,8 @@ class RealState:
     @classmethod
     def from_doc(cls, doc: object) -> "RealState":
         """The state in a parsed state-JSON document."""
-        if not isinstance(doc, dict):
-            raise FormatError("state JSON must be an object")
-        try:
-            n_qubits = doc["n_qubits"]
-            amplitudes = doc["amplitudes"]
-        except KeyError as exc:
-            raise FormatError(f"state JSON missing key {exc}") from exc
-        if not isinstance(n_qubits, int) or isinstance(n_qubits, bool):
-            raise FormatError("n_qubits must be an integer")
-        if not isinstance(amplitudes, list):
-            raise FormatError("amplitudes must be a list of numbers")
-        return cls(n_qubits, tuple(number(a, "amplitude") for a in amplitudes))
+        n_qubits, amplitudes = header(doc, "state JSON", "amplitudes")
+        return cls(n_qubits, json_reals(amplitudes, "amplitudes"))
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,7 @@ class AngleList:
     angles: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        angles = tuple(float(a) for a in self.angles)
+        angles = _floats(self.angles, "angles")
         object.__setattr__(self, "angles", angles)
         if not angles or not _is_pow2(len(angles) + 1):
             raise DomainError(f"angle count must be 2**n - 1 with n >= 1, got {len(angles)}")
@@ -142,7 +136,7 @@ def normalize(values: Iterable[float]) -> RealState:
     is subnormal but nonzero gets the rescaled, more accurate result, e.g.
     exactly ``(1.0, 0.0)`` for ``[1e-155, 0.0]``.
     """
-    vals = _floats(values)
+    vals = _floats(values, "vector entries")
     if len(vals) < 2 or not _is_pow2(len(vals)):
         raise NotPowerOfTwo(f"vector length must be a power of two >= 2, got {len(vals)}")
     norm_sq = _fsum(v * v for v in vals)

@@ -1,6 +1,8 @@
 """Gate and circuit value semantics, validation, and JSON round-trips."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,10 +66,19 @@ def test_integer_like_indices_become_ints():
     assert type(gate.target) is int and gate.controls == (0,) and type(gate.controls[0]) is int
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, None, "1.0", 10**400, -(10**400)])
+@pytest.mark.parametrize(
+    "angle",
+    [math.nan, math.inf, -math.inf, None, "1.0", 10**400, -(10**400), True, False, Decimal(1)],
+)
 def test_bad_ry_angle_rejected(angle):
     with pytest.raises(DomainError):
         Gate("ry", 0, (), angle)
+
+
+@pytest.mark.parametrize("angle", [2, np.float32(0.5), np.float64(0.25), Fraction(1, 3)])
+def test_real_angles_become_floats(angle):
+    gate = Gate("ry", 0, (), angle)
+    assert type(gate.angle) is float and gate.angle == float(angle)
 
 
 def test_x_with_angle_rejected():
@@ -116,6 +127,12 @@ class TestCircuit:
     def test_n_qubits_must_be_int(self, n_qubits):
         with pytest.raises(DomainError):
             Circuit(n_qubits)
+
+    @pytest.mark.parametrize("n_qubits", [np.int64(2), np.uint8(2), type("Count", (int,), {})(2)])
+    def test_integer_like_n_qubits_become_ints(self, n_qubits):
+        circuit = Circuit(n_qubits, (x(1),))
+        assert type(circuit.n_qubits) is int and circuit == Circuit(2, (x(1),))
+        assert circuit.to_json() == reference_circuits.to_json(Circuit(2, (x(1),)))
 
     def test_add_control(self):
         c = Circuit(3, (ry(0.7, 0),)).add_control(2)

@@ -86,6 +86,27 @@ def test_huge_dimensions_are_format_error(tmp_path, capsys, command, data, messa
     assert captured.err.startswith(f"error: TruncatedData: {message}")
 
 
+@pytest.mark.parametrize("command", ["encode", "synth"])
+@pytest.mark.parametrize(
+    "data,error",
+    [
+        (b"P2 1 1 0 0", "MaxvalOutOfRange"),
+        (b"P2 1 1 3 4", "PixelExceedsMaxval"),
+        (b"P5 1 1 3 \x04", "PixelExceedsMaxval"),
+    ],
+)
+def test_pgm_range_errors_are_format_errors(tmp_path, capsys, command, data, error):
+    # these classes are domain errors too; in a file they are format errors
+    img = tmp_path / "range.pgm"
+    img.write_bytes(data)
+    out = tmp_path / "out.json"
+    argv = [command, str(img), str(out)] if command == "encode" else [command, str(img)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: {error}: ")
+
+
 def test_encode_missing_file_is_io_error(tmp_path):
     assert main(["encode", str(tmp_path / "nope.pgm"), str(tmp_path / "out.json")]) == 2
 

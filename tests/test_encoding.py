@@ -225,6 +225,20 @@ class TestGrayImage:
         with pytest.raises(PixelExceedsMaxval):
             GrayImage(rows=1, cols=1, pixels=(256,), maxval=255)
 
+    @pytest.mark.parametrize(
+        "fields,error",
+        [
+            ({"maxval": 0}, MaxvalOutOfRange),
+            ({"maxval": 65536}, MaxvalOutOfRange),
+            ({"pixels": (1, 4)}, PixelExceedsMaxval),
+            ({"pixels": (-1, 0)}, PixelExceedsMaxval),
+        ],
+    )
+    def test_range_errors_are_domain_errors(self, fields, error):
+        with pytest.raises(DomainError) as info:
+            GrayImage(**{"rows": 1, "cols": 2, "pixels": (1, 2), "maxval": 3, **fields})
+        assert type(info.value) is error
+
     def test_shape_checked(self):
         with pytest.raises(DomainError):
             GrayImage(rows=2, cols=2, pixels=(1, 2, 3))

@@ -1,6 +1,7 @@
 """Fuzzing of every input read from outside the program: PGM bytes, state
 JSON, bare amplitude arrays and circuit JSON, through the library parsers
-and through ``cli.main``.
+and through ``cli.main``; and of the values given to the library's
+constructors in code.
 
 Only ``RyprepError`` may leave the library, and the CLI returns 0, 1 or 2
 without raising.  Generated states hold at most 2**6 amplitudes, so nothing
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ryprep import Circuit, RealState, normalize
+from ryprep import AngleList, Circuit, Gate, GrayImage, RealState, normalize
 from ryprep.cli import main
 from ryprep.errors import RyprepError
 
@@ -188,5 +189,34 @@ def test_from_json_raises_only_package_errors(text):
     for parser in (RealState.from_json, Circuit.from_json):
         try:
             parser(text)
+        except RyprepError:
+            pass
+
+
+@FUZZ
+@given(
+    VALUES,
+    VALUES,
+    VALUES,
+    st.lists(SCALARS, max_size=4),
+    st.sampled_from(["ry", "x"]),
+)
+def test_constructors_raise_only_package_errors(a, b, c, seq, kind):
+    image = GrayImage(2, 2, (0, 1, 2, 3), 3)
+    calls = [
+        lambda: RealState(a, seq),
+        lambda: RealState(1, b),
+        lambda: AngleList(seq),
+        lambda: normalize(seq),
+        lambda: Gate(kind, a, seq, b),
+        lambda: Gate(kind, 0, b, c),
+        lambda: Circuit(a),
+        lambda: GrayImage(a, b, seq, c),
+        lambda: GrayImage(1, len(seq), seq, 3),
+        lambda: image.pixel(a, b),
+    ]
+    for call in calls:
+        try:
+            call()
         except RyprepError:
             pass

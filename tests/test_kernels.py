@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ryprep
+from conftest import build_ext
 from dense_oracle import run_pairs
 from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
 from ryprep import simulator
@@ -316,11 +317,7 @@ def test_build_without_compiler_succeeds_on_numpy(tmp_path):
     """``setup.py build_ext`` with a compiler that always fails exits 0
     (the extension is optional), and the package then runs on NumPy."""
     lib = _package_copy(tmp_path / "lib")
-    cmd = [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib)]
-    cmd += ["--build-temp", str(tmp_path / "temp")]
-    res = subprocess.run(
-        cmd, cwd=ROOT, capture_output=True, text=True, env={**os.environ, "CC": "false"}
-    )
+    res = build_ext(lib, tmp_path / "temp", CC="false")
     assert res.returncode == 0, res.stdout + res.stderr
     assert not list((lib / "ryprep").glob("_simkernel*"))
     kernel, fallback, _, version = _probe(lib)

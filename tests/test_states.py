@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +144,18 @@ class TestNormalize:
             state = normalize(values)
         assert_allclose(state.amplitudes, expect, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "values", [["3", "4"], [None, 1.0], [np.True_, np.False_], [True, 1.0], [b"3", 4.0]]
+    )
+    def test_non_reals_rejected(self, values):
+        with pytest.raises(DomainError):
+            normalize(values)
+
+    def test_real_numbers_become_floats(self):
+        state = normalize([Fraction(3), np.float32(4), np.int64(0), 0])
+        assert state.amplitudes == (0.6, 0.8, 0.0, 0.0)
+        assert {type(a) for a in state.amplitudes} == {float}
+
     @pytest.mark.parametrize("values", [[math.inf, 1.0], [math.nan, 1.0], [1e200, math.inf]])
     def test_inf_and_nan_stay_domain_errors_without_warnings(self, values):
         with warnings.catch_warnings():
@@ -193,6 +207,24 @@ class TestRealState:
     def test_rejects_non_int_qubits(self, n_qubits):
         with pytest.raises(DomainError):
             RealState(n_qubits, (0.0, 1.0))
+
+    @pytest.mark.parametrize("n_qubits", [np.int64(1), np.uint8(1), type("Count", (int,), {})(1)])
+    def test_integer_like_qubits_become_ints(self, n_qubits):
+        state = RealState(n_qubits, (0.6, 0.8))
+        assert type(state.n_qubits) is int and state == RealState(1, (0.6, 0.8))
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [("1", "0"), (b"1", b"0"), (True, False), (None, 1.0), (Decimal(1), 0.0), (np.True_, 0.0)],
+    )
+    def test_rejects_non_real_amplitudes(self, amplitudes):
+        with pytest.raises(DomainError):
+            RealState(1, amplitudes)
+
+    def test_real_amplitudes_become_floats(self):
+        state = RealState(2, (np.float32(0.5), Fraction(1, 2), np.float64(-0.5), Fraction(-1, 2)))
+        assert state.amplitudes == (0.5, 0.5, -0.5, -0.5)
+        assert {type(a) for a in state.amplitudes} == {float}
 
     def test_huge_qubit_count_rejected_without_allocating(self):
         # 1 << n would need about 2**61 bytes
@@ -253,6 +285,17 @@ class TestAngleList:
                 AngleList((0.5,) * bad)
         for good in (1, 3, 7, 15):
             assert AngleList((0.5,) * good).n_qubits == (good + 1).bit_length() - 1
+
+    @pytest.mark.parametrize(
+        "angle", ["1.5", True, None, pytest.param(10**400, id="10**400"), Decimal("1.5")]
+    )
+    def test_rejects_non_real_angles(self, angle):
+        with pytest.raises(DomainError):
+            AngleList((angle,))
+
+    def test_real_angles_become_floats(self):
+        angles = AngleList((np.float32(0.5), Fraction(1, 2), 1)).angles
+        assert angles == (0.5, 0.5, 1.0) and {type(a) for a in angles} == {float}
 
     def test_range_enforcement(self):
         AngleList((TWO_PI, 0.0, -TWO_PI + 1e-9))
