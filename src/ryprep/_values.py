@@ -7,6 +7,7 @@ bool, stored as a ``float``.  A rule raises ``TypeError`` for a refused value
 (``OverflowError`` for an integer past the float range), which each caller
 turns into its own ``DomainError``, or ``FormatError`` for a value read from
 JSON.  Values that already have the stored type cost one C-level type scan.
+``num`` names a value in an error message, however many digits it has.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ def reals(values: Iterable) -> tuple[float, ...]:
         if kind is bool or not issubclass(kind, numbers.Real):
             raise TypeError(f"a {kind.__name__} is not a real number")
     return tuple(map(float, values))
+
+
+def num(value: object) -> str:
+    """``repr(value)`` for an error message, with an integer of more digits
+    than the interpreter will print, alone or in a tuple or list, named by
+    its size instead; any other value that cannot be printed, by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
+        if isinstance(value, list):
+            return f"[{', '.join(map(num, value))}]"
+        if isinstance(value, tuple):
+            return f"({', '.join(map(num, value))}{',' * (len(value) == 1)})"
+        return f"<{type(value).__name__}>"
 
 
 def parse(text: str, what: str) -> object:

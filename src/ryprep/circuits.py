@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
-from ._values import header, integers, json_reals, parse, reals
+from ._values import header, integers, json_reals, num, parse, reals
 from .errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -38,7 +39,7 @@ class Gate:
 
     def __post_init__(self) -> None:
         if self.kind not in (RY, X):
-            raise DomainError(f"unknown gate kind {self.kind!r}")
+            raise DomainError(f"unknown gate kind {num(self.kind)}")
         target = self.target
         controls = self.controls
         # Qubit indices select array axes.  Plain ints in a tuple or list, the
@@ -53,19 +54,19 @@ class Gate:
                 target, *controls = integers((target, *controls))
             except TypeError:
                 raise IndexOutOfRange(
-                    f"qubit indices must be integers, got target {self.target!r} "
-                    f"and controls {self.controls!r}"
+                    f"qubit indices must be integers, got target {num(self.target)} "
+                    f"and controls {num(self.controls)}"
                 ) from None
             object.__setattr__(self, "target", target)
         ordered = tuple(sorted(controls))
         if target < 0:
-            raise IndexOutOfRange(f"target must be nonnegative, got {target}")
+            raise IndexOutOfRange(f"target must be nonnegative, got {num(target)}")
         if ordered and ordered[0] < 0:
-            raise IndexOutOfRange(f"controls must be nonnegative, got {ordered}")
+            raise IndexOutOfRange(f"controls must be nonnegative, got {num(ordered)}")
         if len(set(ordered)) != len(ordered):
-            raise ControlCollision(f"duplicate control in {ordered}")
+            raise ControlCollision(f"duplicate control in {num(ordered)}")
         if target in ordered:
-            raise ControlEqualsTarget(f"qubit {target} is both target and control")
+            raise ControlEqualsTarget(f"qubit {num(target)} is both target and control")
         # a list, as callers and the rule's path give, never equals the tuple
         if ordered != controls:
             object.__setattr__(self, "controls", ordered)
@@ -80,7 +81,7 @@ class Gate:
             except OverflowError:
                 raise DomainError("ry angle is an integer too large for a float") from None
             if not finite:
-                raise DomainError(f"ry needs a finite angle, got {self.angle!r}")
+                raise DomainError(f"ry needs a finite angle, got {num(self.angle)}")
             if angle is not self.angle:
                 object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
@@ -95,7 +96,7 @@ class Gate:
     def with_control(self, control: int) -> "Gate":
         """Copy of this gate conditioned on one more qubit."""
         if control == self.target or control in self.controls:
-            raise ControlCollision(f"qubit {control} already used by this gate")
+            raise ControlCollision(f"qubit {num(control)} already used by this gate")
         return Gate(self.kind, self.target, self.controls + (control,), self.angle)
 
 
@@ -118,15 +119,22 @@ class Circuit:
         except TypeError:
             n = 0
         if n < 1:
-            raise DomainError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        gates = tuple(self.gates)
+            raise DomainError(f"n_qubits must be a positive integer, got {num(self.n_qubits)}")
+        try:
+            gates = tuple(self.gates)
+        except TypeError:
+            raise DomainError(f"gates must be an iterable of Gate, got {num(self.gates)}") from None
+        # one C-level type test, so that the bound check below reads only Gates
+        if not all(map(isinstance, gates, repeat(Gate))):
+            bad = next(g for g in gates if not isinstance(g, Gate))
+            raise DomainError(f"gates must be Gate values, got {num(bad)}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
         for gate in gates:
             if gate.max_index >= n:
                 raise IndexOutOfRange(
-                    f"gate touches qubit {gate.max_index} but the circuit has "
-                    f"{self.n_qubits} qubits"
+                    f"gate touches qubit {num(gate.max_index)} but the circuit has "
+                    f"{n} qubits"
                 )
 
     @property
@@ -140,7 +148,7 @@ class Circuit:
     def add_control(self, control: int) -> "Circuit":
         """New circuit with every gate conditioned on one extra qubit."""
         if not 0 <= control < self.n_qubits:
-            raise IndexOutOfRange(f"control {control} outside 0..{self.n_qubits - 1}")
+            raise IndexOutOfRange(f"control {num(control)} outside 0..{self.n_qubits - 1}")
         return Circuit(self.n_qubits, tuple(g.with_control(control) for g in self.gates))
 
     def to_json(self) -> str:

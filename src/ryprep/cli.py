@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error (bad values), 2 format or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -176,8 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: argparse formats
+    help text when it prints it, so a shared parser prints what a fresh one
+    would, and ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)

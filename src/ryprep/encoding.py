@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._values import integers
+from ._values import integers, num
 from .errors import (
     AllZeroImage,
     BadMagic,
@@ -30,17 +29,10 @@ from .states import RealState
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
 # Skips whitespace and '#' comments (up to LF or CR), then captures the next
-# token, which is empty only at the end of the data.
+# header token, which is empty only at the end of the data.
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|#[^\n\r]*)*([^ \t\n\r\x0b\x0c#]*)")
-
-
-def _num(n: int) -> str:
-    """``str(n)``, or n's size when it has more digits than the interpreter
-    will print."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"{'-' * (n < 0)}<{n.bit_length()}-bit integer>"
+# A comment in the P2 raster, which _TOKEN would skip like whitespace.
+_COMMENT = re.compile(rb"#[^\n\r]*")
 
 
 def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
@@ -65,21 +57,21 @@ class GrayImage:
         for name, value in zip(("rows", "cols", "maxval", "pixels"), (rows, cols, maxval, pixels)):
             object.__setattr__(self, name, value)
         if rows < 1 or cols < 1:
-            raise DomainError(f"image dimensions must be positive, got {_num(rows)}x{_num(cols)}")
+            raise DomainError(f"image dimensions must be positive, got {num(rows)}x{num(cols)}")
         if not 1 <= maxval <= 65535:
-            raise MaxvalOutOfRange(f"maxval must lie in [1, 65535], got {_num(maxval)}")
+            raise MaxvalOutOfRange(f"maxval must lie in [1, 65535], got {num(maxval)}")
         if len(pixels) != rows * cols:
-            size = f"{_num(rows)}x{_num(cols)}"
-            raise DomainError(f"{size} image needs {_num(rows * cols)} pixels, got {len(pixels)}")
+            size = f"{num(rows)}x{num(cols)}"
+            raise DomainError(f"{size} image needs {num(rows * cols)} pixels, got {len(pixels)}")
         if min(pixels) < 0 or max(pixels) > maxval:
             p = next(p for p in pixels if not 0 <= p <= maxval)
-            raise PixelExceedsMaxval(f"pixel value {_num(p)} outside [0, {maxval}]")
+            raise PixelExceedsMaxval(f"pixel value {num(p)} outside [0, {maxval}]")
 
     def pixel(self, i: int, j: int) -> int:
         """Value at row i, column j (0-based)."""
         i, j = _exact_ints((i, j), "pixel indices")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise DomainError(f"pixel ({_num(i)}, {_num(j)}) outside {self.rows}x{self.cols} image")
+            raise DomainError(f"pixel ({num(i)}, {num(j)}) outside {self.rows}x{self.cols} image")
         return self.pixels[i * self.cols + j]
 
 
@@ -117,8 +109,21 @@ def load_pgm(data: bytes) -> GrayImage:
     count = width * height
 
     if magic == b"P2":
-        # the data holds at most len(data) tokens before the empty one at its end
-        pixels = [_int(m[1], "sample") for m in islice(tokens, min(count, len(data) + 1))]
+        # With the comments blanked, bytes.split's whitespace is _TOKEN's six
+        # bytes.  The rest holds at most len(rest) tokens, and whatever lies
+        # past the raster stays one unsplit chunk, which is dropped.
+        rest = _COMMENT.sub(b" ", data[match.end() :])
+        samples = rest.split(None, min(count, len(rest)))[:count]
+        # one digit test and one conversion for the whole raster; only a bad
+        # sample sends the walk through _int, so that the first one names the error
+        try:
+            if not b"".join(samples).isdigit():
+                raise ValueError
+            pixels = list(map(int, samples))
+        except ValueError:
+            pixels = [_int(token, "sample") for token in samples]
+        if len(pixels) < count:
+            raise TruncatedData("header ended early")
     else:
         # exactly one whitespace byte separates the maxval token from the raster
         start = match.end() + 1
@@ -129,7 +134,7 @@ def load_pgm(data: bytes) -> GrayImage:
         depth = 1 if maxval < 256 else 2
         raster = data[start : start + depth * count]
         if len(raster) < depth * count:
-            raise TruncatedData(f"raster holds {len(raster) // depth} of {_num(count)} samples")
+            raise TruncatedData(f"raster holds {len(raster) // depth} of {num(count)} samples")
         pixels = np.frombuffer(raster, "u1" if depth == 1 else ">u2").tolist()
     return GrayImage(rows=height, cols=width, pixels=pixels, maxval=maxval)
 

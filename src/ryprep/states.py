@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._values import header, integers, json_reals, parse, reals
+from ._values import header, integers, json_reals, num, parse, reals
 from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
 
@@ -59,12 +59,12 @@ class RealState:
         except TypeError:
             n = -1
         if n < 0:
-            raise DomainError(f"n_qubits must be a nonnegative integer, got {self.n_qubits!r}")
+            raise DomainError(f"n_qubits must be a nonnegative integer, got {num(self.n_qubits)}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
         # compared through the bit length: 1 << n for an outside n could be huge
         if not _is_pow2(len(amps)) or len(amps).bit_length() - 1 != n:
-            raise DomainError(f"{n} qubits need 2**{n} amplitudes, got {len(amps)}")
+            raise DomainError(f"{num(n)} qubits need 2**{num(n)} amplitudes, got {len(amps)}")
         norm_sq = _fsum(map(operator.mul, amps, amps))
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise DomainError(f"amplitudes are not unit norm: sum of squares = {norm_sq!r}")

@@ -1,6 +1,7 @@
 """Gate and circuit value semantics, validation, and JSON round-trips."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -100,6 +101,39 @@ def test_with_control():
         g.with_control(0)
 
 
+HUGE = 10**5000  # more digits than str() prints
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: Gate("x", -HUGE), IndexOutOfRange, "got -<16610-bit integer>"),
+        (lambda: Gate("x", 0, (-HUGE,)), IndexOutOfRange, "got (-<16610-bit integer>,)"),
+        (lambda: Gate("x", 0, (HUGE, HUGE)), ControlCollision, "in (<16610-bit"),
+        (lambda: Gate("x", HUGE, (HUGE,)), ControlEqualsTarget, "qubit <16610-bit integer> is"),
+        (lambda: Gate("x", 1.5, [HUGE]), IndexOutOfRange, "controls [<16610-bit integer>]"),
+        (lambda: Gate("x", 1.5, {HUGE}), IndexOutOfRange, "and controls <set>"),
+        (lambda: Circuit(-HUGE), DomainError, "got -<16610-bit integer>"),
+        (lambda: Circuit(1, (Gate("x", HUGE),)), IndexOutOfRange, "qubit <16610-bit integer> but"),
+        (lambda: Circuit(2).add_control(HUGE), IndexOutOfRange, "control <16610-bit integer>"),
+    ],
+    ids=[
+        "target",
+        "control",
+        "duplicate",
+        "target-control",
+        "list",
+        "set",
+        "n_qubits",
+        "bound",
+        "add",
+    ],
+)
+def test_unprintable_integers_are_named_by_size(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
+
+
 class TestCircuit:
     def test_empty(self):
         c = Circuit(1)
@@ -118,6 +152,23 @@ class TestCircuit:
             Circuit(2).append(ry(1.0, 2))
         with pytest.raises(IndexOutOfRange):
             Circuit(2).append(x(0, (5,)))
+
+    @pytest.mark.parametrize(
+        "gates,message",
+        [
+            ([1], "got 1"),
+            (["x"], "got 'x'"),
+            ((x(0), ry(0.5, 0), None), "got None"),
+        ],
+    )
+    def test_gates_must_be_gates(self, gates, message):
+        with pytest.raises(DomainError, match=re.escape(f"gates must be Gate values, {message}")):
+            Circuit(1, gates)
+
+    @pytest.mark.parametrize("gates", [None, 3, x(0)])
+    def test_gates_must_be_iterable(self, gates):
+        with pytest.raises(DomainError, match="gates must be an iterable of Gate"):
+            Circuit(1, gates)
 
     def test_n_qubits_positive(self):
         with pytest.raises(DomainError):

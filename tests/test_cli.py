@@ -398,3 +398,53 @@ def test_version_names_kernel_backend(capsys):
     assert capsys.readouterr().out == expect
     proc = _run_module("--version")
     assert (proc.returncode, proc.stdout) == (0, expect)
+
+
+@pytest.fixture()
+def parser_builds(monkeypatch):
+    """Counts the parsers ``main`` builds, starting from none built."""
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    yield builds
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(worked_pgm, tmp_path, parser_builds):
+    for k in range(3):
+        assert main(["encode", str(worked_pgm), str(tmp_path / f"s{k}.json")]) == 0
+    assert main(["synth", str(worked_pgm), "--out", str(tmp_path / "c.json")]) == 0
+    assert len(parser_builds) == 1
+
+
+def test_argparse_failure_leaves_the_parser_usable(worked_pgm, tmp_path, parser_builds, capsys):
+    out = tmp_path / "s.json"
+    for argv in (["encode", str(worked_pgm)], ["synth", str(worked_pgm), "--bogus"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "usage: ryprep" in capsys.readouterr().err
+    assert main(["synth", str(worked_pgm), "--out", str(out)]) == 0
+    assert main(["synth", str(worked_pgm), "--no-prune", "--out", str(out)]) == 0
+    assert main(["encode", str(worked_pgm), str(out)]) == 0
+    assert json.loads(out.read_text())["n_qubits"] == 2
+    assert len(parser_builds) == 1
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["synth", "--help"]])
+def test_shared_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = []
+    for parse in (cli.build_parser().parse_args, main, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0].startswith(("ryprep ", "usage: ryprep"))
+    assert printed[1] == printed[0] and printed[2] == printed[0]

@@ -220,6 +220,41 @@ def test_load_pgm_matches_reference_on_fuzz_bytes(data):
     assert_matches_reference(data)
 
 
+def full_size_p2():
+    """A seeded 180x360 P2 file split into its header, the samples with the
+    filler before each, and a trailer past the raster."""
+    rng = np.random.default_rng(180360)
+    rows, cols = 180, 360
+    pixels = rng.integers(0, 256, rows * cols).tolist()
+    # '#' right after a token, and comments that end at LF, at CR and at CRLF
+    filler = [b" ", b"\n", b"\t", b"\r\n", b"\x0b\x0c ", b"#c\n", b"# 1 x\r", b" #\n", b"#1#2\r\n"]
+    picks = rng.integers(0, len(filler), rows * cols).tolist()
+    pieces = [filler[k] + b"%d" % p for k, p in zip(picks, pixels)]
+    head = b"P2\n# a 180x360 image\n%d %d\n255" % (cols, rows)
+    trailer = b"\n# past the raster\n1 2 x -3 \x1c\x85 #4\r" + LONG + b" 5"
+    return head, pieces, trailer, GrayImage(rows, cols, tuple(pixels), 255)
+
+
+def test_full_size_p2_matches_reference():
+    head, pieces, trailer, image = full_size_p2()
+    data = head + b"".join(pieces) + trailer
+    assert load_pgm(data) == image
+    assert_matches_reference(data)
+
+
+@pytest.mark.parametrize("control", [b"\x1c", b"\x85"])
+def test_full_size_p2_control_byte_is_not_whitespace(control):
+    head, pieces, trailer, image = full_size_p2()
+    # the next piece starts with whitespace or '#', so the byte ends a token
+    k = 40000
+    pieces[k] += control
+    token = b"%d" % image.pixels[k] + control
+    data = head + b"".join(pieces) + trailer
+    with pytest.raises(PgmError, match=re.escape(f"malformed sample token {token!r}")):
+        load_pgm(data)
+    assert_matches_reference(data)
+
+
 class TestGrayImage:
     def test_pixel_bounds_checked(self):
         with pytest.raises(PixelExceedsMaxval):

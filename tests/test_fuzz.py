@@ -193,9 +193,13 @@ def test_from_json_raises_only_package_errors(text):
             pass
 
 
+# integers too long for str(), which error messages must still name
+UNPRINTABLE = st.sampled_from([10**5000, -(10**5000)])
+
+
 @FUZZ
 @given(
-    VALUES,
+    VALUES | UNPRINTABLE,
     VALUES,
     VALUES,
     st.lists(SCALARS, max_size=4),
@@ -203,6 +207,7 @@ def test_from_json_raises_only_package_errors(text):
 )
 def test_constructors_raise_only_package_errors(a, b, c, seq, kind):
     image = GrayImage(2, 2, (0, 1, 2, 3), 3)
+    gate = Gate("x", 0)
     calls = [
         lambda: RealState(a, seq),
         lambda: RealState(1, b),
@@ -211,6 +216,9 @@ def test_constructors_raise_only_package_errors(a, b, c, seq, kind):
         lambda: Gate(kind, a, seq, b),
         lambda: Gate(kind, 0, b, c),
         lambda: Circuit(a),
+        lambda: Circuit(1, b),
+        lambda: Circuit(1, seq),
+        lambda: Circuit(1, (gate, a)),
         lambda: GrayImage(a, b, seq, c),
         lambda: GrayImage(1, len(seq), seq, 3),
         lambda: image.pixel(a, b),

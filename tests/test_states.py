@@ -1,6 +1,7 @@
 """Statevector type, normalization, and the spherical-angle codec."""
 
 import math
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -202,6 +203,18 @@ class TestRealState:
     def test_rejects_negative_qubits(self):
         with pytest.raises(DomainError):
             RealState(-1, (1.0,))
+
+    @pytest.mark.parametrize(
+        "n_qubits,message",
+        [
+            (10**5000, "<16610-bit integer> qubits need 2**<16610-bit integer> amplitudes"),
+            (-(10**5000), "got -<16610-bit integer>"),
+        ],
+        ids=["positive", "negative"],
+    )
+    def test_unprintable_qubit_count_is_named_by_size(self, n_qubits, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            RealState(n_qubits, (1.0,))
 
     @pytest.mark.parametrize("n_qubits", [True, 1.0])
     def test_rejects_non_int_qubits(self, n_qubits):
