@@ -7,9 +7,9 @@ becomes the amplitudes of a ceil(log2(M*L))-qubit state.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     PixelExceedsMaxval,
     TruncatedData,
 )
-from .states import RealState
+from .states import RealState, _ArrayValue, _is_vector
 
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
@@ -42,37 +42,58 @@ def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
         raise DomainError(f"{what} must be integers: {exc}") from None
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """Row-major grayscale pixels with the bit depth declared by maxval."""
+class GrayImage(_ArrayValue):
+    """Row-major grayscale pixels with the bit depth declared by maxval.
 
+    The pixels are held in ``array``, a read-only uint16 array, and
+    ``pixels`` reads them as a tuple of ints.  A one-dimensional NumPy
+    integer array is taken as it is, copied; any other iterable goes
+    through the integer rule.
+    """
+
+    _FIELDS = ("rows", "cols", "pixels", "maxval")
+    _SEQUENCE = "pixels"
     rows: int
     cols: int
-    pixels: tuple[int, ...]
-    maxval: int = 255
+    maxval: int
 
-    def __post_init__(self) -> None:
-        rows, cols, maxval = _exact_ints((self.rows, self.cols, self.maxval), "rows, cols, maxval")
-        pixels = _exact_ints(self.pixels, "pixels")
-        for name, value in zip(("rows", "cols", "maxval", "pixels"), (rows, cols, maxval, pixels)):
+    def __init__(self, rows: int, cols: int, pixels: Iterable[int], maxval: int = 255) -> None:
+        rows, cols, maxval = _exact_ints((rows, cols, maxval), "rows, cols, maxval")
+        if _is_vector(pixels) and pixels.dtype.kind in "iu":
+            values = pixels
+        else:
+            values = _exact_ints(pixels, "pixels")
+        for name, value in zip(("rows", "cols", "maxval"), (rows, cols, maxval)):
             object.__setattr__(self, name, value)
         if rows < 1 or cols < 1:
             raise DomainError(f"image dimensions must be positive, got {num(rows)}x{num(cols)}")
         if not 1 <= maxval <= 65535:
             raise MaxvalOutOfRange(f"maxval must lie in [1, 65535], got {num(maxval)}")
-        if len(pixels) != rows * cols:
+        if len(values) != rows * cols:
             size = f"{num(rows)}x{num(cols)}"
-            raise DomainError(f"{size} image needs {num(rows * cols)} pixels, got {len(pixels)}")
-        if min(pixels) < 0 or max(pixels) > maxval:
-            p = next(p for p in pixels if not 0 <= p <= maxval)
+            raise DomainError(f"{size} image needs {num(rows * cols)} pixels, got {len(values)}")
+        if isinstance(values, np.ndarray):
+            lo, hi = values.min(), values.max()
+        else:
+            lo, hi = min(values), max(values)
+        if lo < 0 or hi > maxval:
+            p = next(int(p) for p in values if not 0 <= p <= maxval)
             raise PixelExceedsMaxval(f"pixel value {num(p)} outside [0, {maxval}]")
+        # a copy, which no later write to the caller's array reaches
+        array = np.array(values, np.uint16)
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
+
+    @functools.cached_property
+    def pixels(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def pixel(self, i: int, j: int) -> int:
         """Value at row i, column j (0-based)."""
         i, j = _exact_ints((i, j), "pixel indices")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DomainError(f"pixel ({num(i)}, {num(j)}) outside {self.rows}x{self.cols} image")
-        return self.pixels[i * self.cols + j]
+        return int(self.array[i * self.cols + j])
 
 
 def _int(token: bytes, what: str) -> int:
@@ -84,6 +105,51 @@ def _int(token: bytes, what: str) -> int:
         return int(token)
     except ValueError:  # more digits than int() converts
         raise PgmError(f"{what} token of {len(token)} digits is too long") from None
+
+
+# the bytes bytes.split takes for whitespace, and those that are neither
+# whitespace nor a digit
+_SPACE = np.zeros(256, bool)
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+_OTHER = ~_SPACE
+_OTHER[list(b"0123456789")] = False
+
+
+# The bulk decode makes about twenty NumPy calls, a fixed cost.  Timed inside
+# whole CLI synth and verify runs, it overtakes the split and map(int) below
+# at about 640-700 samples (in a hot loop of load_pgm calls alone, already at
+# 130-190: a NumPy call costs several times more inside a CLI run).
+_BULK_P2 = 640
+
+
+def _p2_samples(rest: bytes, count: int) -> np.ndarray | None:
+    """The first count samples of a P2 raster whose comments are blanked,
+    decoded together; None unless there are count of them within the first
+    16 * count + 64 bytes, each a run of one to five ASCII digits.
+
+    The byte limit keeps a long trailer past the raster from being scanned;
+    a raster spaced wider than that is left to the token walk.
+    """
+    raw = np.frombuffer(rest, np.uint8, min(len(rest), 16 * count + 64))
+    # whitespace with one more byte of it at each end, so that its edges
+    # alternate: where a token starts, where it ends, where the next starts
+    space = np.ones(len(raw) + 2, bool)
+    _SPACE.take(raw, out=space[1:-1])
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
+    # a last token that reaches the end of the bytes read may go on past them
+    if len(ends) < count or ends[-1] == len(raw) < len(rest):
+        return None
+    lengths = ends - starts
+    longest = int(lengths.max())
+    if longest > 5 or _OTHER[raw[: ends[-1]]].any():
+        return None
+    # Horner's rule over the digits, the last of each token in the last pass
+    value = np.zeros(count, np.int32)
+    for place in range(longest, 0, -1):
+        digit = raw.take(ends - place, mode="clip") - 48
+        value = value * 10 + np.where(lengths >= place, digit, 0)
+    return value
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -109,21 +175,23 @@ def load_pgm(data: bytes) -> GrayImage:
     count = width * height
 
     if magic == b"P2":
-        # With the comments blanked, bytes.split's whitespace is _TOKEN's six
-        # bytes.  The rest holds at most len(rest) tokens, and whatever lies
-        # past the raster stays one unsplit chunk, which is dropped.
         rest = _COMMENT.sub(b" ", data[match.end() :])
-        samples = rest.split(None, min(count, len(rest)))[:count]
-        # one digit test and one conversion for the whole raster; only a bad
-        # sample sends the walk through _int, so that the first one names the error
-        try:
-            if not b"".join(samples).isdigit():
-                raise ValueError
-            pixels = list(map(int, samples))
-        except ValueError:
-            pixels = [_int(token, "sample") for token in samples]
-        if len(pixels) < count:
-            raise TruncatedData("header ended early")
+        pixels = _p2_samples(rest, count) if count >= _BULK_P2 else None
+        if pixels is None:
+            # With the comments blanked, bytes.split's whitespace is _TOKEN's
+            # six bytes.  The rest holds at most len(rest) tokens, and whatever
+            # lies past the raster stays one unsplit chunk, which is dropped.
+            samples = rest.split(None, min(count, len(rest)))[:count]
+            # one digit test and one conversion for the whole raster; only a bad
+            # sample sends the walk through _int, so that the first one names the error
+            try:
+                if not b"".join(samples).isdigit():
+                    raise ValueError
+                pixels = list(map(int, samples))
+            except ValueError:
+                pixels = [_int(token, "sample") for token in samples]
+            if len(pixels) < count:
+                raise TruncatedData("header ended early")
     else:
         # exactly one whitespace byte separates the maxval token from the raster
         start = match.end() + 1
@@ -135,14 +203,13 @@ def load_pgm(data: bytes) -> GrayImage:
         raster = data[start : start + depth * count]
         if len(raster) < depth * count:
             raise TruncatedData(f"raster holds {len(raster) // depth} of {num(count)} samples")
-        pixels = np.frombuffer(raster, "u1" if depth == 1 else ">u2").tolist()
+        pixels = np.frombuffer(raster, "u1" if depth == 1 else ">u2")
     return GrayImage(rows=height, cols=width, pixels=pixels, maxval=maxval)
 
 
 def unfold(image: GrayImage) -> list[float]:
     """Flatten column-major: column 0 top to bottom, then column 1, and so on."""
-    cols, px = image.cols, image.pixels
-    return [float(p) for j in range(cols) for p in px[j::cols]]
+    return image.array.reshape(image.rows, image.cols).T.astype(float).ravel().tolist()
 
 
 def _pow2_size(length: int) -> int:
@@ -162,7 +229,7 @@ def _norm(pixels: np.ndarray) -> float:
     """``math.sqrt(math.fsum(float(p) ** 2 for p in pixels))``, bit for bit.
 
     The int64 sum of the squares is exact below 2**31 pixels, since each
-    square is below 2**32 (the pixel tuple of a larger image would alone
+    square is below 2**32 (the int64 vector of a larger image would alone
     take 16 GiB).  ``float()`` of an int rounds the exact sum half to even,
     and so does fsum of the float squares, which are exact.
     """
@@ -173,18 +240,17 @@ def encode(image: GrayImage) -> RealState:
     """Unfold, pad, and normalize an image into a statevector.
 
     Gives the same state as ``normalize(pad_pow2(unfold(image)))``, bit for
-    bit, with one float per pixel value: the values 0..maxval are divided by
-    the norm once, and every amplitude is the float of its pixel's value, so
-    equal pixels share one float object.
+    bit: the values 0..maxval are divided by the norm once, and every
+    amplitude is its pixel's entry of that table.
     """
-    rows, cols, count = image.rows, image.cols, len(image.pixels)
+    rows, cols = image.rows, image.cols
+    count = rows * cols
     size = _pow2_size(count)
     vec = np.zeros(size, np.int64)
     # the column-major order is the transpose of the row-major raster
-    raster = np.fromiter(image.pixels, np.int64, count).reshape(rows, cols)
-    vec[:count].reshape(cols, rows)[...] = raster.T
+    vec[:count].reshape(cols, rows)[...] = image.array.reshape(rows, cols).T
     norm = _norm(vec)
     if norm == 0.0:
         raise AllZeroImage("every pixel is zero; the image encodes no state")
-    table = (np.arange(image.maxval + 1) / norm).astype(object)
-    return RealState(size.bit_length() - 1, table[vec].tolist())
+    table = np.arange(image.maxval + 1) / norm
+    return RealState(size.bit_length() - 1, table[vec])

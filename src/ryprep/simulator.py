@@ -100,9 +100,11 @@ def apply_gate(state: RealState, gate: Gate) -> RealState:
         raise IndexOutOfRange(
             f"gate touches qubit {gate.max_index} but the state has {state.n_qubits} qubits"
         )
-    amps = np.array(state.amplitudes, dtype=np.float64)
+    # state.array is read-only; RealState copies this array once more, a
+    # second transient of the state's size, kept for its single constructor
+    amps = state.array.copy()
     _apply_all(amps, (gate,))
-    return RealState(state.n_qubits, tuple(amps.tolist()))
+    return RealState(state.n_qubits, amps)
 
 
 def run(circuit: Circuit) -> RealState:
@@ -118,11 +120,13 @@ def run(circuit: Circuit) -> RealState:
     amps = np.zeros(1 << circuit.n_qubits, dtype=np.float64)
     amps[0] = 1.0
     _apply_all(amps, circuit.gates)
-    return RealState(circuit.n_qubits, tuple(amps.tolist()))
+    # RealState copies amps: 8 * 2**n more bytes for a moment (512 MB at
+    # n = 26), against the Python float per amplitude a tuple would take
+    return RealState(circuit.n_qubits, amps)
 
 
 def max_abs_diff(a: RealState, b: RealState) -> float:
     """L-infinity distance between two states on the same qubit count."""
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch(f"cannot compare {a.n_qubits}-qubit and {b.n_qubits}-qubit states")
-    return max(abs(p - q) for p, q in zip(a.amplitudes, b.amplitudes))
+    return float(abs(a.array - b.array).max())

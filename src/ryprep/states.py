@@ -8,10 +8,11 @@ to floating-point roundoff, which is what makes circuit synthesis exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -45,38 +46,125 @@ def _fsum(squares: Iterable[float]) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class RealState:
-    """Unit-norm real amplitudes; bit k of the index is qubit k (little-endian)."""
+class _ArrayValue:
+    """An immutable value whose sequence field ``_SEQUENCE`` is held in
+    ``array``, a read-only NumPy array, and read as a tuple built on first use.
 
+    It behaves as a frozen dataclass over ``_FIELDS`` does: no attribute can
+    be set or deleted, and ``==``, ``hash`` and ``repr`` go by the fields in
+    order.  Only ``hash`` and ``repr`` build the tuple.
+    """
+
+    _FIELDS: tuple[str, ...]
+    _SEQUENCE: str
+    array: np.ndarray
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _scalars(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS if name != self._SEQUENCE)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scalars() == other._scalars() and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._FIELDS))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor, so that a copy is checked and read-only too
+        args = (getattr(self, "array" if name == self._SEQUENCE else name) for name in self._FIELDS)
+        return type(self), tuple(args)
+
+
+def _is_vector(values: object) -> bool:
+    """Whether values is a plain one-dimensional NumPy array."""
+    return type(values) is np.ndarray and values.ndim == 1
+
+
+# A sum of n nonnegative floats, added in any order, lies within n * eps of
+# the exact sum, relative to it (eps of the type the sum is taken in).
+_SUM_EPS = float(np.finfo(np.longdouble).eps)
+# Timed inside whole CLI synth and verify runs, the longdouble test takes
+# longer than fsum alone at 256 amplitudes and less at 512 (in a hot loop of
+# calls alone it wins from about 70-120: a NumPy call costs several times
+# more inside a CLI run).
+_BULK_NORM = 512
+
+
+def _check_unit(amps: np.ndarray) -> None:
+    """Refuse amplitudes unless the ``math.fsum`` of their float64 squares
+    lies within NORM_ATOL of 1.
+
+    For a large state, a longdouble sum of the squares settles the question
+    when it lies, with its error bound, within NORM_ATOL / 2 of 1: fsum, the
+    exact sum rounded, then lies within NORM_ATOL of 1 as well.  Every other
+    sum, including inf and NaN, is decided by fsum itself, which also names
+    it.
+    """
+    if amps.size >= _BULK_NORM:
+        with np.errstate(over="ignore"):
+            total = (amps * amps).sum(dtype=np.longdouble)
+        if abs(total - 1) + amps.size * _SUM_EPS * total <= NORM_ATOL / 2:
+            return
+    values = amps.tolist()
+    norm_sq = _fsum(map(operator.mul, values, values))
+    if not abs(norm_sq - 1.0) <= NORM_ATOL:
+        raise DomainError(f"amplitudes are not unit norm: sum of squares = {norm_sq!r}")
+
+
+class RealState(_ArrayValue):
+    """Unit-norm real amplitudes; bit k of the index is qubit k (little-endian).
+
+    The amplitudes are held in ``array``, a read-only float64 array, and
+    ``amplitudes`` reads them as a tuple of floats.  A one-dimensional
+    float64 array is taken as it is, copied; any other iterable goes through
+    the real-number rule.
+    """
+
+    _FIELDS = ("n_qubits", "amplitudes")
+    _SEQUENCE = "amplitudes"
     n_qubits: int
-    amplitudes: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        amps = _floats(self.amplitudes, "amplitudes")
+    def __init__(self, n_qubits: int, amplitudes: Iterable[float]) -> None:
+        if _is_vector(amplitudes) and amplitudes.dtype == np.float64:
+            amps = amplitudes.copy()
+        else:
+            amps = np.array(_floats(amplitudes, "amplitudes"), np.float64)
+        amps.setflags(write=False)
+        object.__setattr__(self, "array", amps)
         try:
-            (n,) = integers((self.n_qubits,))
+            (n,) = integers((n_qubits,))
         except TypeError:
             n = -1
         if n < 0:
-            raise DomainError(f"n_qubits must be a nonnegative integer, got {num(self.n_qubits)}")
+            raise DomainError(f"n_qubits must be a nonnegative integer, got {num(n_qubits)}")
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "amplitudes", amps)
         # compared through the bit length: 1 << n for an outside n could be huge
-        if not _is_pow2(len(amps)) or len(amps).bit_length() - 1 != n:
-            raise DomainError(f"{num(n)} qubits need 2**{num(n)} amplitudes, got {len(amps)}")
-        norm_sq = _fsum(map(operator.mul, amps, amps))
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:
-            raise DomainError(f"amplitudes are not unit norm: sum of squares = {norm_sq!r}")
+        if not _is_pow2(amps.size) or amps.size.bit_length() - 1 != n:
+            raise DomainError(f"{num(n)} qubits need 2**{num(n)} amplitudes, got {amps.size}")
+        _check_unit(amps)
+
+    @functools.cached_property
+    def amplitudes(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     def to_json(self) -> str:
         """``json.dumps({"n_qubits": ..., "amplitudes": [...]})``, byte for byte,
         with each distinct amplitude formatted once: an image state holds at
         most maxval + 1 of them, however many pixels it has.  Amplitudes are
         finite, since the norm check refuses inf and NaN."""
-        amps = np.fromiter(self.amplitudes, np.float64, len(self.amplitudes))
         # keyed on the bits, so that 0.0 and -0.0 keep their own text
-        bits, where = np.unique(amps.view(np.int64), return_inverse=True)
+        bits, where = np.unique(self.array.view(np.int64), return_inverse=True)
         texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         body = ", ".join(texts[where].tolist())
         return f'{{"n_qubits": {self.n_qubits}, "amplitudes": [{body}]}}'
@@ -152,7 +240,7 @@ def normalize(values: Iterable[float]) -> RealState:
     return RealState(len(vals).bit_length() - 1, tuple(v / norm for v in vals))
 
 
-def _suffix_norms_sq(amps: tuple[float, ...]) -> list[float]:
+def _suffix_norms_sq(amps: list[float]) -> list[float]:
     """Running sums of squared amplitudes from each index to the end.
 
     Accumulated back to front with Neumaier compensation so the result is
@@ -186,7 +274,7 @@ def to_angles(state: RealState) -> AngleList:
     """
     if state.n_qubits < 1:
         raise DomainError("angle extraction needs at least one qubit")
-    c = state.amplitudes
+    c = state.array.tolist()
     n = len(c)
     suffix = _suffix_norms_sq(c)
     angles = [0.0] * (n - 1)

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 from .circuits import RY, Circuit, Gate, ry, x
 from .errors import DomainError
+from .simulator import MAX_QUBITS
 from .states import AngleList, RealState, to_angles
 from .tolerances import check_tol
 
@@ -104,10 +105,23 @@ def _emit(
     return gates
 
 
+def _check_qubits(n_qubits: int) -> None:
+    """Refuse a circuit too wide to verify, before any gate is built: past
+    ``MAX_QUBITS`` its 7 * 2**(n-2) gates would take tens of GB."""
+    if n_qubits > MAX_QUBITS:
+        raise DomainError(
+            f"cannot synthesize {n_qubits} qubits; the simulator holds at most {MAX_QUBITS}"
+        )
+
+
 def synth_angles(angles: AngleList, *, prune: bool = False, prune_tol: float = 1e-12) -> Circuit:
-    """Build the preparation circuit directly from an angle list."""
+    """Build the preparation circuit directly from an angle list.
+
+    Raises ``DomainError`` for more than ``MAX_QUBITS`` qubits.
+    """
     check_tol(prune_tol, "prune_tol")
     n = angles.n_qubits
+    _check_qubits(n)
     gates = _emit(angles.angles, n, prune_tol if prune else None)
     return Circuit(n, tuple(gates))
 
@@ -120,8 +134,11 @@ def synth(
     Without pruning the circuit has exactly ``unpruned_gate_count(n)`` gates.
     With pruning, rotations within prune_tol of zero are dropped (a bare
     Ry(2*pi) is a sign flip and is never dropped) and fully degenerate
-    blocks are elided; the report accounts for every removed gate.
+    blocks are elided; the report accounts for every removed gate.  More
+    than ``MAX_QUBITS`` qubits raise ``DomainError`` before the angles are
+    extracted.
     """
+    _check_qubits(state.n_qubits)
     angles = to_angles(state)
     circuit = synth_angles(angles, prune=prune, prune_tol=prune_tol)
     n = state.n_qubits

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import ryprep
-from ryprep import Circuit, cli, encode, load_pgm, normalize, synth
+from ryprep import Circuit, cli, encode, load_pgm, normalize, synth, synthesis
 from ryprep.cli import main
 
 WORKED_PGM = b"P2\n2 2\n255\n0 192\n128 255\n"
@@ -448,3 +448,15 @@ def test_shared_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, argv)
         printed.append(capsys.readouterr().out)
     assert printed[0].startswith(("ryprep ", "usage: ryprep"))
     assert printed[1] == printed[0] and printed[2] == printed[0]
+
+
+def test_synth_past_the_qubit_cap_is_domain_error(tmp_path, capsys, monkeypatch):
+    # a 4x4 image needs 4 qubits; the cap is lowered so that nothing large is built
+    img = tmp_path / "img.pgm"
+    img.write_bytes(b"P2 4 4 255 " + b" ".join(b"%d" % p for p in range(1, 17)))
+    monkeypatch.setattr(synthesis, "MAX_QUBITS", 3)
+    out = tmp_path / "c.json"
+    assert main(["synth", str(img), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: DomainError: cannot synthesize 4 qubits; the simulator holds at most 3\n"
+    assert not out.exists()

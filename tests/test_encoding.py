@@ -1,7 +1,10 @@
 """PGM parsing, column-major unfolding, padding, and amplitude encoding."""
 
+import json
 import math
 import re
+from dataclasses import FrozenInstanceError
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import reference_pgm
-from ryprep import GrayImage, encode, load_pgm, normalize, pad_pow2, unfold
-from ryprep.encoding import _norm
+import reference_states
+from ryprep import GrayImage, RealState, encode, load_pgm, normalize, pad_pow2, unfold
+from ryprep.encoding import _BULK_P2, _norm
 from ryprep.errors import (
     AllZeroImage,
     BadMagic,
@@ -255,6 +259,103 @@ def test_full_size_p2_control_byte_is_not_whitespace(control):
     assert_matches_reference(data)
 
 
+@pytest.mark.parametrize(
+    "raster",
+    [
+        b"-3 4",
+        b"+3 4",
+        b"3 -4",
+        b"007 4",
+        b"000255 4",
+        b"3 000000000004",
+        b"3 " + LONG,
+        b"3\x00 4",
+        b"\x003 4",
+        b"3 \x1c4",
+        b"3\x85 4",
+        b"3#4 5\n4",
+        b"3# c\r4#",
+        b"3 4 past the raster: -1 \x85 \x00 000255 " + LONG,
+        b"3 4" + b" " * 100 + b"x",
+        b"3",
+        b"3 # 4",
+        b"",
+        b" " * 50 + b"3" + b" " * 50 + b"4",
+        b"99999 4",
+        b"100000 4",
+    ],
+)
+def test_irregular_p2_rasters_match_reference(raster):
+    assert_matches_reference(b"P2 2 1 255 " + raster)
+    # the same bytes at the end of a large raster, which is otherwise regular
+    head, pieces, trailer, _ = full_size_p2()
+    assert_matches_reference(head + b"".join(pieces[:-2]) + b" " + raster)
+
+
+# the P2 tokens that decide between the bulk decode and the token walk
+RASTER_TOKENS = st.sampled_from(
+    [b"0", b"7", b"007", b"65535", b"65536", b"99999", b"100000", b"000255", b"-3", b"+3"]
+    + [b"3\x00", b"\x1c", b"\x855", b"#", b"x", LONG]
+) | st.binary(min_size=1, max_size=3)
+
+
+@PARITY
+@given(st.lists(st.tuples(FILLER, RASTER_TOKENS), max_size=4), st.binary(max_size=8))
+def test_bulk_p2_decode_matches_reference(pairs, tail):
+    # all but two samples plain, then the drawn ones: the raster is large
+    # enough for the bulk decode, whose every outcome must be the reference's
+    head = b"P2 %d 1 65535\n" % _BULK_P2
+    data = head + b"7 " * (_BULK_P2 - 2) + b"".join(map(b"".join, pairs)) + tail
+    assert_matches_reference(data)
+
+
+def test_p2_token_across_the_scanned_bytes_is_read_whole():
+    # the bulk decode reads the first 16 * count + 64 bytes of the raster,
+    # and the last sample here starts two bytes before their end
+    body = b" " + b"1 " * (_BULK_P2 - 1)
+    data = b"P2 %d 1 65535" % _BULK_P2 + body + b" " * (16 * _BULK_P2 + 62 - len(body)) + b"456"
+    assert load_pgm(data).pixels[-1] == 456
+    assert_matches_reference(data)
+
+
+@pytest.mark.parametrize("spacing", [b" " * 17, b"\r\n" * 9, b"#" + b"x" * 40 + b"\n"])
+def test_widely_spaced_p2_raster_is_read_token_by_token(spacing):
+    rng = np.random.default_rng(17)
+    # enough samples for the bulk decode, spaced too widely for its bytes
+    pixels = rng.integers(0, 65536, _BULK_P2).tolist()
+    data = b"P2 %d 1 65535" % _BULK_P2 + b"".join(spacing + b"%d" % p for p in pixels)
+    assert load_pgm(data) == GrayImage(1, _BULK_P2, tuple(pixels), 65535)
+    assert_matches_reference(data)
+
+
+def _pgm_bytes(fmt, pixels, maxval):
+    """A PGM file written the plain way, for the images below."""
+    rows, cols = pixels.shape
+    head = b"%s\n%d %d\n%d\n" % (fmt, cols, rows, maxval)
+    if fmt == b"P5":
+        return head + pixels.astype("u1" if maxval < 256 else ">u2").tobytes()
+    return head + b"\n".join(b" ".join(b"%d" % p for p in row) for row in pixels.tolist())
+
+
+@pytest.mark.parametrize(
+    "fmt,rows,cols,maxval",
+    [(b"P2", 180, 360, 255), (b"P5", 330, 400, 255), (b"P5", 300, 340, 65535)],
+    ids=["p2-n16", "p5-8bit-n18", "p5-16bit-n17"],
+)
+def test_full_size_state_json_is_byte_equal_to_reference(fmt, rows, cols, maxval):
+    rng = np.random.default_rng([rows, cols, maxval])
+    pixels = rng.integers(0, maxval + 1, (rows, cols))
+    pixels[rng.random((rows, cols)) < 0.1] = 0
+    image = load_pgm(_pgm_bytes(fmt, pixels, maxval))
+    assert image == GrayImage(rows, cols, tuple(pixels.ravel().tolist()), maxval)
+    state = encode(image)
+    column_major = pixels.T.ravel().tolist()
+    size = 1 << (len(column_major) - 1).bit_length()
+    amplitudes = reference_states.normalize(column_major + [0] * (size - len(column_major)))
+    expect = json.dumps({"n_qubits": size.bit_length() - 1, "amplitudes": list(amplitudes)})
+    assert state.to_json() == expect == reference_states.to_json(state)
+
+
 class TestGrayImage:
     def test_pixel_bounds_checked(self):
         with pytest.raises(PixelExceedsMaxval):
@@ -348,6 +449,74 @@ class TestGrayImage:
     def test_first_pixel_out_of_range_is_named(self, pixels, bad):
         with pytest.raises(PixelExceedsMaxval, match=rf"^pixel value {bad} outside \[0, 3\]$"):
             GrayImage(rows=1, cols=3, pixels=pixels, maxval=3)
+
+    @pytest.mark.parametrize("dtype", ["u1", ">u2", "<u2", "i1", "i8", "u8"])
+    def test_integer_arrays_are_taken_in_bulk(self, dtype):
+        img = GrayImage(2, 2, np.array([0, 1, 126, 127], dtype), 127)
+        assert type(img.pixels) is tuple and img.pixels == (0, 1, 126, 127)
+        assert {type(p) for p in img.pixels} == {int} and type(img.pixel(1, 1)) is int
+        assert img == GrayImage(2, 2, (0, 1, 126, 127), 127)
+        assert hash(img) == hash(GrayImage(2, 2, (0, 1, 126, 127), 127))
+        assert img != GrayImage(1, 4, (0, 1, 126, 127), 127)
+        assert img != GrayImage(2, 2, (0, 1, 126, 127), 128)
+        assert repr(img) == "GrayImage(rows=2, cols=2, pixels=(0, 1, 126, 127), maxval=127)"
+
+    def test_backing_array_refuses_writes(self):
+        for img in (WORKED, GrayImage(2, 2, np.array(WORKED.pixels))):
+            assert img.array.dtype == np.uint16 and not img.array.flags.writeable
+            with pytest.raises(ValueError):
+                img.array[0] = 1
+
+    def test_later_write_to_callers_array_does_not_reach_the_image(self):
+        pixels = np.array([0, 192, 128, 255], np.uint16)
+        img = GrayImage(2, 2, pixels)
+        pixels[:] = 7
+        assert img == WORKED and img.pixel(0, 1) == 192
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        img = GrayImage(2, 2, np.array(WORKED.pixels))
+        for name in ("rows", "cols", "pixels", "maxval", "array"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(img, name, 1)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(img, name)
+
+    @pytest.mark.parametrize(
+        "pixels,message",
+        [
+            (np.array([True, False]), "'numpy.bool' object cannot be"),
+            (np.array([Decimal(1), Decimal(2)], dtype=object), "'decimal.Decimal' object cannot"),
+            (np.array(["1", "2"], dtype=object), "'str' object cannot be interpreted"),
+            (np.array([1.0, 2.0]), "'numpy.float64' object cannot be interpreted"),
+            (np.array([[1, 2]]), "only integer scalar arrays can be converted"),
+        ],
+        ids=["bool", "decimal", "str", "float", "2-d"],
+    )
+    def test_refused_arrays_raise_as_before(self, pixels, message):
+        with pytest.raises(DomainError, match=f"^pixels must be integers: {re.escape(message)}"):
+            GrayImage(rows=1, cols=2, pixels=pixels)
+
+    @pytest.mark.parametrize(
+        "pixels,bad",
+        [(np.array([0, -1, 300]), -1), (np.array([0, 2**64 - 1, 7], np.uint64), 2**64 - 1)],
+    )
+    def test_first_array_pixel_out_of_range_is_named(self, pixels, bad):
+        with pytest.raises(PixelExceedsMaxval, match=rf"^pixel value {bad} outside \[0, 255\]$"):
+            GrayImage(rows=1, cols=3, pixels=pixels)
+
+    def test_object_array_of_ints_takes_the_integer_rule(self):
+        assert GrayImage(2, 2, np.array(WORKED.pixels, dtype=object)) == WORKED
+
+
+def test_p5_to_state_json_builds_no_tuple(monkeypatch):
+    def built(self):
+        raise AssertionError("a tuple of every value was built")
+
+    monkeypatch.setattr(GrayImage, "pixels", property(built))
+    monkeypatch.setattr(RealState, "amplitudes", property(built))
+    data = _pgm_bytes(b"P5", np.arange(1, 13).reshape(3, 4), 255)
+    text = encode(load_pgm(data)).to_json()
+    assert json.loads(text)["amplitudes"][1] == 5 / math.sqrt(sum(p * p for p in range(1, 13)))
 
 
 class TestUnfold:
@@ -465,8 +634,8 @@ def test_encode_matches_normalize_of_unfold_and_pad(img):
     assert got.n_qubits == want.n_qubits
     # float.hex tells the values and their signs apart
     assert list(map(float.hex, got.amplitudes)) == list(map(float.hex, want.amplitudes))
-    # equal pixels share one float
-    assert len(set(map(id, got.amplitudes))) <= img.maxval + 1
+    # equal pixels get one float: at most maxval + 1 distinct amplitudes
+    assert len(np.unique(got.array)) <= img.maxval + 1
 
 
 def test_norm_rounds_a_sum_past_2_to_the_53_like_fsum():

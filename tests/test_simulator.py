@@ -141,6 +141,25 @@ def test_gate_operators_are_orthogonal():
     assert_allclose(u.T @ u, np.eye(8), rtol=0, atol=1e-14)
 
 
+def test_max_abs_diff_is_the_largest_difference_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in (1, 3, 10):
+        a, b = (normalize(rng.normal(size=1 << n).tolist()) for _ in range(2))
+        got = max_abs_diff(a, b)
+        assert type(got) is float
+        assert got == max(abs(p - q) for p, q in zip(a.amplitudes, b.amplitudes))
+    zero = max_abs_diff(RealState(1, (0.0, 1.0)), RealState(1, (-0.0, 1.0)))
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+
+def test_run_and_apply_gate_give_read_only_states():
+    state = run(Circuit(2, (ry(0.3, 0), x(1, (0,)))))
+    again = apply_gate(state, ry(1.1, 1))
+    for s in (state, again):
+        assert s.array.dtype == np.float64 and not s.array.flags.writeable
+    assert state == run(Circuit(2, (ry(0.3, 0), x(1, (0,)))))
+
+
 def test_max_abs_diff():
     a = RealState(1, (1.0, 0.0))
     b = RealState(1, (0.0, 1.0))

@@ -1,8 +1,11 @@
 """Statevector type, normalization, and the spherical-angle codec."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ from ryprep import (
     to_angles,
 )
 from ryprep.errors import AllZeroInput, DomainError, FormatError, NotPowerOfTwo
+from ryprep.tolerances import NORM_ATOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -289,6 +293,130 @@ class TestRealState:
     def test_from_json_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             RealState.from_json(text)
+
+
+class TestArrayBackedState:
+    AMPS = (0.0, -0.0, 0.6, -0.8)
+
+    def test_amplitudes_read_as_a_tuple_of_floats(self):
+        state = RealState(2, np.array(self.AMPS))
+        assert type(state.amplitudes) is tuple and state.amplitudes == self.AMPS
+        assert {type(a) for a in state.amplitudes} == {float}
+        assert list(map(math.copysign, [1.0] * 4, state.amplitudes)) == [1.0, -1.0, 1.0, -1.0]
+        assert state.amplitudes is state.amplitudes
+
+    def test_array_and_tuple_give_one_value(self):
+        from_array = RealState(2, np.array(self.AMPS))
+        from_tuple = RealState(2, self.AMPS)
+        assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+        assert repr(from_array) == repr(from_tuple) == (
+            "RealState(n_qubits=2, amplitudes=(0.0, -0.0, 0.6, -0.8))"
+        )
+        assert from_array != RealState(2, (0.0, 0.0, 0.8, -0.6))
+        assert from_array != (2, self.AMPS)
+
+    def test_backing_array_refuses_writes(self):
+        for state in (RealState(2, np.array(self.AMPS)), RealState(2, self.AMPS)):
+            assert state.array.dtype == np.float64 and not state.array.flags.writeable
+            with pytest.raises(ValueError):
+                state.array[0] = 1.0
+
+    def test_later_write_to_callers_array_does_not_reach_the_state(self):
+        amps = np.array(self.AMPS)
+        state = RealState(2, amps)
+        amps[:] = 0.5
+        assert state.amplitudes == self.AMPS and state.array[3] == -0.8
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        state = RealState(2, np.array(self.AMPS))
+        for name in ("n_qubits", "amplitudes", "array", "other"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(state, name, None)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(state, name)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_copies_are_equal_and_read_only(self, clone):
+        state = RealState(2, np.array(self.AMPS))
+        again = clone(state)
+        assert again == state and not again.array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "amplitudes,message",
+        [
+            (np.array([True, False]), "must be real numbers that fit a float: a bool is not"),
+            (np.array([Decimal(1), Decimal(0)], dtype=object), "a Decimal is not a real number"),
+            (np.array(["1", "0"], dtype=object), "a str is not a real number"),
+            (np.array([[1.0, 0.0]]), "a ndarray is not a real number"),
+            (np.array([np.nan, 1.0]), "not unit norm: sum of squares = nan"),
+            (np.array([np.inf, 0.0]), "not unit norm: sum of squares = inf"),
+            (np.array([1.3e154, 1.3e154]), "not unit norm: sum of squares = inf"),
+            (np.array([1e200, 0.0]), "not unit norm: sum of squares = inf"),
+            (np.array([0.6, 0.8], np.float32), "sum of squares = 1.0000000476837165"),
+            (np.array([np.nan] + [0.0] * 255), "not unit norm: sum of squares = nan"),
+            (np.array([1e200] + [0.0] * 255), "not unit norm: sum of squares = inf"),
+            (np.array([1.3e154] * 2 + [0.0] * 254), "not unit norm: sum of squares = inf"),
+            (np.array([0.5] * 256), "not unit norm: sum of squares = 64.0"),
+        ],
+        ids=[
+            *["bool", "decimal", "str", "2-d", "nan", "inf", "sum-overflow", "square-overflow"],
+            *["f4", "nan-256", "square-overflow-256", "sum-overflow-256", "too-long-256"],
+        ],
+    )
+    def test_refused_arrays_raise_as_before(self, amplitudes, message):
+        n = len(amplitudes).bit_length() - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^amplitudes .*{re.escape(message)}"):
+                RealState(n, amplitudes)
+
+
+def _near_edge(sum_minus_one):
+    """[x, y] whose fsum of squares is 1 + sum_minus_one, to about 1e-28."""
+    if sum_minus_one > 0:
+        return [1.0, math.sqrt(sum_minus_one)]
+    # (1 - k u)**2 = 1 - 2 k u + k**2 u**2; the last term is far below an ulp
+    k = round(-sum_minus_one / 2**-52)
+    return [1.0 - k * 2**-53, 0.0]
+
+
+ULP = 2**-52  # the float spacing above 1.0; below 1.0 it is half that
+
+# fsum gives 1 + m * ULP rounded to the float grid, and 1e-12 = 4503.6 ULP
+NORM_EDGE = {
+    "inside above": (4502.9 * ULP, True),
+    "exact inside, rounded outside": (4503.55 * ULP, False),
+    "outside above": (4504.2 * ULP, False),
+    "inside below": (-9006 * ULP / 2, True),
+    "outside below": (-9008 * ULP / 2, False),
+}
+
+
+class TestUnitNormEdge:
+    @pytest.mark.parametrize("length", [2, 1 << 16])
+    @pytest.mark.parametrize("name", NORM_EDGE)
+    def test_decided_as_fsum_decides(self, name, length):
+        offset, inside = NORM_EDGE[name]
+        amps = _near_edge(offset) + [0.0] * (length - 2)
+        norm_sq = math.fsum(a * a for a in amps)
+        assert (abs(norm_sq - 1.0) <= NORM_ATOL) is inside
+        n = length.bit_length() - 1
+        for given in (np.array(amps), tuple(amps)):
+            if inside:
+                assert RealState(n, given).amplitudes == tuple(amps)
+            else:
+                with pytest.raises(DomainError, match=re.escape(f"sum of squares = {norm_sq!r}")):
+                    RealState(n, given)
+
+    def test_exact_sum_inside_but_fsum_outside_is_refused(self):
+        # the exact sum lies within NORM_ATOL of 1; only its rounding does not
+        x, y = _near_edge(NORM_EDGE["exact inside, rounded outside"][0])
+        assert abs(Fraction(x * x) + Fraction(y * y) - 1) <= Fraction(NORM_ATOL)
+        assert abs(math.fsum([x * x, y * y]) - 1.0) > NORM_ATOL
+        with pytest.raises(DomainError, match="not unit norm"):
+            RealState(1, np.array([x, y]))
 
 
 class TestAngleList:

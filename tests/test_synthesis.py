@@ -25,6 +25,7 @@ from ryprep import (
     to_angles,
     x,
 )
+from ryprep import synthesis
 from ryprep.errors import DomainError
 from ryprep.synthesis import unpruned_gate_count
 
@@ -287,3 +288,41 @@ class TestBuildOnce:
         monkeypatch.setattr(Gate, "__post_init__", counting)
         assert Circuit.from_json(text) == circuit
         assert len(built) == circuit.gate_count == EXPECTED_COUNTS[8]
+
+
+class TestQubitCap:
+    """Past simulator.MAX_QUBITS (26) a circuit is refused before it is built.
+    The real size would need the memory the cap avoids, so the cap is
+    lowered here instead."""
+
+    def test_cap_is_the_simulators(self):
+        from ryprep import simulator
+
+        assert synthesis.MAX_QUBITS == simulator.MAX_QUBITS == 26
+
+    def test_synth_angles_refuses_before_building(self, monkeypatch):
+        def emit(*args):
+            raise AssertionError("a gate was built")
+
+        angles = random_angles(np.random.default_rng(3), 4)
+        monkeypatch.setattr(synthesis, "MAX_QUBITS", 3)
+        monkeypatch.setattr(synthesis, "_emit", emit)
+        message = "^cannot synthesize 4 qubits; the simulator holds at most 3$"
+        with pytest.raises(DomainError, match=message):
+            synth_angles(angles)
+
+    def test_synth_refuses_before_extracting_angles(self, monkeypatch):
+        def extract(state):
+            raise AssertionError("the angles were extracted")
+
+        state = normalize(list(range(1, 17)))
+        monkeypatch.setattr(synthesis, "MAX_QUBITS", 3)
+        monkeypatch.setattr(synthesis, "to_angles", extract)
+        with pytest.raises(DomainError, match="^cannot synthesize 4 qubits"):
+            synth(state)
+
+    def test_cap_itself_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "MAX_QUBITS", 4)
+        state = normalize(list(range(1, 17)))
+        circuit, report = synth(state)
+        assert report.n_qubits == 4 and max_abs_diff(run(circuit), state) <= 1e-12
