@@ -1,4 +1,6 @@
-/* Compiled control-subspace kernel for ryprep.simulator.
+/* Compiled helpers for ryprep: the control-subspace simulator kernel and the
+   state-JSON writer.  Each has a NumPy fallback in the package, used when
+   this module cannot be imported, which is also its reference in the tests.
 
    run_gates(amps, kind, target, cmask, angle) applies a whole circuit, given
    as four equal-length columns, to a float64 statevector in place:
@@ -18,9 +20,21 @@
    runs over the submasks of free = (2**n - 1) & ~cmask & ~2**target with
    the step sub = (sub - free) & free, and i0 = sub | cmask.  The Ry update
    uses the same floating-point operations, in the same order, as the NumPy
-   kernel (_apply_inplace), so the two agree bit for bit as long as the
-   compiler contracts no multiply-add into an FMA: build with
-   -ffp-contract=off. */
+   kernel (simulator._apply_inplace), so the two agree bit for bit as long
+   as the compiler contracts no multiply-add into an FMA: build with
+   -ffp-contract=off.
+
+   state_json(n_qubits, amps) returns the state document
+   {"n_qubits": N, "amplitudes": [a0, a1, ...]} as one str, byte for byte
+   what json.dumps writes (states._state_json_numpy is the fallback).
+   amps is a C-contiguous one-dimensional float64 buffer of finite values.
+   An open-addressing table keyed on each amplitude's 64-bit pattern, so
+   that 0.0 and -0.0 keep their own text, holds the text of every distinct
+   value, formatted once by PyOS_double_to_string(x, 'r', 0,
+   Py_DTSF_ADD_DOT_0, NULL), which is what float.__repr__ calls.  A first
+   pass fills the table and adds up the length; a second pass looks each
+   amplitude up again and copies its text into the one str, so memory goes
+   with the distinct values, not with the amplitudes. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -36,8 +50,8 @@ enum { KIND_RY = 0, KIND_X = 1 };
 
 /* One argument's buffer, checked for item type, shape and layout. */
 static int
-get_column(PyObject *obj, Py_buffer *view, const char *name, const char *formats,
-           Py_ssize_t itemsize, int writable)
+get_column(PyObject *obj, Py_buffer *view, const char *func, const char *name,
+           const char *formats, Py_ssize_t itemsize, int writable)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0) {
         return -1;
@@ -62,7 +76,7 @@ get_column(PyObject *obj, Py_buffer *view, const char *name, const char *formats
         why = "must be writable";
     }
     if (why != NULL) {
-        PyErr_Format(PyExc_ValueError, "run_gates: %s %s (format %s, itemsize %zd)", name, why,
+        PyErr_Format(PyExc_ValueError, "%s: %s %s (format %s, itemsize %zd)", func, name, why,
                      view->format != NULL ? view->format : "B", view->itemsize);
         PyBuffer_Release(view);
         return -1;
@@ -147,8 +161,8 @@ run_gates(PyObject *self, PyObject *args)
     PyObject *result = NULL;
 
     for (; held < 5; held++) {
-        if (get_column(objs[held], &views[held], names[held], formats[held], itemsizes[held],
-                       held == 0) < 0) {
+        if (get_column(objs[held], &views[held], "run_gates", names[held], formats[held],
+                       itemsizes[held], held == 0) < 0) {
             goto done;
         }
     }
@@ -198,6 +212,229 @@ done:
     return result;
 }
 
+/* The texts of the distinct amplitudes.  slots is an open-addressing table
+   of 2**(64 - shift) entries, at most half of them used; each used entry
+   holds an amplitude's bit pattern and the number of its record in records.
+   A record is RECORD bytes: the separator ", ", the float's repr (at most
+   24 characters: 17 digits, a sign, a point and an exponent such as
+   e-308), and in its last byte the length of both together, so that the
+   writer can copy every record whole. */
+#define RECORD 32
+#define EXPONENT_BITS 0x7FF0000000000000ULL
+
+typedef struct {
+    uint64_t key;
+    Py_ssize_t record; /* record number plus one; 0 marks a free slot */
+} Slot;
+
+typedef struct {
+    Slot *slots;
+    int shift;
+    char *records;
+    Py_ssize_t used, capacity; /* records written and room for */
+} Texts;
+
+static Slot *
+find_slot(const Texts *t, uint64_t key)
+{
+    const uint64_t mask = ((uint64_t)1 << (64 - t->shift)) - 1;
+    /* Fibonacci hashing: the top bits of the product depend on every bit of
+       key, and nearby amplitudes differ mostly in their low bits */
+    uint64_t i = (key * 0x9E3779B97F4A7C15ULL) >> t->shift;
+    while (t->slots[i].record != 0 && t->slots[i].key != key) {
+        i = (i + 1) & mask;
+    }
+    return &t->slots[i];
+}
+
+/* Doubles the table, moving every used slot into the new one. */
+static int
+grow_slots(Texts *t)
+{
+    Texts bigger = *t;
+    bigger.shift = t->shift - 1;
+    bigger.slots = PyMem_Calloc((size_t)1 << (64 - bigger.shift), sizeof(Slot));
+    if (bigger.slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    const uint64_t count = (uint64_t)1 << (64 - t->shift);
+    for (uint64_t i = 0; i < count; i++) {
+        if (t->slots[i].record != 0) {
+            *find_slot(&bigger, t->slots[i].key) = t->slots[i];
+        }
+    }
+    PyMem_Free(t->slots);
+    t->slots = bigger.slots;
+    t->shift = bigger.shift;
+    return 0;
+}
+
+/* Formats x, whose bit pattern key has no record yet, into a new record
+   that the free slot s points to; returns the record, or NULL with an
+   exception set. */
+static const char *
+add_record(Texts *t, Slot *s, uint64_t key, double x)
+{
+    if (t->used == t->capacity) {
+        const Py_ssize_t capacity = 2 * t->capacity + 16;
+        char *records = PyMem_Realloc(t->records, (size_t)(RECORD * capacity));
+        if (records == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        t->records = records;
+        t->capacity = capacity;
+    }
+    char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+    if (text == NULL) {
+        return NULL;
+    }
+    const size_t len = strlen(text);
+    char *record = t->records + RECORD * t->used;
+    record[0] = ',';
+    record[1] = ' ';
+    memcpy(record + 2, text, len);
+    record[RECORD - 1] = (char)(2 + len);
+    PyMem_Free(text);
+    s->key = key;
+    s->record = ++t->used;
+    if (2 * t->used > ((Py_ssize_t)1 << (64 - t->shift)) && grow_slots(t) < 0) {
+        return NULL;
+    }
+    return record;
+}
+
+/* Pass one: gives every distinct amplitude a record in t and returns the
+   summed length of all the amplitudes' records, separators included, or -1
+   with an exception set. */
+static Py_ssize_t
+collect_records(Texts *t, const double *amps, Py_ssize_t size)
+{
+    Py_ssize_t total = 0, len = 0;
+    uint64_t last = 0;
+    for (Py_ssize_t i = 0; i < size; i++) {
+        uint64_t key;
+        memcpy(&key, &amps[i], sizeof key);
+        /* runs of one value are common in images: equal pixels, zero padding */
+        if (i == 0 || key != last) {
+            Slot *s = find_slot(t, key);
+            const char *record;
+            if (s->record != 0) {
+                record = t->records + RECORD * (s->record - 1);
+            }
+            else if ((key & EXPONENT_BITS) == EXPONENT_BITS) {
+                PyErr_Format(PyExc_ValueError, "state_json: amps[%zd] is not finite", i);
+                return -1;
+            }
+            else if ((record = add_record(t, s, key, amps[i])) == NULL) {
+                return -1;
+            }
+            len = (unsigned char)record[RECORD - 1];
+            last = key;
+        }
+        total += len;
+    }
+    return total;
+}
+
+/* Pass two: the document, every amplitude's text copied from its record.
+   A writable amps could be changed between the passes by a thread that
+   runs without the GIL, such as a NumPy ufunc; then an amplitude has no
+   record or the texts no longer fit, and the writer raises ValueError
+   instead of writing past the str. */
+static PyObject *
+write_document(const Texts *t, Py_ssize_t n_qubits, const double *amps, Py_ssize_t size,
+               Py_ssize_t records_len)
+{
+    char head[64];
+    const int head_len =
+        PyOS_snprintf(head, sizeof head, "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
+    /* the first amplitude has no separator */
+    const Py_ssize_t length = head_len + (size > 0 ? records_len - 2 : 0) + 2;
+    PyObject *doc = PyUnicode_New(length, 127);
+    if (doc == NULL) {
+        return NULL;
+    }
+    char *out = (char *)PyUnicode_1BYTE_DATA(doc);
+    char *const end = out + length - 2; /* where "]}" goes */
+    memcpy(out, head, (size_t)head_len);
+    out += head_len;
+    uint64_t last = 0;
+    const char *record = NULL;
+    for (Py_ssize_t i = 0; i < size; i++) {
+        uint64_t key;
+        memcpy(&key, &amps[i], sizeof key);
+        if (i == 0 || key != last) {
+            const Slot *s = find_slot(t, key);
+            if (s->record == 0) {
+                goto changed;
+            }
+            record = t->records + RECORD * (s->record - 1);
+            last = key;
+        }
+        const char *from = record;
+        size_t len = (unsigned char)record[RECORD - 1];
+        if (i == 0) {
+            from += 2;
+            len -= 2;
+        }
+        if ((Py_ssize_t)len > end - out) {
+            goto changed;
+        }
+        if (i > 0 && end + 2 - out >= RECORD) {
+            /* a copy of fixed size, which compiles to a few moves; the
+               bytes past len are overwritten by what follows */
+            memcpy(out, from, RECORD);
+        }
+        else {
+            memcpy(out, from, len);
+        }
+        out += len;
+    }
+    if (out != end) {
+        goto changed;
+    }
+    memcpy(out, "]}", 2);
+    return doc;
+
+changed:
+    Py_DECREF(doc);
+    PyErr_SetString(PyExc_ValueError, "state_json: amps changed while it was read");
+    return NULL;
+}
+
+static PyObject *
+state_json(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n_qubits;
+    PyObject *obj;
+    if (!PyArg_ParseTuple(args, "nO:state_json", &n_qubits, &obj)) {
+        return NULL;
+    }
+    Py_buffer view;
+    if (get_column(obj, &view, "state_json", "amps", "d", 8, 0) < 0) {
+        return NULL;
+    }
+    PyObject *doc = NULL;
+    Texts t = {.shift = 64 - 6};
+    t.slots = PyMem_Calloc((size_t)1 << (64 - t.shift), sizeof(Slot));
+    if (t.slots == NULL) {
+        PyErr_NoMemory();
+    }
+    else {
+        const Py_ssize_t size = view.shape[0];
+        const Py_ssize_t records_len = collect_records(&t, view.buf, size);
+        if (records_len >= 0) {
+            doc = write_document(&t, n_qubits, view.buf, size, records_len);
+        }
+    }
+    PyMem_Free(t.slots);
+    PyMem_Free(t.records);
+    PyBuffer_Release(&view);
+    return doc;
+}
+
 static PyMethodDef methods[] = {
     {"run_gates", run_gates, METH_VARARGS,
      "run_gates(amps, kind, target, cmask, angle)\n--\n\n"
@@ -205,13 +442,20 @@ static PyMethodDef methods[] = {
      "and 1 for X; int32 target; uint64 control mask; float64 angle) to the\n"
      "float64 statevector amps in place.  Raises ValueError, writing nothing,\n"
      "when a buffer or a gate does not fit."},
+    {"state_json", state_json, METH_VARARGS,
+     "state_json(n_qubits, amps)\n--\n\n"
+     "The state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]} as\n"
+     "one str, byte for byte what json.dumps writes, with each distinct value\n"
+     "of the float64 buffer amps formatted once.  Raises ValueError when amps\n"
+     "is not a C-contiguous one-dimensional float64 buffer of finite values,\n"
+     "or when another thread changes it during the call."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "ryprep._simkernel",
-    .m_doc = "Compiled control-subspace kernel for ryprep.simulator.",
+    .m_doc = "Compiled simulator kernel and state-JSON writer for ryprep.",
     .m_size = 0,
     .m_methods = methods,
 };

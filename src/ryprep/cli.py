@@ -53,9 +53,12 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, *texts: str) -> None:
+    """Write texts to path one after another, so that no caller has to join
+    a multi-megabyte document to its newline first."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for text in texts:
+            fh.write(text)
 
 
 def _load_state(path: str) -> RealState:
@@ -79,7 +82,7 @@ def _load_state(path: str) -> RealState:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     state = encode(load_pgm(_read_bytes(args.image)))
-    _write_text(args.out, state.to_json() + "\n")
+    _write_text(args.out, state.to_json(), "\n")
     _say("info", f"encoded {args.image} into {state.n_qubits} qubits -> {args.out}")
     return EXIT_OK
 

@@ -21,6 +21,13 @@ from ._values import header, integers, json_reals, num, parse, reals
 from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
 
+# The compiled state-JSON writer, from the same extension as the simulator
+# kernel; without it, to_json runs _state_json_numpy.
+try:
+    from ._simkernel import state_json as _state_json
+except ImportError:
+    _state_json = None
+
 __all__ = ["RealState", "AngleList", "normalize", "to_angles", "from_angles"]
 
 _TWO_PI = 2.0 * math.pi
@@ -110,16 +117,35 @@ def _check_unit(amps: np.ndarray) -> None:
     exact sum rounded, then lies within NORM_ATOL of 1 as well.  Every other
     sum, including inf and NaN, is decided by fsum itself, which also names
     it.
+
+    The squares are summed in blocks: each row of a (k, block) reshape on
+    its own, then the k row sums.  That bounds the error by (block + k) *
+    eps * total, under 2e-15 at 2**26 amplitudes, where the n * eps * total
+    of one plain sum would pass NORM_ATOL / 2 from about 2**22 amplitudes
+    on.  amps.size is a power of two, so block divides it.
     """
     if amps.size >= _BULK_NORM:
+        block = 1 << (amps.size.bit_length() // 2)
         with np.errstate(over="ignore"):
-            total = (amps * amps).sum(dtype=np.longdouble)
-        if abs(total - 1) + amps.size * _SUM_EPS * total <= NORM_ATOL / 2:
+            rows = (amps * amps).reshape(-1, block).sum(axis=1, dtype=np.longdouble)
+        total = rows.sum()
+        if abs(total - 1) + (block + rows.size) * _SUM_EPS * total <= NORM_ATOL / 2:
             return
     values = amps.tolist()
     norm_sq = _fsum(map(operator.mul, values, values))
     if not abs(norm_sq - 1.0) <= NORM_ATOL:
         raise DomainError(f"amplitudes are not unit norm: sum of squares = {norm_sq!r}")
+
+
+def _state_json_numpy(n_qubits: int, amps: np.ndarray) -> str:
+    """The state document of n_qubits and the finite float64 array amps, each
+    distinct value formatted once: ``_simkernel.state_json`` in NumPy, its
+    fallback and its reference."""
+    # keyed on the bits, so that 0.0 and -0.0 keep their own text
+    bits, where = np.unique(amps.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    body = ", ".join(texts[where].tolist())
+    return f'{{"n_qubits": {n_qubits}, "amplitudes": [{body}]}}'
 
 
 class RealState(_ArrayValue):
@@ -163,11 +189,9 @@ class RealState(_ArrayValue):
         with each distinct amplitude formatted once: an image state holds at
         most maxval + 1 of them, however many pixels it has.  Amplitudes are
         finite, since the norm check refuses inf and NaN."""
-        # keyed on the bits, so that 0.0 and -0.0 keep their own text
-        bits, where = np.unique(self.array.view(np.int64), return_inverse=True)
-        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-        body = ", ".join(texts[where].tolist())
-        return f'{{"n_qubits": {self.n_qubits}, "amplitudes": [{body}]}}'
+        if _state_json is None:
+            return _state_json_numpy(self.n_qubits, self.array)
+        return _state_json(self.n_qubits, self.array)
 
     @classmethod
     def from_json(cls, text: str) -> "RealState":

@@ -29,6 +29,8 @@ def test_encode_writes_state_json(worked_pgm, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["n_qubits"] == 2
     assert doc["amplitudes"] == list(encode(load_pgm(WORKED_PGM)).amplitudes)
+    # the document and then one newline, byte for byte
+    assert out.read_bytes() == (encode(load_pgm(WORKED_PGM)).to_json() + "\n").encode()
 
 
 def test_encode_all_zero_image_is_domain_error(tmp_path, capsys):

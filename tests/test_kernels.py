@@ -278,9 +278,10 @@ def _package_copy(dest: pathlib.Path) -> pathlib.Path:
 
 _PROBE = """
 import ryprep
-from ryprep import Circuit, run, ry, simulator, x
+from ryprep import Circuit, run, ry, simulator, states, x
 state = run(Circuit(3, (ry(0.3, 0), x(1, (0,)), ry(1.1, 2, (0, 1)))))
-print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, repr(state.amplitudes))
+print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, states._state_json is None, end=" ")
+print(repr(state.amplitudes), state.to_json())
 """
 
 
@@ -297,7 +298,7 @@ def _probe(lib: pathlib.Path) -> list[str]:
         cwd=lib,
         check=True,
     )
-    return out.stdout.split(" ", 2) + [version.stdout]
+    return out.stdout.split(" ", 3) + [version.stdout]
 
 
 def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
@@ -306,11 +307,11 @@ def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
     with_c = _probe(lib)
     (lib / "ryprep" / pathlib.Path(simkernel.__file__).name).unlink()
     without = _probe(lib)
-    assert with_c[:2] == ["c", "False"]
-    assert with_c[3] == f"ryprep {ryprep.__version__} (kernel: c)\n"
-    assert without[:2] == ["numpy", "True"]
-    assert without[3] == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
-    assert with_c[2] == without[2]
+    assert with_c[:3] == ["c", "False", "False"]
+    assert with_c[4] == f"ryprep {ryprep.__version__} (kernel: c)\n"
+    assert without[:3] == ["numpy", "True", "True"]
+    assert without[4] == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
+    assert with_c[3] == without[3]
 
 
 def test_build_without_compiler_succeeds_on_numpy(tmp_path):
@@ -320,6 +321,6 @@ def test_build_without_compiler_succeeds_on_numpy(tmp_path):
     res = build_ext(lib, tmp_path / "temp", CC="false")
     assert res.returncode == 0, res.stdout + res.stderr
     assert not list((lib / "ryprep").glob("_simkernel*"))
-    kernel, fallback, _, version = _probe(lib)
-    assert (kernel, fallback) == ("numpy", "True")
+    kernel, fallback, json_fallback, _, version = _probe(lib)
+    assert (kernel, fallback, json_fallback) == ("numpy", "True", "True")
     assert version.endswith("(kernel: numpy)\n")

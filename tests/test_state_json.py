@@ -1,0 +1,227 @@
+"""State JSON: the compiled writer ``_simkernel.state_json`` and its NumPy
+fallback ``states._state_json_numpy`` against ``json.dumps``, byte for byte;
+``RealState.to_json`` on both through its dispatch; and the compiled
+writer's argument checks."""
+
+import json
+import math
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ryprep
+from ryprep import RealState, encode, load_pgm, normalize, states
+
+
+def _dumps(n_qubits, amps):
+    return json.dumps({"n_qubits": n_qubits, "amplitudes": np.asarray(amps).tolist()})
+
+
+@pytest.fixture(params=["numpy", "c"])
+def to_json(request, monkeypatch):
+    """``RealState.to_json`` with the NumPy fallback (the extension absent)
+    or with the compiled writer built from source."""
+    writer = None if request.param == "numpy" else request.getfixturevalue("simkernel").state_json
+    monkeypatch.setattr(states, "_state_json", writer)
+    return RealState.to_json
+
+
+# repr switches to exponent form below 1e-4 and from 1e16 on
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0, 1e22, -1e22]
+EDGES += [2.2250738585072014e-308, 1.7976931348623157e308, -0.1, 1 / 3, 0.5, 1.0]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        # few values, many repeats, as in an image state
+        st.lists(st.sampled_from(EDGES) | FINITE, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=400)
+        ),
+        st.lists(FINITE, min_size=1, max_size=200, unique=True),
+        st.lists(st.sampled_from(EDGES), min_size=1, max_size=50),
+    ),
+    st.integers(0, 64),
+)
+def test_compiled_and_numpy_writers_match_json_dumps(simkernel, values, n_qubits):
+    amps = np.array(values, dtype=np.float64)
+    expect = _dumps(n_qubits, amps)
+    assert simkernel.state_json(n_qubits, amps) == expect
+    assert states._state_json_numpy(n_qubits, amps) == expect
+
+
+def test_all_distinct_values(simkernel):
+    # more distinct values than the table's first size, so it grows
+    amps = np.random.default_rng(5).normal(size=5000)
+    expect = _dumps(12, amps)
+    assert simkernel.state_json(12, amps) == expect == states._state_json_numpy(12, amps)
+
+
+def test_read_only_buffer_and_empty_array(simkernel):
+    amps = np.array([0.6, -0.8])
+    amps.setflags(write=False)
+    assert simkernel.state_json(1, amps) == '{"n_qubits": 1, "amplitudes": [0.6, -0.8]}'
+    empty = np.array([], dtype=np.float64)
+    assert simkernel.state_json(0, empty) == '{"n_qubits": 0, "amplitudes": []}'
+    assert states._state_json_numpy(0, empty) == _dumps(0, empty)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        RealState(0, (1.0,)),
+        RealState(0, (-1.0,)),
+        RealState(1, (0.6, 0.8)),
+        RealState(1, (-0.0, 1.0)),
+        RealState(1, (5e-324, -1.0)),
+    ],
+    ids=repr,
+)
+def test_sizes_one_and_two(to_json, state):
+    assert to_json(state) == _dumps(state.n_qubits, state.array)
+
+
+def _pgm(fmt: bytes, pixels: np.ndarray, maxval: int) -> bytes:
+    rows, cols = pixels.shape
+    head = b"%s\n%d %d\n%d\n" % (fmt, cols, rows, maxval)
+    if fmt == b"P5":
+        return head + pixels.astype("u1" if maxval < 256 else ">u2").tobytes()
+    return head + b"\n".join(b" ".join(b"%d" % p for p in row) for row in pixels.tolist())
+
+
+@pytest.mark.parametrize(
+    "fmt,rows,cols,maxval",
+    [
+        (b"P2", 180, 360, 255),
+        (b"P2", 200, 330, 255),
+        (b"P5", 330, 400, 255),
+        (b"P5", 300, 340, 65535),
+    ],
+    ids=["p2-n16", "p2-n17", "p5-8bit-n18", "p5-16bit-n17"],
+)
+def test_image_states(to_json, fmt, rows, cols, maxval):
+    """Seeded images with smooth regions, runs of equal pixels and zeros,
+    and the zero padding up to the next power of two."""
+    rng = np.random.default_rng([rows, cols, maxval, 13])
+    y, x = np.mgrid[0:rows, 0:cols]
+    smooth = (np.sin(x / 17.0) * np.cos(y / 23.0) + 1) / 2 * maxval
+    pixels = np.clip(smooth + rng.normal(0, maxval / 50, (rows, cols)), 0, maxval).astype(int)
+    pixels[:, : cols // 8] = pixels[0, 0]
+    pixels[rng.random((rows, cols)) < 0.05] = 0
+    state = encode(load_pgm(_pgm(fmt, pixels, maxval)))
+    assert state.n_qubits == (rows * cols - 1).bit_length()
+    assert to_json(state) == _dumps(state.n_qubits, state.array)
+
+
+def test_to_json_calls_the_compiled_writer_when_it_imports(simkernel, monkeypatch):
+    calls = []
+
+    def writer(n_qubits, amps):
+        calls.append((n_qubits, amps))
+        return simkernel.state_json(n_qubits, amps)
+
+    monkeypatch.setattr(states, "_state_json", writer)
+    state = normalize([3, 4])
+    assert state.to_json() == '{"n_qubits": 1, "amplitudes": [0.6, 0.8]}'
+    assert len(calls) == 1 and calls[0][0] == 1 and calls[0][1] is state.array
+
+
+def test_kernel_backend_c_means_the_compiled_writer():
+    """Both helpers come from one module: ``KERNEL_BACKEND`` is ``"c"``
+    exactly when ``to_json`` dispatches to the compiled writer.  (The
+    in-process answer depends on the build; tests/test_kernels.py checks
+    both answers on a copy of the package.)"""
+    assert (ryprep.KERNEL_BACKEND == "c") == (states._state_json is not None)
+    if states._state_json is not None:
+        assert states._state_json.__module__ == "ryprep._simkernel"
+
+
+@pytest.mark.parametrize(
+    "amps, error, match",
+    [
+        (np.array([math.nan]), ValueError, r"^state_json: amps\[0\] is not finite$"),
+        (np.array([0.5, 0.5, math.inf, 0.5]), ValueError, r"amps\[2\] is not finite"),
+        (np.array([0.5, -math.inf]), ValueError, r"amps\[1\] is not finite"),
+        (np.array([0.6, 0.8], dtype=np.float32), ValueError, "wrong item type"),
+        (np.array([1, 0]), ValueError, "wrong item type"),
+        (np.array([[0.6, 0.8]]), ValueError, "one-dimensional"),
+        (np.array([0.6, 0.0, 0.8, 0.0])[::2], ValueError, "C-contiguous"),
+        ([0.6, 0.8], TypeError, "bytes-like object"),
+        (None, TypeError, "bytes-like object"),
+    ],
+    ids=["nan", "inf", "-inf", "float32", "int64", "2-d", "strided", "list", "none"],
+)
+def test_refused(simkernel, amps, error, match):
+    with pytest.raises(error, match=match):
+        simkernel.state_json(1, amps)
+
+
+def test_amps_changed_by_another_thread_is_refused(simkernel):
+    """A NumPy ufunc runs without the GIL, so another thread can flip the
+    signs of a writable array between the writer's two passes.  The writer
+    then raises ValueError rather than write past the end of its str.
+    Flipping back to front while the writer reads front to back, with a
+    short GIL switch interval, made a few calls in a hundred raise."""
+    interval = sys.getswitchinterval()
+    amps = np.random.default_rng(3).integers(1, 256, 1 << 18) / 7.0
+    backwards = amps[::-1]
+    stop = threading.Event()
+
+    def flip():
+        while not stop.is_set():
+            np.negative(backwards, out=backwards)
+
+    sys.setswitchinterval(1e-5)
+    thread = threading.Thread(target=flip)
+    thread.start()
+    try:
+        for _ in range(60):
+            try:
+                simkernel.state_json(18, amps)
+            except ValueError as exc:
+                assert str(exc) == "state_json: amps changed while it was read"
+    finally:
+        stop.set()
+        thread.join()
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("where", ["none", "last"])
+def test_no_memory_is_kept(simkernel, where):
+    """The table and the records are PyMem blocks, which tracemalloc sees:
+    neither a written document nor a refusal after 4,096 distinct values
+    keeps any of them."""
+    amps = np.random.default_rng(9).normal(size=4096)
+    if where == "last":
+        amps[-1] = math.nan
+
+    def write():
+        try:
+            simkernel.state_json(12, amps)
+        except ValueError:
+            assert where == "last"
+
+    tracemalloc.start()
+    try:
+        write()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            write()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one call's table and records take about 400 kB
+    assert kept < 10_000
+
+
+def test_refused_n_qubits(simkernel):
+    with pytest.raises(TypeError):
+        simkernel.state_json("1", np.array([1.0]))
+    with pytest.raises(OverflowError):
+        simkernel.state_json(2**70, np.array([1.0]))

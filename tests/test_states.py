@@ -24,6 +24,7 @@ from ryprep import (
     from_angles,
     max_abs_diff,
     normalize,
+    states,
     to_angles,
 )
 from ryprep.errors import AllZeroInput, DomainError, FormatError, NotPowerOfTwo
@@ -417,6 +418,32 @@ class TestUnitNormEdge:
         assert abs(math.fsum([x * x, y * y]) - 1.0) > NORM_ATOL
         with pytest.raises(DomainError, match="not unit norm"):
             RealState(1, np.array([x, y]))
+
+
+class TestUnitNormPastTwoToThe22:
+    """At 2**23 amplitudes (64 MB), n * eps of one longdouble sum would be past
+    NORM_ATOL / 2; the blocked sum keeps the check in NumPy."""
+
+    SIZE = 1 << 23
+
+    def test_unit_vector_is_settled_without_fsum(self, monkeypatch):
+        def fsum(squares):
+            raise AssertionError("fsum called")
+
+        monkeypatch.setattr(states, "_fsum", fsum)
+        amps = np.random.default_rng(23).random(self.SIZE)
+        amps /= math.sqrt((amps * amps).sum())
+        states._check_unit(amps)
+
+    def test_just_outside_is_refused_as_before(self):
+        x, y = _near_edge(NORM_EDGE["outside above"][0])
+        amps = np.zeros(self.SIZE)
+        amps[:2] = x, y
+        norm_sq = math.fsum([x * x, y * y])
+        assert abs(norm_sq - 1.0) > NORM_ATOL
+        message = f"amplitudes are not unit norm: sum of squares = {norm_sq!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            states._check_unit(amps)
 
 
 class TestAngleList:
