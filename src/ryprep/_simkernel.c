@@ -30,17 +30,41 @@
    amps is a C-contiguous one-dimensional float64 buffer of finite values.
    An open-addressing table keyed on each amplitude's 64-bit pattern, so
    that 0.0 and -0.0 keep their own text, holds the text of every distinct
-   value, formatted once by PyOS_double_to_string(x, 'r', 0,
-   Py_DTSF_ADD_DOT_0, NULL), which is what float.__repr__ calls.  A first
+   value, formatted once as float.__repr__ formats it: by short_repr, or
+   else by PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the
+   call float.__repr__ makes.  A first
    pass fills the table and adds up the length; a second pass looks each
    amplitude up again and copies its text into the one str, so memory goes
-   with the distinct values, not with the amplitudes. */
+   with the distinct values, not with the amplitudes.
+
+   short_repr writes the text of most amplitudes itself, in exact 128-bit
+   integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
+   normal x = m * 2**e whose significand m is not 2**52 reads back from
+   every decimal closer to it than half an ulp, 2**(e-1), on either side.
+   That interval is narrower than the gap between 15-digit decimals, so it
+   holds at most one of them: if the correctly rounded 15-digit value lies
+   inside, it is the shortest decimal that reads back as x and the only one
+   of its length.  Otherwise the correctly rounded 16-digit value, if
+   inside, is the closest of the shortest, and else the correctly rounded
+   17-digit value, which always lies inside.  That is what dtoa's mode 0,
+   and so float.__repr__, returns.  With s = 16 - floor(log10 x) and
+   t = -(s + e), x * 10**s = N / 2**t for N = m * 5**s, which fits 128 bits
+   for s <= 32; q = N >> t has 17 digits and r = N mod 2**t is the rest.  A
+   p-digit candidate at distance dist from x * 10**s, in units of 2**-t,
+   reads back as x iff 2 * dist < 5**s (2 * dist is even and 5**s odd, so
+   they are never equal).  It defers for zero, subnormals and a significand
+   of 2**52 (whose interval is not symmetric), for s outside [0, 32] or t
+   outside [1, 110] (so that every product fits), and for an exact tie when
+   rounding to p digits; so it answers only for 2**-53 <= |x| < 2**51.  The
+   nonzero amplitudes of an image state lie in about [1.9e-9, 1]; of those,
+   only a power of two, such as the 1.0 of a single lit pixel, defers. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Same cap as ryprep.simulator.MAX_QUBITS. */
@@ -212,13 +236,171 @@ done:
     return result;
 }
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define TEN17 100000000000000000ULL
+
+/* pow5[s] = 5**s, filled by the module's init */
+static u128 pow5[33];
+
+/* Sets *n = m * 5**s, so that x = m * 2**e times 10**s is *n / 2**t for
+   t = -(s + e), and returns t; returns 0 where s or t is out of range. */
+static int
+scale(uint64_t m, int e, int s, u128 *n)
+{
+    const int t = -(s + e);
+    if (s < 0 || s > 32 || t < 1 || t > 110) {
+        return 0;
+    }
+    *n = (u128)m * pow5[s];
+    return t;
+}
+
+/* Writes float.__repr__(x) to out, at most 23 characters without a
+   terminating NUL, and returns its length; returns 0, writing nothing
+   useful, where the rule in the header does not certify x. */
+static int
+short_repr(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int biased = (int)(bits >> 52 & 0x7FF);
+    const uint64_t fraction = bits & ((1ULL << 52) - 1);
+    if (biased == 0 || fraction == 0) {
+        return 0;
+    }
+    const uint64_t m = fraction | 1ULL << 52;
+    const int e = biased - 1075;
+    /* x is in [2**e2, 2**(e2 + 1)), so floor(log10 x) is exp10 or
+       exp10 + 1 for exp10 = floor(e2 * log10(2)), which this product gives
+       exactly for |e2| < 1650 */
+    const int e2 = biased - 1023;
+    const int exp10 = e2 >= 0 ? (e2 * 78913) >> 18 : -((-e2 * 78913 + (1 << 18) - 1) >> 18);
+    int s = 16 - exp10;
+    u128 n = 0;
+    int t = scale(m, e, s, &n);
+    if (t != 0 && n >> t >= TEN17) {
+        /* floor(log10 x) is exp10 + 1 */
+        t = scale(m, e, --s, &n);
+    }
+    if (t == 0) {
+        return 0;
+    }
+    /* 10**16 <= q < 10**17 */
+    const uint64_t q = (uint64_t)(n >> t);
+    const u128 r = n & (((u128)1 << t) - 1);
+    /* p = 15, 16, 17 digits: round q + r / 2**t to a multiple of unit */
+    static const uint64_t units[3] = {100, 10, 1};
+    uint64_t digits = 0;
+    int k = 0;
+    for (; k < 3; k++) {
+        const uint64_t unit = units[k];
+        const u128 below = (u128)(q % unit) << t | r; /* x * 10**s above q - q % unit */
+        const u128 above = ((u128)unit << t) - below;
+        if (below == above) {
+            return 0;
+        }
+        /* half an ulp of x, times 10**s, is 5**s / 2 in units of 2**-t */
+        const u128 dist = below < above ? below : above;
+        if (2 * dist < pow5[s]) {
+            digits = q / unit + (below > above);
+            break;
+        }
+    }
+    if (k == 3) {
+        return 0;
+    }
+    /* the value is digits * 10**point, digits without trailing zeros */
+    int point = 2 - k - s;
+    while (digits % 10 == 0) {
+        digits /= 10;
+        point++;
+    }
+    char buf[20];
+    char *const end = buf + sizeof buf;
+    char *d = end;
+    do {
+        *--d = (char)('0' + digits % 10);
+        digits /= 10;
+    } while (digits != 0);
+    const int len = (int)(end - d);
+    /* repr's decimal point position: the value is 0.ddd * 10**decpt */
+    const int decpt = len + point;
+    char *o = out;
+    if (bits >> 63) {
+        *o++ = '-';
+    }
+    if (decpt <= -4 || decpt > 16) {
+        *o++ = d[0];
+        if (len > 1) {
+            *o++ = '.';
+            memcpy(o, d + 1, (size_t)len - 1);
+            o += len - 1;
+        }
+        /* two digits, since 2**-53 <= x < 2**51 here */
+        const int exponent = decpt - 1;
+        *o++ = 'e';
+        *o++ = exponent < 0 ? '-' : '+';
+        *o++ = (char)('0' + abs(exponent) / 10);
+        *o++ = (char)('0' + abs(exponent) % 10);
+    }
+    else if (decpt <= 0) {
+        memcpy(o, "0.000", (size_t)(2 - decpt));
+        o += 2 - decpt;
+        memcpy(o, d, (size_t)len);
+        o += len;
+    }
+    else if (decpt < len) {
+        memcpy(o, d, (size_t)decpt);
+        o += decpt;
+        *o++ = '.';
+        memcpy(o, d + decpt, (size_t)(len - decpt));
+        o += len - decpt;
+    }
+    else {
+        memcpy(o, d, (size_t)len);
+        o += len;
+        memset(o, '0', (size_t)(decpt - len));
+        o += decpt - len;
+        memcpy(o, ".0", 2);
+        o += 2;
+    }
+    return (int)(o - out);
+}
+
+static void
+init_short_repr(void)
+{
+    pow5[0] = 1;
+    for (int s = 1; s < 33; s++) {
+        pow5[s] = 5 * pow5[s - 1];
+    }
+}
+#else
+/* without 128-bit integers every value goes to PyOS_double_to_string */
+static int
+short_repr(double x, char *out)
+{
+    (void)x;
+    (void)out;
+    return 0;
+}
+
+static void
+init_short_repr(void)
+{
+}
+#endif
+
 /* The texts of the distinct amplitudes.  slots is an open-addressing table
    of 2**(64 - shift) entries, at most half of them used; each used entry
    holds an amplitude's bit pattern and the number of its record in records.
    A record is RECORD bytes: the separator ", ", the float's repr (at most
-   24 characters: 17 digits, a sign, a point and an exponent such as
-   e-308), and in its last byte the length of both together, so that the
-   writer can copy every record whole. */
+   23 characters from short_repr, 17 digits, a sign, a point and an
+   exponent such as e-16, or 24 from PyOS_double_to_string, whose exponent
+   can be e-308), and in its last byte the length of both together, so
+   that the writer can copy every record whole. */
 #define RECORD 32
 #define EXPONENT_BITS 0x7FF0000000000000ULL
 
@@ -286,17 +468,20 @@ add_record(Texts *t, Slot *s, uint64_t key, double x)
         t->records = records;
         t->capacity = capacity;
     }
-    char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
-    if (text == NULL) {
-        return NULL;
-    }
-    const size_t len = strlen(text);
     char *record = t->records + RECORD * t->used;
     record[0] = ',';
     record[1] = ' ';
-    memcpy(record + 2, text, len);
+    size_t len = (size_t)short_repr(x, record + 2);
+    if (len == 0) {
+        char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        if (text == NULL) {
+            return NULL;
+        }
+        len = strlen(text);
+        memcpy(record + 2, text, len);
+        PyMem_Free(text);
+    }
     record[RECORD - 1] = (char)(2 + len);
-    PyMem_Free(text);
     s->key = key;
     s->record = ++t->used;
     if (2 * t->used > ((Py_ssize_t)1 << (64 - t->shift)) && grow_slots(t) < 0) {
@@ -435,6 +620,21 @@ state_json(PyObject *self, PyObject *args)
     return doc;
 }
 
+static PyObject *
+short_repr_py(PyObject *self, PyObject *arg)
+{
+    const double x = PyFloat_AsDouble(arg);
+    if (x == -1.0 && PyErr_Occurred()) {
+        return NULL;
+    }
+    char text[32];
+    const int len = short_repr(x, text);
+    if (len == 0) {
+        Py_RETURN_NONE;
+    }
+    return PyUnicode_FromStringAndSize(text, len);
+}
+
 static PyMethodDef methods[] = {
     {"run_gates", run_gates, METH_VARARGS,
      "run_gates(amps, kind, target, cmask, angle)\n--\n\n"
@@ -449,6 +649,10 @@ static PyMethodDef methods[] = {
      "of the float64 buffer amps formatted once.  Raises ValueError when amps\n"
      "is not a C-contiguous one-dimensional float64 buffer of finite values,\n"
      "or when another thread changes it during the call."},
+    {"_short_repr", short_repr_py, METH_O,
+     "_short_repr(x)\n--\n\n"
+     "repr(x) as state_json's own formatter writes it, or None where it\n"
+     "leaves x to PyOS_double_to_string.  For tests."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -463,6 +667,7 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__simkernel(void)
 {
+    init_short_repr();
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddIntConstant(m, "MAX_QUBITS", MAX_QUBITS) < 0) {
         Py_DECREF(m);

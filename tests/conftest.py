@@ -59,9 +59,14 @@ def simkernel(tmp_path_factory):
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler (gcc) to build ryprep._simkernel")
     tmp = tmp_path_factory.mktemp("simkernel")
-    res = build_ext(tmp / "lib", tmp / "temp")
+    return import_built(tmp / "lib", build_ext(tmp / "lib", tmp / "temp"))
+
+
+def import_built(lib: pathlib.Path, res: subprocess.CompletedProcess):
+    """The ``ryprep._simkernel`` that the build res put under lib, imported
+    from there."""
     # the extension is optional: a failed compile still exits 0, with no module
-    built = list((tmp / "lib" / "ryprep").glob("_simkernel*.so"))
+    built = list((lib / "ryprep").glob("_simkernel*.so"))
     assert res.returncode == 0 and built, f"no extension built:\n{res.stdout}{res.stderr}"
     spec = importlib.util.spec_from_file_location("ryprep._simkernel", built[0])
     module = importlib.util.module_from_spec(spec)

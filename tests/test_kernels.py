@@ -2,6 +2,7 @@
 compiled kernel with the NumPy kernel and the pair-index reference, the
 compiled kernel's argument checks, and which kernel a build ends up with."""
 
+import json
 import math
 import os
 import pathlib
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import ryprep
-from conftest import build_ext
+from conftest import build_ext, import_built
 from dense_oracle import run_pairs
 from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
 from ryprep import simulator
@@ -324,3 +325,15 @@ def test_build_without_compiler_succeeds_on_numpy(tmp_path):
     kernel, fallback, json_fallback, _, version = _probe(lib)
     assert (kernel, fallback, json_fallback) == ("numpy", "True", "True")
     assert version.endswith("(kernel: numpy)\n")
+
+
+def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
+    """Where the compiler has no 128-bit integers, the state-JSON writer's
+    own formatter is compiled out: ``_short_repr`` answers None for every
+    value, and the documents are unchanged."""
+    lib = tmp_path / "lib"
+    kernel = import_built(lib, build_ext(lib, tmp_path / "temp", CFLAGS="-U__SIZEOF_INT128__"))
+    amps = np.random.default_rng(8).random(1000)
+    assert {kernel._short_repr(x) for x in amps.tolist() + [0.3, 1e-05]} == {None}
+    expect = json.dumps({"n_qubits": 10, "amplitudes": amps.tolist()})
+    assert kernel.state_json(10, amps) == expect

@@ -1,7 +1,8 @@
 """State JSON: the compiled writer ``_simkernel.state_json`` and its NumPy
 fallback ``states._state_json_numpy`` against ``json.dumps``, byte for byte;
-``RealState.to_json`` on both through its dispatch; and the compiled
-writer's argument checks."""
+``RealState.to_json`` on both through its dispatch; the compiled writer's
+own formatter ``_short_repr`` against ``repr``; and the compiled writer's
+argument checks."""
 
 import json
 import math
@@ -22,6 +23,15 @@ def _dumps(n_qubits, amps):
     return json.dumps({"n_qubits": n_qubits, "amplitudes": np.asarray(amps).tolist()})
 
 
+def _assert_same(doc, expect):
+    """doc == expect, naming the first amplitude that differs: pytest's own
+    diff of two documents of many megabytes runs for minutes."""
+    if doc != expect:
+        got, want = doc.split(", "), expect.split(", ")
+        at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), len(want))
+        pytest.fail(f"item {at}: {got[at : at + 1]} != {want[at : at + 1]}")
+
+
 @pytest.fixture(params=["numpy", "c"])
 def to_json(request, monkeypatch):
     """``RealState.to_json`` with the NumPy fallback (the extension absent)
@@ -31,9 +41,19 @@ def to_json(request, monkeypatch):
     return RealState.to_json
 
 
+@pytest.fixture(params=["numpy", "c"])
+def writer(request):
+    """``state_json``'s NumPy fallback, or the compiled writer built from
+    source."""
+    if request.param == "numpy":
+        return states._state_json_numpy
+    return request.getfixturevalue("simkernel").state_json
+
+
 # repr switches to exponent form below 1e-4 and from 1e16 on
-EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-05, 0.0001, 1e16, 9999999999999998.0, 1e22, -1e22]
-EDGES += [2.2250738585072014e-308, 1.7976931348623157e308, -0.1, 1 / 3, 0.5, 1.0]
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-05, 0.0001, 9.999999999999999e-05, 1e16]
+EDGES += [9999999999999998.0, 1e22, -1e22, 2.2250738585072014e-308, 1.7976931348623157e308]
+EDGES += [-0.1, 1 / 3, 0.5, 1.0]
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -87,36 +107,145 @@ def test_sizes_one_and_two(to_json, state):
     assert to_json(state) == _dumps(state.n_qubits, state.array)
 
 
-def _pgm(fmt: bytes, pixels: np.ndarray, maxval: int) -> bytes:
-    rows, cols = pixels.shape
-    head = b"%s\n%d %d\n%d\n" % (fmt, cols, rows, maxval)
-    if fmt == b"P5":
-        return head + pixels.astype("u1" if maxval < 256 else ">u2").tobytes()
-    return head + b"\n".join(b" ".join(b"%d" % p for p in row) for row in pixels.tolist())
-
-
-@pytest.mark.parametrize(
-    "fmt,rows,cols,maxval",
-    [
-        (b"P2", 180, 360, 255),
-        (b"P2", 200, 330, 255),
-        (b"P5", 330, 400, 255),
-        (b"P5", 300, 340, 65535),
-    ],
-    ids=["p2-n16", "p2-n17", "p5-8bit-n18", "p5-16bit-n17"],
-)
-def test_image_states(to_json, fmt, rows, cols, maxval):
-    """Seeded images with smooth regions, runs of equal pixels and zeros,
-    and the zero padding up to the next power of two."""
+def _image_state(fmt: bytes, rows: int, cols: int, maxval: int) -> RealState:
+    """The state of a seeded image with smooth regions, runs of equal pixels
+    and zeros, read from its PGM bytes; it has the zero padding up to the
+    next power of two."""
     rng = np.random.default_rng([rows, cols, maxval, 13])
     y, x = np.mgrid[0:rows, 0:cols]
     smooth = (np.sin(x / 17.0) * np.cos(y / 23.0) + 1) / 2 * maxval
     pixels = np.clip(smooth + rng.normal(0, maxval / 50, (rows, cols)), 0, maxval).astype(int)
     pixels[:, : cols // 8] = pixels[0, 0]
     pixels[rng.random((rows, cols)) < 0.05] = 0
-    state = encode(load_pgm(_pgm(fmt, pixels, maxval)))
+    head = b"%s\n%d %d\n%d\n" % (fmt, cols, rows, maxval)
+    if fmt == b"P5":
+        data = head + pixels.astype("u1" if maxval < 256 else ">u2").tobytes()
+    else:
+        data = head + b"\n".join(b" ".join(b"%d" % p for p in row) for row in pixels.tolist())
+    state = encode(load_pgm(data))
     assert state.n_qubits == (rows * cols - 1).bit_length()
-    assert to_json(state) == _dumps(state.n_qubits, state.array)
+    return state
+
+
+IMAGES = {
+    "p2-n16": (b"P2", 180, 360, 255),
+    "p2-n17": (b"P2", 200, 330, 255),
+    "p5-8bit-n16": (b"P5", 180, 360, 255),
+    "p5-8bit-n18": (b"P5", 330, 400, 255),
+    "p5-16bit-n17": (b"P5", 300, 340, 65535),
+    "p5-16bit-n18": (b"P5", 330, 400, 65535),
+}
+
+
+@pytest.mark.parametrize("image", ["p2-n16", "p2-n17", "p5-8bit-n18", "p5-16bit-n17", "p5-16bit-n18"])
+def test_image_states(to_json, image):
+    state = _image_state(*IMAGES[image])
+    _assert_same(to_json(state), _dumps(state.n_qubits, state.array))
+
+
+@pytest.mark.parametrize("image", ["p5-8bit-n16", "p5-8bit-n18", "p5-16bit-n17", "p5-16bit-n18"])
+def test_own_formatter_answers_for_image_amplitudes(simkernel, image):
+    """The compiled writer's own formatter, not PyOS_double_to_string,
+    writes every nonzero amplitude of an 8- or 16-bit image state, and
+    writes what repr does."""
+    amps = _image_state(*IMAGES[image]).array
+    values = np.unique(amps[amps != 0]).tolist()
+    assert list(map(simkernel._short_repr, values)) == list(map(repr, values))
+
+
+def _near_short_decimals() -> np.ndarray:
+    """d * 10**k for d in 1..9999 and k in -20..20, and the floats 1 and 2
+    ulps above and below each; every other one negated."""
+    base = np.array([float(f"{d}e{k}") for k in range(-20, 21) for d in range(1, 10000)])
+    near = [base]
+    for way in (math.inf, -math.inf):
+        one = np.nextafter(base, way)
+        near += [one, np.nextafter(one, way)]
+    values = np.concatenate(near)
+    values[1::2] *= -1
+    return values
+
+
+def _exact_ties() -> list[float]:
+    """Floats whose exact decimal expansion has 16, 17 or 18 significant
+    digits, the last a 5, so that rounding them to one digit fewer is a tie:
+    m / 2**b, for m odd and below 2**53, has b decimals and ends in 5."""
+    rng = np.random.default_rng(14)
+    ties = []
+    for b in range(1, 60):
+        for digits in (16, 17, 18):
+            lo, hi = -(-(10 ** (digits - 1)) // 5**b), min(10**digits // 5**b, 2**53)
+            if lo < hi:
+                ties += [math.ldexp(m | 1, -b) for m in rng.integers(lo, hi, 64).tolist()]
+    return ties
+
+
+def _value_set(name: str) -> np.ndarray:
+    rng = np.random.default_rng(list(name.encode()))
+    if name == "uniform":
+        return rng.random(1_000_000)
+    if name == "log-uniform":
+        return 10.0 ** rng.uniform(-20, 20, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    if name == "bit-patterns":
+        values = rng.integers(0, 2**64, 300_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        return values[np.isfinite(values)]
+    if name == "near-short-decimals":
+        return _near_short_decimals()
+    if name == "powers-of-two":
+        powers = [math.ldexp(1.0, k) for k in range(-60, 61)]
+        return np.array(powers + [-p for p in powers])
+    if name == "exact-ties":
+        ties = _exact_ties()
+        return np.array(ties + [-t for t in ties])
+    assert name == "edges"
+    return np.array(EDGES + [-x for x in EDGES])
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        "uniform",
+        "log-uniform",
+        "bit-patterns",
+        "near-short-decimals",
+        "powers-of-two",
+        "exact-ties",
+        "edges",
+    ],
+)
+def value_set(request):
+    amps = _value_set(request.param)
+    return amps, _dumps(20, amps)
+
+
+def test_value_sets(writer, value_set):
+    """Sets of distinct values that reach each branch of the compiled
+    writer's formatter and each of its reasons to defer: 10**6 uniform in
+    [0, 1), log-uniform over 1e-20..1e20, random finite bit patterns, the
+    neighbours of short decimals, powers of two (whose rounding interval is
+    not symmetric), exact decimal ties, and the edges of repr's two forms."""
+    amps, expect = value_set
+    _assert_same(writer(20, amps), expect)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(FINITE)
+def test_own_formatter_is_repr_or_defers(simkernel, x):
+    text = simkernel._short_repr(x)
+    assert text is None or (text == repr(x) and len(text) <= 23)
+    assert simkernel.state_json(0, np.array([x])) == _dumps(0, [x])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.0, -0.0, 5e-324, 2.2250738585072011e-308, 0.5, 0.125, -2.0**-40, 2.0**40, 1e-16, 3e15]
+    + [1e22, 1234567890123456.5, 1000000000000000.25, math.inf, -math.inf, math.nan],
+)
+def test_own_formatter_defers(simkernel, x):
+    """Zero, subnormals, powers of two, values outside the fast path's range
+    (below 2**-53 or from 2**51 on), exact ties and non-finite values are
+    left to PyOS_double_to_string."""
+    assert simkernel._short_repr(x) is None
 
 
 def test_to_json_calls_the_compiled_writer_when_it_imports(simkernel, monkeypatch):
