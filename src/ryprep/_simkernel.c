@@ -27,15 +27,19 @@
    state_json(n_qubits, amps) returns the state document
    {"n_qubits": N, "amplitudes": [a0, a1, ...]} as one str, byte for byte
    what json.dumps writes (states._state_json_numpy is the fallback).
-   amps is a C-contiguous one-dimensional float64 buffer of finite values.
-   An open-addressing table keyed on each amplitude's 64-bit pattern, so
-   that 0.0 and -0.0 keep their own text, holds the text of every distinct
-   value, formatted once as float.__repr__ formats it: by short_repr, or
-   else by PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the
-   call float.__repr__ makes.  A first
-   pass fills the table and adds up the length; a second pass looks each
-   amplitude up again and copies its text into the one str, so memory goes
-   with the distinct values, not with the amplitudes.
+   amps is a C-contiguous one-dimensional float64 buffer of finite values,
+   fewer than 2**32 of them.  An open-addressing table keyed on each
+   amplitude's 64-bit pattern, so that 0.0 and -0.0 keep their own text,
+   holds the text of every distinct value, formatted once as
+   float.__repr__ formats it: by short_repr, or else by
+   PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the call
+   float.__repr__ makes.  One pass reads each amplitude once: it fills the
+   table, keeps the number of each amplitude's text in a uint32 array and
+   adds up the length.  A second pass copies the texts by those numbers
+   into the one str.  Memory is 4 bytes per amplitude plus the distinct
+   values.  A thread that changes amps during the call, such as a NumPy
+   ufunc running without the GIL, cannot make the document inconsistent:
+   it holds each amplitude as the one pass read it.
 
    short_repr writes the text of most amplitudes itself, in exact 128-bit
    integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
@@ -170,7 +174,7 @@ check_gates(int n, Py_ssize_t count, const uint8_t *kind, const int32_t *target,
 }
 
 static PyObject *
-run_gates(PyObject *self, PyObject *args)
+run_gates(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *objs[5];
     if (!PyArg_UnpackTuple(args, "run_gates", 5, 5, &objs[0], &objs[1], &objs[2], &objs[3],
@@ -452,22 +456,24 @@ grow_slots(Texts *t)
     return 0;
 }
 
-/* Formats x, whose bit pattern key has no record yet, into a new record
-   that the free slot s points to; returns the record, or NULL with an
-   exception set. */
-static const char *
-add_record(Texts *t, Slot *s, uint64_t key, double x)
+/* Formats the value whose bit pattern key has no record yet into a new
+   record that the free slot s points to; returns the record's number, or
+   -1 with an exception set. */
+static Py_ssize_t
+add_record(Texts *t, Slot *s, uint64_t key)
 {
     if (t->used == t->capacity) {
         const Py_ssize_t capacity = 2 * t->capacity + 16;
         char *records = PyMem_Realloc(t->records, (size_t)(RECORD * capacity));
         if (records == NULL) {
             PyErr_NoMemory();
-            return NULL;
+            return -1;
         }
         t->records = records;
         t->capacity = capacity;
     }
+    double x;
+    memcpy(&x, &key, sizeof x);
     char *record = t->records + RECORD * t->used;
     record[0] = ',';
     record[1] = ' ';
@@ -475,7 +481,7 @@ add_record(Texts *t, Slot *s, uint64_t key, double x)
     if (len == 0) {
         char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
         if (text == NULL) {
-            return NULL;
+            return -1;
         }
         len = strlen(text);
         memcpy(record + 2, text, len);
@@ -485,18 +491,19 @@ add_record(Texts *t, Slot *s, uint64_t key, double x)
     s->key = key;
     s->record = ++t->used;
     if (2 * t->used > ((Py_ssize_t)1 << (64 - t->shift)) && grow_slots(t) < 0) {
-        return NULL;
+        return -1;
     }
-    return record;
+    return t->used - 1;
 }
 
-/* Pass one: gives every distinct amplitude a record in t and returns the
+/* The one pass over amps: gives every distinct amplitude a record in t,
+   stores the number of amps[i]'s record in numbers[i], and returns the
    summed length of all the amplitudes' records, separators included, or -1
    with an exception set. */
 static Py_ssize_t
-collect_records(Texts *t, const double *amps, Py_ssize_t size)
+collect_records(Texts *t, const double *amps, Py_ssize_t size, uint32_t *numbers)
 {
-    Py_ssize_t total = 0, len = 0;
+    Py_ssize_t total = 0, number = 0, len = 0;
     uint64_t last = 0;
     for (Py_ssize_t i = 0; i < size; i++) {
         uint64_t key;
@@ -504,32 +511,29 @@ collect_records(Texts *t, const double *amps, Py_ssize_t size)
         /* runs of one value are common in images: equal pixels, zero padding */
         if (i == 0 || key != last) {
             Slot *s = find_slot(t, key);
-            const char *record;
             if (s->record != 0) {
-                record = t->records + RECORD * (s->record - 1);
+                number = s->record - 1;
             }
             else if ((key & EXPONENT_BITS) == EXPONENT_BITS) {
                 PyErr_Format(PyExc_ValueError, "state_json: amps[%zd] is not finite", i);
                 return -1;
             }
-            else if ((record = add_record(t, s, key, amps[i])) == NULL) {
+            else if ((number = add_record(t, s, key)) < 0) {
                 return -1;
             }
-            len = (unsigned char)record[RECORD - 1];
+            len = (unsigned char)t->records[RECORD * number + RECORD - 1];
             last = key;
         }
+        numbers[i] = (uint32_t)number;
         total += len;
     }
     return total;
 }
 
-/* Pass two: the document, every amplitude's text copied from its record.
-   A writable amps could be changed between the passes by a thread that
-   runs without the GIL, such as a NumPy ufunc; then an amplitude has no
-   record or the texts no longer fit, and the writer raises ValueError
-   instead of writing past the str. */
+/* The document: the records numbered in numbers copied in order, records_len
+   bytes in all, less the first separator. */
 static PyObject *
-write_document(const Texts *t, Py_ssize_t n_qubits, const double *amps, Py_ssize_t size,
+write_document(const Texts *t, Py_ssize_t n_qubits, const uint32_t *numbers, Py_ssize_t size,
                Py_ssize_t records_len)
 {
     char head[64];
@@ -542,32 +546,17 @@ write_document(const Texts *t, Py_ssize_t n_qubits, const double *amps, Py_ssize
         return NULL;
     }
     char *out = (char *)PyUnicode_1BYTE_DATA(doc);
-    char *const end = out + length - 2; /* where "]}" goes */
+    char *const end = out + length;
     memcpy(out, head, (size_t)head_len);
     out += head_len;
-    uint64_t last = 0;
-    const char *record = NULL;
     for (Py_ssize_t i = 0; i < size; i++) {
-        uint64_t key;
-        memcpy(&key, &amps[i], sizeof key);
-        if (i == 0 || key != last) {
-            const Slot *s = find_slot(t, key);
-            if (s->record == 0) {
-                goto changed;
-            }
-            record = t->records + RECORD * (s->record - 1);
-            last = key;
-        }
-        const char *from = record;
-        size_t len = (unsigned char)record[RECORD - 1];
+        const char *from = t->records + RECORD * (size_t)numbers[i];
+        size_t len = (unsigned char)from[RECORD - 1];
         if (i == 0) {
             from += 2;
             len -= 2;
         }
-        if ((Py_ssize_t)len > end - out) {
-            goto changed;
-        }
-        if (i > 0 && end + 2 - out >= RECORD) {
+        if (i > 0 && end - out >= RECORD) {
             /* a copy of fixed size, which compiles to a few moves; the
                bytes past len are overwritten by what follows */
             memcpy(out, from, RECORD);
@@ -577,20 +566,12 @@ write_document(const Texts *t, Py_ssize_t n_qubits, const double *amps, Py_ssize
         }
         out += len;
     }
-    if (out != end) {
-        goto changed;
-    }
     memcpy(out, "]}", 2);
     return doc;
-
-changed:
-    Py_DECREF(doc);
-    PyErr_SetString(PyExc_ValueError, "state_json: amps changed while it was read");
-    return NULL;
 }
 
 static PyObject *
-state_json(PyObject *self, PyObject *args)
+state_json(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t n_qubits;
     PyObject *obj;
@@ -601,19 +582,26 @@ state_json(PyObject *self, PyObject *args)
     if (get_column(obj, &view, "state_json", "amps", "d", 8, 0) < 0) {
         return NULL;
     }
+    const Py_ssize_t size = view.shape[0];
+    if ((uint64_t)size > UINT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "state_json: amps holds %zd values, 2**32 or more", size);
+        PyBuffer_Release(&view);
+        return NULL;
+    }
     PyObject *doc = NULL;
     Texts t = {.shift = 64 - 6};
     t.slots = PyMem_Calloc((size_t)1 << (64 - t.shift), sizeof(Slot));
-    if (t.slots == NULL) {
+    uint32_t *numbers = PyMem_Malloc((size_t)size * sizeof *numbers);
+    if (t.slots == NULL || numbers == NULL) {
         PyErr_NoMemory();
     }
     else {
-        const Py_ssize_t size = view.shape[0];
-        const Py_ssize_t records_len = collect_records(&t, view.buf, size);
+        const Py_ssize_t records_len = collect_records(&t, view.buf, size, numbers);
         if (records_len >= 0) {
-            doc = write_document(&t, n_qubits, view.buf, size, records_len);
+            doc = write_document(&t, n_qubits, numbers, size, records_len);
         }
     }
+    PyMem_Free(numbers);
     PyMem_Free(t.slots);
     PyMem_Free(t.records);
     PyBuffer_Release(&view);
@@ -621,7 +609,7 @@ state_json(PyObject *self, PyObject *args)
 }
 
 static PyObject *
-short_repr_py(PyObject *self, PyObject *arg)
+short_repr_py(PyObject *Py_UNUSED(self), PyObject *arg)
 {
     const double x = PyFloat_AsDouble(arg);
     if (x == -1.0 && PyErr_Occurred()) {
@@ -646,9 +634,9 @@ static PyMethodDef methods[] = {
      "state_json(n_qubits, amps)\n--\n\n"
      "The state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]} as\n"
      "one str, byte for byte what json.dumps writes, with each distinct value\n"
-     "of the float64 buffer amps formatted once.  Raises ValueError when amps\n"
-     "is not a C-contiguous one-dimensional float64 buffer of finite values,\n"
-     "or when another thread changes it during the call."},
+     "of the float64 buffer amps formatted once and each amplitude read once.\n"
+     "Raises ValueError when amps is not a C-contiguous one-dimensional\n"
+     "float64 buffer of fewer than 2**32 finite values."},
     {"_short_repr", short_repr_py, METH_O,
      "_short_repr(x)\n--\n\n"
      "repr(x) as state_json's own formatter writes it, or None where it\n"

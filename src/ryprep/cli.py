@@ -23,7 +23,7 @@ from .qasm import export_qasm
 from .simulator import max_abs_diff, run
 from .states import RealState, normalize
 from .synthesis import synth
-from .tolerances import VERIFY_ATOL, check_tol
+from .tolerances import PRUNE_ATOL, VERIFY_ATOL, check_tol
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop numerically-zero rotations (default: on)",
     )
     p_syn.add_argument(
-        "--prune-tol", type=float, default=1e-12, metavar="RADIANS", help="pruning threshold"
+        "--prune-tol", type=float, default=PRUNE_ATOL, metavar="RADIANS", help="pruning threshold"
     )
     p_syn.add_argument("--out", metavar="PATH", help="write circuit JSON here instead of stdout")
     p_syn.add_argument("--qasm", metavar="PATH", help="also write OpenQASM 3 text")

@@ -94,8 +94,20 @@ def _apply_all(amps: np.ndarray, gates) -> None:
         _run_gates(amps, *_columns(gates))
 
 
+def _check_qubits(n_qubits: int) -> None:
+    """Refuse more than ``MAX_QUBITS`` qubits, on either kernel."""
+    if n_qubits > MAX_QUBITS:
+        raise DomainError(
+            f"cannot simulate {n_qubits} qubits; the simulator holds at most {MAX_QUBITS}"
+        )
+
+
 def apply_gate(state: RealState, gate: Gate) -> RealState:
-    """One gate applied to one state; the state itself is untouched."""
+    """One gate applied to one state; the state itself is untouched.
+
+    Raises ``DomainError`` when the state has more than ``MAX_QUBITS`` qubits.
+    """
+    _check_qubits(state.n_qubits)
     if gate.max_index >= state.n_qubits:
         raise IndexOutOfRange(
             f"gate touches qubit {gate.max_index} but the state has {state.n_qubits} qubits"
@@ -113,10 +125,7 @@ def run(circuit: Circuit) -> RealState:
     Raises ``DomainError``, before allocating, when the circuit has more than
     ``MAX_QUBITS`` qubits.
     """
-    if circuit.n_qubits > MAX_QUBITS:
-        raise DomainError(
-            f"cannot simulate {circuit.n_qubits} qubits; the simulator holds at most {MAX_QUBITS}"
-        )
+    _check_qubits(circuit.n_qubits)
     amps = np.zeros(1 << circuit.n_qubits, dtype=np.float64)
     amps[0] = 1.0
     _apply_all(amps, circuit.gates)

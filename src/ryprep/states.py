@@ -264,29 +264,6 @@ def normalize(values: Iterable[float]) -> RealState:
     return RealState(len(vals).bit_length() - 1, tuple(v / norm for v in vals))
 
 
-def _suffix_norms_sq(amps: list[float]) -> list[float]:
-    """Running sums of squared amplitudes from each index to the end.
-
-    Accumulated back to front with Neumaier compensation so the result is
-    accurate to one ulp regardless of vector length; terms are nonnegative,
-    so a sum of exactly 0.0 means every remaining amplitude squares to zero.
-    """
-    n = len(amps)
-    sums = [0.0] * (n + 1)
-    total = 0.0
-    comp = 0.0
-    for k in range(n - 1, -1, -1):
-        x = amps[k] * amps[k]
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        sums[k] = total + comp
-    return sums
-
-
 def to_angles(state: RealState) -> AngleList:
     """Extract the 2**n - 1 spherical angles of a state.
 
@@ -295,23 +272,37 @@ def to_angles(state: RealState) -> AngleList:
     c_secondlast)`` so it can carry a sign.  Once the tail norm hits exactly
     zero the remaining angles are emitted as exact zeros; this canonical
     form avoids atan2's branch cut at (0, -0.0) and makes pruning reliable.
+
+    One loop, back to front, sums the squares with Neumaier compensation,
+    so each tail's squared norm is accurate to one ulp at any length; the
+    terms are nonnegative, so it is exactly 0.0 only when every remaining
+    amplitude squares to zero.  Angle k is set as soon as the sum from k
+    is known, and only where that sum is nonzero.
     """
     if state.n_qubits < 1:
         raise DomainError("angle extraction needs at least one qubit")
     c = state.array.tolist()
     n = len(c)
-    suffix = _suffix_norms_sq(c)
     angles = [0.0] * (n - 1)
-    for k in range(n - 1):
-        if suffix[k] == 0.0:
-            break
-        if k < n - 2:
-            angles[k] = 2.0 * math.atan2(math.sqrt(suffix[k + 1]), c[k])
+    total = comp = tail = 0.0
+    for k in range(n - 1, -1, -1):
+        x = c[k] * c[k]
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
         else:
-            # atan2 is -pi for a negative c_secondlast when c_last is -0.0 or
-            # too small to move it; 2*pi is the same rotation and in range
-            last = 2.0 * math.atan2(c[n - 1], c[n - 2])
-            angles[k] = _TWO_PI if last == -_TWO_PI else last
+            comp += (x - t) + total
+        total = t
+        norm_sq = total + comp
+        if norm_sq != 0.0:
+            if k < n - 2:
+                angles[k] = 2.0 * math.atan2(math.sqrt(tail), c[k])
+            elif k == n - 2:
+                # atan2 is -pi for a negative c_secondlast when c_last is -0.0
+                # or too small to move it; 2*pi is the same rotation and in range
+                last = 2.0 * math.atan2(c[n - 1], c[k])
+                angles[k] = _TWO_PI if last == -_TWO_PI else last
+        tail = norm_sq
     return AngleList(tuple(angles))
 
 

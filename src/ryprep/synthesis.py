@@ -25,7 +25,7 @@ from .circuits import RY, Circuit, Gate, ry, x
 from .errors import DomainError
 from .simulator import MAX_QUBITS
 from .states import AngleList, RealState, to_angles
-from .tolerances import check_tol
+from .tolerances import PRUNE_ATOL, check_tol
 
 __all__ = [
     "SynthReport",
@@ -114,7 +114,9 @@ def _check_qubits(n_qubits: int) -> None:
         )
 
 
-def synth_angles(angles: AngleList, *, prune: bool = False, prune_tol: float = 1e-12) -> Circuit:
+def synth_angles(
+    angles: AngleList, *, prune: bool = False, prune_tol: float = PRUNE_ATOL
+) -> Circuit:
     """Build the preparation circuit directly from an angle list.
 
     Raises ``DomainError`` for more than ``MAX_QUBITS`` qubits.
@@ -127,7 +129,7 @@ def synth_angles(angles: AngleList, *, prune: bool = False, prune_tol: float = 1
 
 
 def synth(
-    state: RealState, *, prune: bool = False, prune_tol: float = 1e-12
+    state: RealState, *, prune: bool = False, prune_tol: float = PRUNE_ATOL
 ) -> tuple[Circuit, SynthReport]:
     """Synthesize a circuit preparing the state from |0...0>.
 

@@ -3,6 +3,8 @@
 ``NORM_ATOL`` bounds roundoff in algebraic identities (unit norms, codec
 round-trips, simulator equivalences).  ``VERIFY_ATOL`` is the looser default
 for end-to-end checks that a synthesized circuit prepares its target state.
+``PRUNE_ATOL`` is the default pruning threshold, in radians, of ``synth``,
+``synth_angles`` and ``ryprep synth --prune-tol``.
 """
 
 import math
@@ -11,6 +13,7 @@ from .errors import DomainError
 
 NORM_ATOL = 1e-12
 VERIFY_ATOL = 1e-9
+PRUNE_ATOL = 1e-12
 
 
 def check_tol(value: float, name: str) -> None:

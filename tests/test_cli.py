@@ -1,5 +1,6 @@
 """CLI behavior: pipelines, exit codes, output formats, logging."""
 
+import inspect
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 import ryprep
 from ryprep import Circuit, cli, encode, load_pgm, normalize, synth, synthesis
 from ryprep.cli import main
+from ryprep.tolerances import PRUNE_ATOL
 
 WORKED_PGM = b"P2\n2 2\n255\n0 192\n128 255\n"
 
@@ -201,6 +203,14 @@ def test_synth_accepts_state_json(tmp_path):
     out = tmp_path / "c.json"
     assert main(["synth", str(path), "--out", str(out)]) == 0
     assert Circuit.from_json(out.read_text()).gate_count == 1
+
+
+def test_prune_tol_defaults_are_prune_atol():
+    """``synth``, ``synth_angles`` and ``--prune-tol`` share one default."""
+    for func in (synth, synthesis.synth_angles):
+        assert inspect.signature(func).parameters["prune_tol"].default is PRUNE_ATOL
+    args = cli.build_parser().parse_args(["synth", "in.pgm"])
+    assert args.prune_tol is PRUNE_ATOL == 1e-12
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])

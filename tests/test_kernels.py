@@ -18,6 +18,7 @@ from conftest import build_ext, import_built
 from dense_oracle import run_pairs
 from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
 from ryprep import simulator
+from ryprep.errors import DomainError
 from ryprep.simulator import MAX_QUBITS, _apply_inplace, _columns
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -154,6 +155,22 @@ def test_kernel_backend_names_the_dispatched_kernel():
 
 def test_extension_constant_matches_simulator(simkernel):
     assert simkernel.MAX_QUBITS == MAX_QUBITS
+
+
+def test_qubit_cap_is_one_check_for_run_and_apply_gate(kernel, monkeypatch):
+    """Past ``MAX_QUBITS`` both ``run`` and ``apply_gate`` raise the same
+    ``DomainError`` on either kernel.  The real cap would need the memory it
+    avoids, so it is lowered here."""
+    state = RealState(4, np.full(16, 0.25))
+    gate = ry(0.3, 3, (0,))
+    monkeypatch.setattr(simulator, "MAX_QUBITS", 3)
+    message = "^cannot simulate 4 qubits; the simulator holds at most 3$"
+    with pytest.raises(DomainError, match=message):
+        run(Circuit(4, (gate,)))
+    with pytest.raises(DomainError, match=message):
+        apply_gate(state, gate)
+    monkeypatch.setattr(simulator, "MAX_QUBITS", 4)
+    assert apply_gate(run(Circuit(4)), gate) == run(Circuit(4, (gate,)))
 
 
 # The compiled kernel's argument checks: each bad call raises ValueError and
@@ -325,6 +342,15 @@ def test_build_without_compiler_succeeds_on_numpy(tmp_path):
     kernel, fallback, json_fallback, _, version = _probe(lib)
     assert (kernel, fallback, json_fallback) == ("numpy", "True", "True")
     assert version.endswith("(kernel: numpy)\n")
+
+
+def test_build_with_all_warnings_as_errors(tmp_path):
+    """The extension compiles under ``-Wall -Wextra -Werror``.  It is
+    optional, so a failed compile still exits 0: the module must exist."""
+    lib = tmp_path / "lib"
+    res = build_ext(lib, tmp_path / "temp", CFLAGS="-Wall -Wextra -Werror")
+    kernel = import_built(lib, res)
+    assert kernel.state_json(1, np.array([0.6, 0.8])) == '{"n_qubits": 1, "amplitudes": [0.6, 0.8]}'
 
 
 def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):

@@ -6,6 +6,7 @@ argument checks."""
 
 import json
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -291,14 +292,17 @@ def test_refused(simkernel, amps, error, match):
         simkernel.state_json(1, amps)
 
 
-def test_amps_changed_by_another_thread_is_refused(simkernel):
+def test_amps_changed_by_another_thread(simkernel):
     """A NumPy ufunc runs without the GIL, so another thread can flip the
-    signs of a writable array between the writer's two passes.  The writer
-    then raises ValueError rather than write past the end of its str.
-    Flipping back to front while the writer reads front to back, with a
-    short GIL switch interval, made a few calls in a hundred raise."""
+    signs of a writable array while the writer reads it.  The writer reads
+    each amplitude once, so every document is whole: JSON of 2**18 values
+    whose magnitudes are the amplitudes'.  (A second read could find a value
+    with no text, or texts that no longer fit the str.)  Whether a flip
+    overlaps a call at all is up to the scheduler, so this test can miss a
+    fault but not invent one."""
     interval = sys.getswitchinterval()
     amps = np.random.default_rng(3).integers(1, 256, 1 << 18) / 7.0
+    magnitudes = np.abs(amps)
     backwards = amps[::-1]
     stop = threading.Event()
 
@@ -311,21 +315,57 @@ def test_amps_changed_by_another_thread_is_refused(simkernel):
     thread.start()
     try:
         for _ in range(60):
-            try:
-                simkernel.state_json(18, amps)
-            except ValueError as exc:
-                assert str(exc) == "state_json: amps changed while it was read"
+            doc = json.loads(simkernel.state_json(18, amps))
+            assert doc["n_qubits"] == 18
+            assert np.array_equal(np.abs(doc["amplitudes"]), magnitudes)
     finally:
         stop.set()
-        thread.join()
+        thread.join(timeout=10)
         sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+
+
+_HUGE = """
+import importlib.util, mmap, resource, sys
+
+path, built = sys.argv[1:]
+size = 8 << 32
+with open(path, "wb") as f:
+    f.truncate(size)
+with open(path, "rb") as f:
+    view = memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)).cast("d")
+spec = importlib.util.spec_from_file_location("ryprep._simkernel", built)
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * mmap.PAGESIZE
+# room for 1 GiB more, not for the 16 GiB of record numbers
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), resource.RLIM_INFINITY))
+try:
+    kernel.state_json(32, view)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+def test_refused_at_2_to_the_32_values(simkernel, tmp_path):
+    """2**32 values, a sparse file mapped read-only, are refused before
+    anything is allocated or read, in a process without the address space
+    for the 16 GiB of record numbers."""
+    res = subprocess.run(
+        [sys.executable, "-c", _HUGE, str(tmp_path / "huge"), simkernel.__file__],
+        capture_output=True,
+        text=True,
+    )
+    assert res.stdout == "state_json: amps holds 4294967296 values, 2**32 or more\n", res.stderr
 
 
 @pytest.mark.parametrize("where", ["none", "last"])
 def test_no_memory_is_kept(simkernel, where):
-    """The table and the records are PyMem blocks, which tracemalloc sees:
-    neither a written document nor a refusal after 4,096 distinct values
-    keeps any of them."""
+    """The table, the records and the record numbers are PyMem blocks, which
+    tracemalloc sees: neither a written document nor a refusal after 4,096
+    distinct values keeps any of them."""
     amps = np.random.default_rng(9).normal(size=4096)
     if where == "last":
         amps[-1] = math.nan
@@ -345,7 +385,7 @@ def test_no_memory_is_kept(simkernel, where):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # one call's table and records take about 400 kB
+    # one call's table, records and record numbers take about 400 kB
     assert kept < 10_000
 
 

@@ -526,6 +526,53 @@ class TestToAngles:
             to_angles(RealState(0, (1.0,)))
 
 
+def _angle_states():
+    """Ten seeded states of each of four kinds for n = 1..12: dense; zero
+    tails of either sign; half the amplitudes zero; and amplitudes whose
+    squares underflow to zero, scattered and as a tail."""
+    rng = np.random.default_rng(1515)
+    for n in range(1, 13):
+        size = 1 << n
+        for _ in range(10):
+            dense = rng.normal(size=size)
+            yield "dense", normalize(dense.tolist())
+            tail = dense.copy()
+            tail[rng.integers(1, size) :] = 0.0
+            tail[rng.random(size) < 0.5] *= -1.0
+            yield "zero tail", normalize(tail.tolist())
+            half = dense.copy()
+            half[rng.permutation(size)[: size // 2]] = 0.0
+            half[0] = 1.0
+            yield "half zeros", normalize((half * rng.choice([-1.0, 1.0], size)).tolist())
+            tiny = dense.copy()
+            tiny[rng.random(size) < 0.3] *= 1e-170
+            tiny[rng.integers(1, size) :] *= 1e-170
+            yield "underflowing squares", normalize(tiny.tolist())
+
+
+def _photo_state():
+    """An n = 14 state of a smooth 128x128 image with grain."""
+    rng = np.random.default_rng(14)
+    y, x = np.mgrid[0:128, 0:128] / 127.0
+    field = 0.6 * x + 0.3 * y + 0.2 * np.cos(7 * x + 3 * y) + 0.03 * rng.standard_normal((128, 128))
+    pixels = np.clip(1 + 254 * (field - field.min()) / np.ptp(field), 1, 255).astype(int)
+    return encode(GrayImage(128, 128, pixels.ravel().tolist()))
+
+
+def test_to_angles_matches_two_pass_reference():
+    """The one backward loop gives the bits of the two-pass formulation
+    (every tail's squared norm in a list first) on 480 seeded states, a
+    photo state and the edge pairs, the last of which turns -2*pi into 2*pi."""
+    cases = list(_angle_states())
+    assert len(cases) == 480
+    cases.append(("photo", _photo_state()))
+    for amps in [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]:
+        cases.append((str(amps), RealState(1, amps)))
+    for kind, state in cases:
+        assert to_angles(state).angles == reference_states.to_angles(state), kind
+    assert to_angles(RealState(1, (-1.0, -0.0))).angles == (TWO_PI,)
+
+
 class TestFromAngles:
     def test_single_zero(self):
         assert from_angles(AngleList((0.0,))).amplitudes == (1.0, 0.0)
