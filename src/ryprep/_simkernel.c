@@ -24,22 +24,26 @@
    as the compiler contracts no multiply-add into an FMA: build with
    -ffp-contract=off.
 
-   state_json(n_qubits, amps) returns the state document
+   state_json(n_qubits, values, index) returns the state document
    {"n_qubits": N, "amplitudes": [a0, a1, ...]} as one str, byte for byte
-   what json.dumps writes (states._state_json_numpy is the fallback).
-   amps is a C-contiguous one-dimensional float64 buffer of finite values,
-   fewer than 2**32 of them.  An open-addressing table keyed on each
-   amplitude's 64-bit pattern, so that 0.0 and -0.0 keep their own text,
-   holds the text of every distinct value, formatted once as
-   float.__repr__ formats it: by short_repr, or else by
-   PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the call
-   float.__repr__ makes.  One pass reads each amplitude once: it fills the
-   table, keeps the number of each amplitude's text in a uint32 array and
-   adds up the length.  A second pass copies the texts by those numbers
-   into the one str.  Memory is 4 bytes per amplitude plus the distinct
-   values.  A thread that changes amps during the call, such as a NumPy
-   ufunc running without the GIL, cannot make the document inconsistent:
-   it holds each amplitude as the one pass read it.
+   what json.dumps writes (states._state_json_numpy is the fallback), for
+   the amplitudes values[index[0]], values[index[1]], ...: a table of
+   values and an index into it, such as encode's palette and pixel index,
+   or the distinct amplitudes of any other state.  values is a
+   C-contiguous one-dimensional float64 buffer of finite values, used or
+   not; index is a C-contiguous one-dimensional uint32 buffer of fewer than
+   2**32 entries, each below len(values).  Every value has a record,
+   formatted at its first use as float.__repr__ formats it: by short_repr,
+   or else by PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the
+   call float.__repr__ makes.  One pass reads each value once, refusing any
+   that is not finite, and keeps its bits in its record.  A second reads
+   each index entry once: it checks the entry, formats the value if it is
+   the first use, keeps the entry in a private uint32 array and adds up the
+   length.  A third copies the records by those private numbers into the one
+   str.  Memory is 4 bytes per amplitude plus 32 bytes per value.  A thread
+   that changes values or index during the call, such as a NumPy ufunc
+   running without the GIL, cannot make the document inconsistent: it holds
+   each value and each entry as the one pass over it read them.
 
    short_repr writes the text of most amplitudes itself, in exact 128-bit
    integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
@@ -397,84 +401,44 @@ init_short_repr(void)
 }
 #endif
 
-/* The texts of the distinct amplitudes.  slots is an open-addressing table
-   of 2**(64 - shift) entries, at most half of them used; each used entry
-   holds an amplitude's bit pattern and the number of its record in records.
-   A record is RECORD bytes: the separator ", ", the float's repr (at most
-   23 characters from short_repr, 17 digits, a sign, a point and an
-   exponent such as e-16, or 24 from PyOS_double_to_string, whose exponent
-   can be e-308), and in its last byte the length of both together, so
-   that the writer can copy every record whole. */
+/* The texts of the values.  Each value has a record of RECORD bytes: the
+   separator ", ", the float's repr (at most 23 characters from short_repr,
+   17 digits, a sign, a point and an exponent such as e-16, or 24 from
+   PyOS_double_to_string, whose exponent can be e-308), and in its last
+   byte the length of both together, so that the writer can copy every
+   record whole.  Until its value is first used, a record's last byte is 0
+   and bytes STAGED..STAGED+7 hold the value's bits, so that values is read
+   once. */
 #define RECORD 32
+#define STAGED 8
 #define EXPONENT_BITS 0x7FF0000000000000ULL
 
-typedef struct {
-    uint64_t key;
-    Py_ssize_t record; /* record number plus one; 0 marks a free slot */
-} Slot;
-
-typedef struct {
-    Slot *slots;
-    int shift;
-    char *records;
-    Py_ssize_t used, capacity; /* records written and room for */
-} Texts;
-
-static Slot *
-find_slot(const Texts *t, uint64_t key)
-{
-    const uint64_t mask = ((uint64_t)1 << (64 - t->shift)) - 1;
-    /* Fibonacci hashing: the top bits of the product depend on every bit of
-       key, and nearby amplitudes differ mostly in their low bits */
-    uint64_t i = (key * 0x9E3779B97F4A7C15ULL) >> t->shift;
-    while (t->slots[i].record != 0 && t->slots[i].key != key) {
-        i = (i + 1) & mask;
-    }
-    return &t->slots[i];
-}
-
-/* Doubles the table, moving every used slot into the new one. */
+/* Copies the bits of each of the count values into its record, unformatted;
+   returns -1 with an exception set at the first value that is not finite. */
 static int
-grow_slots(Texts *t)
+stage_values(char *records, const double *values, Py_ssize_t count)
 {
-    Texts bigger = *t;
-    bigger.shift = t->shift - 1;
-    bigger.slots = PyMem_Calloc((size_t)1 << (64 - bigger.shift), sizeof(Slot));
-    if (bigger.slots == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    const uint64_t count = (uint64_t)1 << (64 - t->shift);
-    for (uint64_t i = 0; i < count; i++) {
-        if (t->slots[i].record != 0) {
-            *find_slot(&bigger, t->slots[i].key) = t->slots[i];
+    for (Py_ssize_t v = 0; v < count; v++) {
+        uint64_t bits;
+        memcpy(&bits, &values[v], sizeof bits);
+        if ((bits & EXPONENT_BITS) == EXPONENT_BITS) {
+            PyErr_Format(PyExc_ValueError, "state_json: values[%zd] is not finite", v);
+            return -1;
         }
+        char *record = records + RECORD * v;
+        memcpy(record + STAGED, &bits, sizeof bits);
+        record[RECORD - 1] = 0;
     }
-    PyMem_Free(t->slots);
-    t->slots = bigger.slots;
-    t->shift = bigger.shift;
     return 0;
 }
 
-/* Formats the value whose bit pattern key has no record yet into a new
-   record that the free slot s points to; returns the record's number, or
-   -1 with an exception set. */
-static Py_ssize_t
-add_record(Texts *t, Slot *s, uint64_t key)
+/* Formats the value staged in record over it; returns -1 with an exception
+   set. */
+static int
+format_record(char *record)
 {
-    if (t->used == t->capacity) {
-        const Py_ssize_t capacity = 2 * t->capacity + 16;
-        char *records = PyMem_Realloc(t->records, (size_t)(RECORD * capacity));
-        if (records == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        t->records = records;
-        t->capacity = capacity;
-    }
     double x;
-    memcpy(&x, &key, sizeof x);
-    char *record = t->records + RECORD * t->used;
+    memcpy(&x, record + STAGED, sizeof x);
     record[0] = ',';
     record[1] = ' ';
     size_t len = (size_t)short_repr(x, record + 2);
@@ -488,44 +452,31 @@ add_record(Texts *t, Slot *s, uint64_t key)
         PyMem_Free(text);
     }
     record[RECORD - 1] = (char)(2 + len);
-    s->key = key;
-    s->record = ++t->used;
-    if (2 * t->used > ((Py_ssize_t)1 << (64 - t->shift)) && grow_slots(t) < 0) {
-        return -1;
-    }
-    return t->used - 1;
+    return 0;
 }
 
-/* The one pass over amps: gives every distinct amplitude a record in t,
-   stores the number of amps[i]'s record in numbers[i], and returns the
-   summed length of all the amplitudes' records, separators included, or -1
-   with an exception set. */
+/* The one pass over index: checks each entry against the count values,
+   formats each value at its first use, stores the entry in numbers[i], and
+   returns the summed length of all the amplitudes' records, separators
+   included, or -1 with an exception set. */
 static Py_ssize_t
-collect_records(Texts *t, const double *amps, Py_ssize_t size, uint32_t *numbers)
+collect_records(char *records, Py_ssize_t count, const uint32_t *index, Py_ssize_t size,
+                uint32_t *numbers)
 {
-    Py_ssize_t total = 0, number = 0, len = 0;
-    uint64_t last = 0;
+    Py_ssize_t total = 0;
     for (Py_ssize_t i = 0; i < size; i++) {
-        uint64_t key;
-        memcpy(&key, &amps[i], sizeof key);
-        /* runs of one value are common in images: equal pixels, zero padding */
-        if (i == 0 || key != last) {
-            Slot *s = find_slot(t, key);
-            if (s->record != 0) {
-                number = s->record - 1;
-            }
-            else if ((key & EXPONENT_BITS) == EXPONENT_BITS) {
-                PyErr_Format(PyExc_ValueError, "state_json: amps[%zd] is not finite", i);
-                return -1;
-            }
-            else if ((number = add_record(t, s, key)) < 0) {
-                return -1;
-            }
-            len = (unsigned char)t->records[RECORD * number + RECORD - 1];
-            last = key;
+        const uint32_t v = index[i];
+        if ((Py_ssize_t)v >= count) {
+            PyErr_Format(PyExc_ValueError, "state_json: index[%zd] is %lu, past the %zd values",
+                         i, (unsigned long)v, count);
+            return -1;
         }
-        numbers[i] = (uint32_t)number;
-        total += len;
+        char *record = records + RECORD * (size_t)v;
+        if (record[RECORD - 1] == 0 && format_record(record) < 0) {
+            return -1;
+        }
+        numbers[i] = v;
+        total += (unsigned char)record[RECORD - 1];
     }
     return total;
 }
@@ -533,8 +484,8 @@ collect_records(Texts *t, const double *amps, Py_ssize_t size, uint32_t *numbers
 /* The document: the records numbered in numbers copied in order, records_len
    bytes in all, less the first separator. */
 static PyObject *
-write_document(const Texts *t, Py_ssize_t n_qubits, const uint32_t *numbers, Py_ssize_t size,
-               Py_ssize_t records_len)
+write_document(const char *records, Py_ssize_t n_qubits, const uint32_t *numbers,
+               Py_ssize_t size, Py_ssize_t records_len)
 {
     char head[64];
     const int head_len =
@@ -550,7 +501,7 @@ write_document(const Texts *t, Py_ssize_t n_qubits, const uint32_t *numbers, Py_
     memcpy(out, head, (size_t)head_len);
     out += head_len;
     for (Py_ssize_t i = 0; i < size; i++) {
-        const char *from = t->records + RECORD * (size_t)numbers[i];
+        const char *from = records + RECORD * (size_t)numbers[i];
         size_t len = (unsigned char)from[RECORD - 1];
         if (i == 0) {
             from += 2;
@@ -574,37 +525,45 @@ static PyObject *
 state_json(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t n_qubits;
-    PyObject *obj;
-    if (!PyArg_ParseTuple(args, "nO:state_json", &n_qubits, &obj)) {
+    PyObject *values_obj, *index_obj;
+    if (!PyArg_ParseTuple(args, "nOO:state_json", &n_qubits, &values_obj, &index_obj)) {
         return NULL;
     }
-    Py_buffer view;
-    if (get_column(obj, &view, "state_json", "amps", "d", 8, 0) < 0) {
+    Py_buffer values, index;
+    if (get_column(values_obj, &values, "state_json", "values", "d", 8, 0) < 0) {
         return NULL;
     }
-    const Py_ssize_t size = view.shape[0];
-    if ((uint64_t)size > UINT32_MAX) {
-        PyErr_Format(PyExc_ValueError, "state_json: amps holds %zd values, 2**32 or more", size);
-        PyBuffer_Release(&view);
+    if (get_column(index_obj, &index, "state_json", "index", "IL", 4, 0) < 0) {
+        PyBuffer_Release(&values);
         return NULL;
     }
     PyObject *doc = NULL;
-    Texts t = {.shift = 64 - 6};
-    t.slots = PyMem_Calloc((size_t)1 << (64 - t.shift), sizeof(Slot));
-    uint32_t *numbers = PyMem_Malloc((size_t)size * sizeof *numbers);
-    if (t.slots == NULL || numbers == NULL) {
+    char *records = NULL;
+    uint32_t *numbers = NULL;
+    const Py_ssize_t count = values.shape[0], size = index.shape[0];
+    if ((uint64_t)size > UINT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "state_json: index holds %zd entries, 2**32 or more", size);
+        goto done;
+    }
+    records = PyMem_Malloc((size_t)count * RECORD);
+    numbers = PyMem_Malloc((size_t)size * sizeof *numbers);
+    if (records == NULL || numbers == NULL) {
         PyErr_NoMemory();
+        goto done;
     }
-    else {
-        const Py_ssize_t records_len = collect_records(&t, view.buf, size, numbers);
-        if (records_len >= 0) {
-            doc = write_document(&t, n_qubits, numbers, size, records_len);
-        }
+    if (stage_values(records, values.buf, count) < 0) {
+        goto done;
     }
+    const Py_ssize_t records_len = collect_records(records, count, index.buf, size, numbers);
+    if (records_len >= 0) {
+        doc = write_document(records, n_qubits, numbers, size, records_len);
+    }
+
+done:
     PyMem_Free(numbers);
-    PyMem_Free(t.slots);
-    PyMem_Free(t.records);
-    PyBuffer_Release(&view);
+    PyMem_Free(records);
+    PyBuffer_Release(&index);
+    PyBuffer_Release(&values);
     return doc;
 }
 
@@ -631,12 +590,15 @@ static PyMethodDef methods[] = {
      "float64 statevector amps in place.  Raises ValueError, writing nothing,\n"
      "when a buffer or a gate does not fit."},
     {"state_json", state_json, METH_VARARGS,
-     "state_json(n_qubits, amps)\n--\n\n"
+     "state_json(n_qubits, values, index)\n--\n\n"
      "The state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]} as\n"
-     "one str, byte for byte what json.dumps writes, with each distinct value\n"
-     "of the float64 buffer amps formatted once and each amplitude read once.\n"
-     "Raises ValueError when amps is not a C-contiguous one-dimensional\n"
-     "float64 buffer of fewer than 2**32 finite values."},
+     "one str, byte for byte what json.dumps writes, for the amplitudes\n"
+     "values[index]: each value of the float64 buffer values is formatted at\n"
+     "its first use, and each value and each index entry is read once.  Memory\n"
+     "is 4 bytes per amplitude plus 32 bytes per value.  Raises ValueError when\n"
+     "values is not a C-contiguous one-dimensional float64 buffer of finite\n"
+     "values, or index not a C-contiguous one-dimensional uint32 buffer of\n"
+     "fewer than 2**32 entries, each below len(values)."},
     {"_short_repr", short_repr_py, METH_O,
      "_short_repr(x)\n--\n\n"
      "repr(x) as state_json's own formatter writes it, or None where it\n"

@@ -225,15 +225,17 @@ def pad_pow2(values: Sequence[float] | Iterable[float]) -> list[float]:
     return vals + [0.0] * (_pow2_size(len(vals)) - len(vals))
 
 
-def _norm(pixels: np.ndarray) -> float:
-    """``math.sqrt(math.fsum(float(p) ** 2 for p in pixels))``, bit for bit.
+def _norm(counts: np.ndarray) -> float:
+    """``math.sqrt(math.fsum(float(p) ** 2 for p in pixels))``, bit for bit,
+    for the pixels of which counts[v] have the value v.
 
-    The int64 sum of the squares is exact below 2**31 pixels, since each
-    square is below 2**32 (the int64 vector of a larger image would alone
-    take 16 GiB).  ``float()`` of an int rounds the exact sum half to even,
-    and so does fsum of the float squares, which are exact.
+    The int64 sum of counts[v] * v**2 is exact below 2**31 pixels, since
+    each square is below 2**32 (the uint16 raster of a larger image would
+    alone take 4 GiB).  ``float()`` of an int rounds the exact sum half to
+    even, and so does fsum of the float squares, which are exact.
     """
-    return math.sqrt(float(int(np.dot(pixels, pixels))))
+    levels = np.arange(len(counts), dtype=np.int64)
+    return math.sqrt(float(int(np.dot(counts, levels * levels))))
 
 
 def encode(image: GrayImage) -> RealState:
@@ -241,16 +243,22 @@ def encode(image: GrayImage) -> RealState:
 
     Gives the same state as ``normalize(pad_pow2(unfold(image)))``, bit for
     bit: the values 0..maxval are divided by the norm once, and every
-    amplitude is its pixel's entry of that table.
+    amplitude is its pixel's entry of that palette.  Where there are more
+    amplitudes than palette entries, the norm check runs over the palette,
+    and the state holds it with the padded column-major pixels as its index:
+    its JSON is written from them, and the float64 amplitudes are gathered
+    only when ``array`` is first read.
     """
     rows, cols = image.rows, image.cols
     count = rows * cols
     size = _pow2_size(count)
-    vec = np.zeros(size, np.int64)
+    index = np.zeros(size, np.uint32)
     # the column-major order is the transpose of the row-major raster
-    vec[:count].reshape(cols, rows)[...] = image.array.reshape(rows, cols).T
-    norm = _norm(vec)
+    index[:count].reshape(cols, rows)[...] = image.array.reshape(rows, cols).T
+    counts = np.bincount(image.array, minlength=image.maxval + 1)
+    norm = _norm(counts)
     if norm == 0.0:
         raise AllZeroImage("every pixel is zero; the image encodes no state")
-    table = np.arange(image.maxval + 1) / norm
-    return RealState(size.bit_length() - 1, table[vec])
+    counts[0] += size - count  # the zero padding
+    values = np.arange(image.maxval + 1) / norm
+    return RealState._from_palette(size.bit_length() - 1, values, index, counts)

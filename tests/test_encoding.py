@@ -1,7 +1,9 @@
 """PGM parsing, column-major unfolding, padding, and amplitude encoding."""
 
+import copy
 import json
 import math
+import pickle
 import re
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
@@ -14,7 +16,7 @@ from numpy.testing import assert_allclose
 
 import reference_pgm
 import reference_states
-from ryprep import GrayImage, RealState, encode, load_pgm, normalize, pad_pow2, unfold
+from ryprep import GrayImage, RealState, encode, load_pgm, normalize, pad_pow2, states, unfold
 from ryprep.encoding import _BULK_P2, _norm
 from ryprep.errors import (
     AllZeroImage,
@@ -508,15 +510,83 @@ class TestGrayImage:
         assert GrayImage(2, 2, np.array(WORKED.pixels, dtype=object)) == WORKED
 
 
-def test_p5_to_state_json_builds_no_tuple(monkeypatch):
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_p5_to_state_json_builds_no_tuple(monkeypatch, maxval):
+    """PGM bytes become state JSON without a tuple of every value, and, for
+    an image of more pixels than maxval + 1, without the float64 amplitude
+    array: the norm check and the writer take the palette."""
+
     def built(self):
-        raise AssertionError("a tuple of every value was built")
+        raise AssertionError("a tuple of every value, or the amplitude array, was built")
 
     monkeypatch.setattr(GrayImage, "pixels", property(built))
     monkeypatch.setattr(RealState, "amplitudes", property(built))
-    data = _pgm_bytes(b"P5", np.arange(1, 13).reshape(3, 4), 255)
+    monkeypatch.setattr(RealState, "array", property(built))
+    pixels = np.arange(1, 12 + (maxval + 1) * 2) % (maxval + 1)
+    data = _pgm_bytes(b"P5", pixels.reshape(1, -1), maxval)
     text = encode(load_pgm(data)).to_json()
-    assert json.loads(text)["amplitudes"][1] == 5 / math.sqrt(sum(p * p for p in range(1, 13)))
+    norm = math.sqrt(sum(p * p for p in pixels.tolist()))
+    assert json.loads(text)["amplitudes"][4] == 5 / norm
+
+
+def _palette_images():
+    """Seeded images at the edges of the palette: one pixel, maxval 1,
+    maxval 65535 with a 65535 pixel, one lit pixel (whose amplitude 1.0 is
+    a power of two), three distinct 16-bit values, and plain 8-bit ones.
+    The maxval-1 image and the last have more amplitudes than palette
+    entries, so their states hold the palette and gather the amplitudes at
+    the first read of array; the others gather them in the norm check and
+    hold them."""
+    rng = np.random.default_rng(16)
+    yield "1x1", GrayImage(1, 1, (7,), 255)
+    bits = rng.integers(0, 2, 15)
+    bits[4] = 1
+    yield "maxval-1", GrayImage(3, 5, bits, 1)
+    deep = rng.integers(0, 65536, 24)
+    deep[7] = 65535
+    yield "maxval-65535", GrayImage(4, 6, deep, 65535)
+    lit = np.zeros(15, np.int64)
+    lit[9] = 200
+    yield "one-lit-pixel", GrayImage(5, 3, lit, 255)
+    yield "three-16-bit-values", GrayImage(6, 6, rng.choice([0, 1000, 65535], 36), 65535)
+    for rows, cols in ((1, 9), (7, 5), (16, 16), (20, 30)):
+        yield f"8-bit-{rows}x{cols}", GrayImage(rows, cols, rng.integers(0, 256, rows * cols))
+
+
+PALETTE_IMAGES = dict(_palette_images())
+
+
+@pytest.mark.parametrize("name", PALETTE_IMAGES)
+def test_palette_state_is_the_value_of_its_amplitudes(simkernel, monkeypatch, name):
+    """A state that encode makes, whether it holds its palette or its
+    gathered amplitudes, behaves as the state of those amplitudes does from
+    the constructor: in ==, hash, repr,
+    .amplitudes, pickle, deepcopy and JSON from either writer, and in
+    refusing to set or delete array before its first read and after."""
+    image = PALETTE_IMAGES[name]
+    state = encode(image)
+    assert (state._palette is not None) is (image.maxval + 1 < 1 << state.n_qubits)
+    for field in ("array", "amplitudes"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+            setattr(state, field, None)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
+            delattr(state, field)
+    want = normalize(pad_pow2(unfold(image)))
+    assert state.array.dtype == np.float64 and not state.array.flags.writeable
+    assert np.array_equal(state.array.view(np.int64), want.array.view(np.int64))
+    plain = RealState(state.n_qubits, encode(image).array)
+    for other in (plain, copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert state == other and other == state and hash(state) == hash(other)
+        assert repr(state) == repr(other) and state.amplitudes == other.amplitudes
+        assert not other.array.flags.writeable and other._palette is None
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'array'"):
+        state.array = plain.array
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'array'"):
+        del state.array
+    assert state.array.flags.writeable is False and state == plain
+    for writer in (None, simkernel.state_json):
+        monkeypatch.setattr(states, "_state_json", writer)
+        assert state.to_json() == plain.to_json() == reference_states.to_json(plain)
 
 
 class TestUnfold:
@@ -651,4 +721,4 @@ def test_norm_rounds_a_sum_past_2_to_the_53_like_fsum():
     vec = np.array(pixels, np.int64)
     assert vec.max() <= 65535 and sum(p * p for p in pixels) == target != float(target)
     squares = (vec.astype(np.float64) ** 2).tolist()
-    assert _norm(vec) == math.sqrt(math.fsum(squares))
+    assert _norm(np.bincount(vec)) == math.sqrt(math.fsum(squares))

@@ -294,12 +294,19 @@ def _package_copy(dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
+# The last line encodes an 8-bit and a 16-bit PGM, whose states hand the
+# writer encode's palette and pixel index.
 _PROBE = """
+import numpy as np
 import ryprep
-from ryprep import Circuit, run, ry, simulator, states, x
+from ryprep import Circuit, encode, load_pgm, run, ry, simulator, states, x
 state = run(Circuit(3, (ry(0.3, 0), x(1, (0,)), ry(1.1, 2, (0, 1)))))
 print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, states._state_json is None, end=" ")
 print(repr(state.amplitudes), state.to_json())
+rng = np.random.default_rng(16)
+for maxval, depth in ((255, "u1"), (65535, ">u2")):
+    pixels = rng.integers(0, maxval + 1, (5, 7)).astype(depth).tobytes()
+    print(encode(load_pgm(b"P5 7 5 %d\\n" % maxval + pixels)).to_json())
 """
 
 
@@ -329,6 +336,8 @@ def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
     assert with_c[4] == f"ryprep {ryprep.__version__} (kernel: c)\n"
     assert without[:3] == ["numpy", "True", "True"]
     assert without[4] == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
+    # the run state's document and the two image states'
+    assert with_c[3].count('"amplitudes"') == 3
     assert with_c[3] == without[3]
 
 
@@ -350,7 +359,8 @@ def test_build_with_all_warnings_as_errors(tmp_path):
     lib = tmp_path / "lib"
     res = build_ext(lib, tmp_path / "temp", CFLAGS="-Wall -Wextra -Werror")
     kernel = import_built(lib, res)
-    assert kernel.state_json(1, np.array([0.6, 0.8])) == '{"n_qubits": 1, "amplitudes": [0.6, 0.8]}'
+    doc = kernel.state_json(1, np.array([0.6, 0.8]), np.array([0, 1], np.uint32))
+    assert doc == '{"n_qubits": 1, "amplitudes": [0.6, 0.8]}'
 
 
 def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
@@ -362,4 +372,4 @@ def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
     amps = np.random.default_rng(8).random(1000)
     assert {kernel._short_repr(x) for x in amps.tolist() + [0.3, 1e-05]} == {None}
     expect = json.dumps({"n_qubits": 10, "amplitudes": amps.tolist()})
-    assert kernel.state_json(10, amps) == expect
+    assert kernel.state_json(10, amps, np.arange(1000, dtype=np.uint32)) == expect

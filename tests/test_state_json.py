@@ -1,11 +1,13 @@
 """State JSON: the compiled writer ``_simkernel.state_json`` and its NumPy
-fallback ``states._state_json_numpy`` against ``json.dumps``, byte for byte;
-``RealState.to_json`` on both through its dispatch; the compiled writer's
-own formatter ``_short_repr`` against ``repr``; and the compiled writer's
-argument checks."""
+fallback ``states._state_json_numpy`` against ``json.dumps``, byte for byte,
+on palettes from ``np.unique`` and from ``encode``; ``RealState.to_json`` on
+both through its dispatch; the compiled writer's own formatter
+``_short_repr`` against ``repr``; and the compiled writer's argument
+checks."""
 
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -73,24 +75,45 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_compiled_and_numpy_writers_match_json_dumps(simkernel, values, n_qubits):
     amps = np.array(values, dtype=np.float64)
     expect = _dumps(n_qubits, amps)
-    assert simkernel.state_json(n_qubits, amps) == expect
-    assert states._state_json_numpy(n_qubits, amps) == expect
+    palette = states._palette_of(amps)
+    assert simkernel.state_json(n_qubits, *palette) == expect
+    assert states._state_json_numpy(n_qubits, *palette) == expect
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(EDGES) | FINITE, min_size=1, max_size=20).flatmap(
+        lambda pool: st.tuples(
+            st.just(pool), st.lists(st.integers(0, len(pool) - 1), max_size=300)
+        )
+    )
+)
+def test_palettes_with_repeated_and_unused_values(simkernel, palette):
+    """A palette as encode makes it may hold values that no amplitude uses,
+    and any palette may hold one value twice."""
+    values, index = np.array(palette[0]), np.array(palette[1], np.uint32)
+    expect = _dumps(5, values[index])
+    assert simkernel.state_json(5, values, index) == expect
+    assert states._state_json_numpy(5, values, index) == expect
 
 
 def test_all_distinct_values(simkernel):
-    # more distinct values than the table's first size, so it grows
     amps = np.random.default_rng(5).normal(size=5000)
     expect = _dumps(12, amps)
-    assert simkernel.state_json(12, amps) == expect == states._state_json_numpy(12, amps)
+    palette = states._palette_of(amps)
+    assert simkernel.state_json(12, *palette) == expect == states._state_json_numpy(12, *palette)
 
 
 def test_read_only_buffer_and_empty_array(simkernel):
-    amps = np.array([0.6, -0.8])
-    amps.setflags(write=False)
-    assert simkernel.state_json(1, amps) == '{"n_qubits": 1, "amplitudes": [0.6, -0.8]}'
-    empty = np.array([], dtype=np.float64)
-    assert simkernel.state_json(0, empty) == '{"n_qubits": 0, "amplitudes": []}'
-    assert states._state_json_numpy(0, empty) == _dumps(0, empty)
+    values, index = np.array([-0.8, 0.6]), np.array([1, 0], np.uint32)
+    values.setflags(write=False)
+    index.setflags(write=False)
+    doc = '{"n_qubits": 1, "amplitudes": [0.6, -0.8]}'
+    assert simkernel.state_json(1, values, index) == doc
+    empty = np.array([], np.uint32)
+    for values in (np.array([]), np.array([0.5, math.inf])[:1]):
+        assert simkernel.state_json(0, values, empty) == '{"n_qubits": 0, "amplitudes": []}'
+        assert states._state_json_numpy(0, values, empty) == _dumps(0, [])
 
 
 @pytest.mark.parametrize(
@@ -226,7 +249,7 @@ def test_value_sets(writer, value_set):
     neighbours of short decimals, powers of two (whose rounding interval is
     not symmetric), exact decimal ties, and the edges of repr's two forms."""
     amps, expect = value_set
-    _assert_same(writer(20, amps), expect)
+    _assert_same(writer(20, *states._palette_of(amps)), expect)
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
@@ -234,7 +257,7 @@ def test_value_sets(writer, value_set):
 def test_own_formatter_is_repr_or_defers(simkernel, x):
     text = simkernel._short_repr(x)
     assert text is None or (text == repr(x) and len(text) <= 23)
-    assert simkernel.state_json(0, np.array([x])) == _dumps(0, [x])
+    assert simkernel.state_json(0, np.array([x]), np.zeros(1, np.uint32)) == _dumps(0, [x])
 
 
 @pytest.mark.parametrize(
@@ -250,16 +273,27 @@ def test_own_formatter_defers(simkernel, x):
 
 
 def test_to_json_calls_the_compiled_writer_when_it_imports(simkernel, monkeypatch):
+    """A state from the constructor hands the writer its distinct values and
+    their index; a state from encode of more pixels than palette entries,
+    its palette as it is."""
     calls = []
 
-    def writer(n_qubits, amps):
-        calls.append((n_qubits, amps))
-        return simkernel.state_json(n_qubits, amps)
+    def writer(n_qubits, values, index):
+        calls.append((n_qubits, values, index))
+        return simkernel.state_json(n_qubits, values, index)
 
     monkeypatch.setattr(states, "_state_json", writer)
-    state = normalize([3, 4])
-    assert state.to_json() == '{"n_qubits": 1, "amplitudes": [0.6, 0.8]}'
-    assert len(calls) == 1 and calls[0][0] == 1 and calls[0][1] is state.array
+    state = normalize([0, 3, 0, 4])
+    assert state.to_json() == '{"n_qubits": 2, "amplitudes": [0.0, 0.6, 0.0, 0.8]}'
+    ((n_qubits, values, index),) = calls
+    assert n_qubits == 2 and values.tolist() == [0.0, 0.6, 0.8]
+    assert index.dtype == np.uint32 and index.tolist() == [0, 1, 0, 2]
+    # more pixels than palette entries, so that the state holds its palette
+    image = encode(load_pgm(b"P2 2 4 1 0 0 1 0 0 1 1 1"))
+    assert image.to_json() == '{"n_qubits": 3, "amplitudes": [%s]}' % ", ".join(
+        [repr(p / math.sqrt(4)) for p in (0, 1, 0, 1, 0, 0, 1, 1)]
+    )
+    assert calls[1][1:] == image._palette and calls[1][1].tolist() == [0.0, 0.5]
 
 
 def test_kernel_backend_c_means_the_compiled_writer():
@@ -272,68 +306,142 @@ def test_kernel_backend_c_means_the_compiled_writer():
         assert states._state_json.__module__ == "ryprep._simkernel"
 
 
+PAIR = np.array([0.6, 0.8])
+ZERO_ONE = np.array([0, 1], np.uint32)
+
+
 @pytest.mark.parametrize(
-    "amps, error, match",
+    "values, index, error, match",
     [
-        (np.array([math.nan]), ValueError, r"^state_json: amps\[0\] is not finite$"),
-        (np.array([0.5, 0.5, math.inf, 0.5]), ValueError, r"amps\[2\] is not finite"),
-        (np.array([0.5, -math.inf]), ValueError, r"amps\[1\] is not finite"),
-        (np.array([0.6, 0.8], dtype=np.float32), ValueError, "wrong item type"),
-        (np.array([1, 0]), ValueError, "wrong item type"),
-        (np.array([[0.6, 0.8]]), ValueError, "one-dimensional"),
-        (np.array([0.6, 0.0, 0.8, 0.0])[::2], ValueError, "C-contiguous"),
-        ([0.6, 0.8], TypeError, "bytes-like object"),
-        (None, TypeError, "bytes-like object"),
+        (np.array([math.nan, 0.8]), ZERO_ONE, ValueError, r"^state_json: values\[0\] is not fin"),
+        (np.array([0.6, 0.8, math.inf]), ZERO_ONE, ValueError, r"values\[2\] is not finite"),
+        (np.array([0.6, -math.inf]), ZERO_ONE, ValueError, r"values\[1\] is not finite"),
+        (np.array([0.6, 0.8], np.float32), ZERO_ONE, ValueError, "values has the wrong item type"),
+        (np.array([1, 0]), ZERO_ONE, ValueError, "values has the wrong item type"),
+        (np.array([[0.6, 0.8]]), ZERO_ONE, ValueError, "values must be one-dimensional"),
+        (np.array([0.6, 0.0, 0.8, 0.0])[::2], ZERO_ONE, ValueError, "values must be C-contiguous"),
+        ([0.6, 0.8], ZERO_ONE, TypeError, "bytes-like object"),
+        (None, ZERO_ONE, TypeError, "bytes-like object"),
+        (PAIR, ZERO_ONE.astype(np.int64), ValueError, "index has the wrong item type"),
+        (PAIR, ZERO_ONE.astype(np.uint16), ValueError, "index has the wrong item type"),
+        (PAIR, ZERO_ONE.astype(np.int32), ValueError, "index has the wrong item type"),
+        (PAIR, np.array([0, 7, 1, 7], np.uint32)[::2], ValueError, "index must be C-contiguous"),
+        (PAIR, ZERO_ONE.reshape(1, 2), ValueError, "index must be one-dimensional"),
+        (PAIR, [0, 1], TypeError, "bytes-like object"),
+        (PAIR, np.array([0, 1, 2], np.uint32), ValueError, r"^state_json: index\[2\] is 2, past"),
+        (PAIR, np.array([2**32 - 1], np.uint32), ValueError, r"index\[0\] is 4294967295, past"),
+        (PAIR[:0], np.array([0], np.uint32), ValueError, r"index\[0\] is 0, past the 0 values"),
     ],
-    ids=["nan", "inf", "-inf", "float32", "int64", "2-d", "strided", "list", "none"],
+    ids=["nan", "unused-inf", "-inf", "float32", "int64", "2-d", "strided", "list", "none"]
+    + ["index-int64", "index-uint16", "index-int32", "index-strided", "index-2-d", "index-list"]
+    + ["index-past-end", "index-max", "no-values"],
 )
-def test_refused(simkernel, amps, error, match):
+def test_refused(simkernel, values, index, error, match):
     with pytest.raises(error, match=match):
-        simkernel.state_json(1, amps)
+        simkernel.state_json(1, values, index)
 
 
-def test_amps_changed_by_another_thread(simkernel):
-    """A NumPy ufunc runs without the GIL, so another thread can flip the
-    signs of a writable array while the writer reads it.  The writer reads
-    each amplitude once, so every document is whole: JSON of 2**18 values
-    whose magnitudes are the amplitudes'.  (A second read could find a value
-    with no text, or texts that no longer fit the str.)  Whether a flip
-    overlaps a call at all is up to the scheduler, so this test can miss a
-    fault but not invent one."""
+def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
+    """Back-to-back calls of the writer, while another thread xors every
+    entry of buffer with mask in a loop.  NumPy ufuncs run without the GIL,
+    so they can change values or index while the writer reads them; each is
+    the tail of its buffer, which is swept front to back and is long enough
+    that the tail changes late in a sweep, while a call is under way.  Each
+    call returns a document or, where refusal is a pattern, raises a
+    ValueError whose message matches it.  The documents are parsed only
+    after the last call, and each must hold one value of the palette per
+    index entry.  Whether a change overlaps a call at all is up to the
+    scheduler, so this can miss a fault but not invent one."""
     interval = sys.getswitchinterval()
-    amps = np.random.default_rng(3).integers(1, 256, 1 << 18) / 7.0
-    magnitudes = np.abs(amps)
-    backwards = amps[::-1]
+    n_qubits = len(index).bit_length() - 1
+    palette = set(values.tolist())
     stop = threading.Event()
 
-    def flip():
+    def loop():
         while not stop.is_set():
-            np.negative(backwards, out=backwards)
+            np.bitwise_xor(buffer, mask, out=buffer)
+
+    def write():
+        try:
+            return simkernel.state_json(n_qubits, values, index)
+        except ValueError as exc:
+            if refusal is None or not re.fullmatch(refusal, str(exc)):
+                raise
+            return None
 
     sys.setswitchinterval(1e-5)
-    thread = threading.Thread(target=flip)
+    thread = threading.Thread(target=loop)
     thread.start()
     try:
-        for _ in range(60):
-            doc = json.loads(simkernel.state_json(18, amps))
-            assert doc["n_qubits"] == 18
-            assert np.array_equal(np.abs(doc["amplitudes"]), magnitudes)
+        docs = [write() for _ in range(calls)]
     finally:
         stop.set()
         thread.join(timeout=10)
         sys.setswitchinterval(interval)
     assert not thread.is_alive()
+    for doc in filter(None, docs):
+        doc = json.loads(doc)
+        assert doc["n_qubits"] == n_qubits and len(doc["amplitudes"]) == len(index)
+        assert set(doc["amplitudes"]) <= palette
+
+
+# short texts, so that the 60 documents take about 100 MB together
+QUARTERS = np.arange(256) / 4.0
+
+
+def _index_buffer():
+    """8 * 2**18 random entries below 256, the last 2**18 of them the index."""
+    return np.random.default_rng(3).integers(0, 256, 8 << 18).astype(np.uint32)
+
+
+def test_index_changed_by_another_thread(simkernel):
+    """The writer reads each index entry once and copies the records by its
+    own copy of them, so every document is whole: JSON of 2**18 values, each
+    one of the palette's.  (A second read could find a value with no text,
+    or texts that no longer fit the str.)"""
+    buffer = _index_buffer()
+    _race(simkernel, QUARTERS, buffer[-1 << 18 :], buffer, 1)
+
+
+def test_index_made_out_of_range_by_another_thread(simkernel):
+    """An entry set past the palette during the call is refused with
+    ValueError, naming its position, or the call returns a whole document
+    from before the change; it never reads past the records."""
+    buffer = _index_buffer()
+    refusal = r"state_json: index\[\d+\] is \d+, past the 256 values"
+    _race(simkernel, QUARTERS, buffer[-1 << 18 :], buffer, 1 << 20, refusal)
+
+
+def test_values_made_non_finite_by_another_thread(simkernel):
+    """The writer reads each value once, refusing it if it is not finite,
+    and formats it from that read: a value that another thread turns into
+    NaN or inf and back is refused, or the document holds it as it was.
+    Every value but the first is used only at the end of the index, long
+    after the values were read."""
+    # all in [1, 2), so that flipping the top exponent bit makes each
+    # non-finite and flipping it again restores it
+    buffer = np.ones(1 << 20)
+    values = buffer[-256:]
+    values += np.arange(256) / 256.0
+    index = np.zeros(1 << 18, np.uint32)
+    index[-256:] = np.arange(256)
+    mask = np.uint64(0x400 << 52)
+    refusal = r"state_json: values\[\d+\] is not finite"
+    # most calls are refused at once, so many more are made, to spread them
+    # over a few dozen sweeps
+    _race(simkernel, values, index, buffer.view(np.uint64), mask, refusal, calls=6000)
 
 
 _HUGE = """
 import importlib.util, mmap, resource, sys
 
 path, built = sys.argv[1:]
-size = 8 << 32
+size = 4 << 32
 with open(path, "wb") as f:
     f.truncate(size)
 with open(path, "rb") as f:
-    view = memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)).cast("d")
+    index = memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)).cast("I")
+values = memoryview(bytes(8)).cast("d")
 spec = importlib.util.spec_from_file_location("ryprep._simkernel", built)
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
@@ -342,7 +450,7 @@ with open("/proc/self/statm") as f:
 # room for 1 GiB more, not for the 16 GiB of record numbers
 resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), resource.RLIM_INFINITY))
 try:
-    kernel.state_json(32, view)
+    kernel.state_json(32, values, index)
 except ValueError as exc:
     print(exc)
 """
@@ -350,31 +458,35 @@ except ValueError as exc:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
 def test_refused_at_2_to_the_32_values(simkernel, tmp_path):
-    """2**32 values, a sparse file mapped read-only, are refused before
-    anything is allocated or read, in a process without the address space
-    for the 16 GiB of record numbers."""
+    """An index of 2**32 entries, a sparse file mapped read-only, is refused
+    before anything is allocated or read, in a process without the address
+    space for the 16 GiB of record numbers."""
     res = subprocess.run(
         [sys.executable, "-c", _HUGE, str(tmp_path / "huge"), simkernel.__file__],
         capture_output=True,
         text=True,
     )
-    assert res.stdout == "state_json: amps holds 4294967296 values, 2**32 or more\n", res.stderr
+    assert res.stdout == "state_json: index holds 4294967296 entries, 2**32 or more\n", res.stderr
 
 
-@pytest.mark.parametrize("where", ["none", "last"])
+@pytest.mark.parametrize("where", ["none", "last", "index"])
 def test_no_memory_is_kept(simkernel, where):
-    """The table, the records and the record numbers are PyMem blocks, which
-    tracemalloc sees: neither a written document nor a refusal after 4,096
-    distinct values keeps any of them."""
-    amps = np.random.default_rng(9).normal(size=4096)
+    """The records and the record numbers are PyMem blocks, which tracemalloc
+    sees: neither a written document nor a refusal, of the last of 4,096
+    values or of the last index entry after 4,095 values were formatted,
+    keeps any of them."""
+    values = np.random.default_rng(9).normal(size=4096)
+    index = np.arange(4096, dtype=np.uint32)
     if where == "last":
-        amps[-1] = math.nan
+        values[-1] = math.nan
+    elif where == "index":
+        index[-1] = 4096
 
     def write():
         try:
-            simkernel.state_json(12, amps)
+            simkernel.state_json(12, values, index)
         except ValueError:
-            assert where == "last"
+            assert where != "none"
 
     tracemalloc.start()
     try:
@@ -385,12 +497,13 @@ def test_no_memory_is_kept(simkernel, where):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # one call's table, records and record numbers take about 400 kB
+    # one call's records and record numbers take about 150 kB
     assert kept < 10_000
 
 
 def test_refused_n_qubits(simkernel):
+    values, index = np.array([1.0]), np.zeros(1, np.uint32)
     with pytest.raises(TypeError):
-        simkernel.state_json("1", np.array([1.0]))
+        simkernel.state_json("1", values, index)
     with pytest.raises(OverflowError):
-        simkernel.state_json(2**70, np.array([1.0]))
+        simkernel.state_json(2**70, values, index)
