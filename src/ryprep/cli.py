@@ -90,11 +90,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
     circuit, report = synth(state, prune=args.prune, prune_tol=args.prune_tol)
-    payload = circuit.to_json() + "\n"
+    doc = circuit.to_json()
     if args.out:
-        _write_text(args.out, payload)
+        _write_text(args.out, doc, "\n")
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(doc)
+        sys.stdout.write("\n")
     if args.qasm:
         _write_text(args.qasm, export_qasm(circuit))
     if args.report:

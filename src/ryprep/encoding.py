@@ -225,40 +225,39 @@ def pad_pow2(values: Sequence[float] | Iterable[float]) -> list[float]:
     return vals + [0.0] * (_pow2_size(len(vals)) - len(vals))
 
 
-def _norm(counts: np.ndarray) -> float:
-    """``math.sqrt(math.fsum(float(p) ** 2 for p in pixels))``, bit for bit,
-    for the pixels of which counts[v] have the value v.
+def _norm(pixels: np.ndarray) -> float:
+    """``math.sqrt(math.fsum(float(p) ** 2 for p in pixels))``, bit for bit.
 
-    The int64 sum of counts[v] * v**2 is exact below 2**31 pixels, since
-    each square is below 2**32 (the uint16 raster of a larger image would
-    alone take 4 GiB).  ``float()`` of an int rounds the exact sum half to
-    even, and so does fsum of the float squares, which are exact.
+    The uint64 sum of squares is exact below 2**32 pixels, since each
+    square is below 2**32 (the uint16 raster of a larger image would alone
+    take 8 GiB).  ``float()`` of an int rounds the exact sum half to even,
+    and so does fsum of the float squares, which are exact.
     """
-    levels = np.arange(len(counts), dtype=np.int64)
-    return math.sqrt(float(int(np.dot(counts, levels * levels))))
+    wide = pixels.astype(np.uint64)
+    return math.sqrt(float(int(np.dot(wide, wide))))
 
 
 def encode(image: GrayImage) -> RealState:
     """Unfold, pad, and normalize an image into a statevector.
 
     Gives the same state as ``normalize(pad_pow2(unfold(image)))``, bit for
-    bit: the values 0..maxval are divided by the norm once, and every
-    amplitude is its pixel's entry of that palette.  Where there are more
-    amplitudes than palette entries, the norm check runs over the palette,
-    and the state holds it with the padded column-major pixels as its index:
-    its JSON is written from them, and the float64 amplitudes are gathered
-    only when ``array`` is first read.
+    bit, unit-norm by construction below 2**32 pixels (see
+    ``RealState._from_palette``).  Where there are more amplitudes than
+    palette entries, the state holds the values 0..maxval divided by the
+    norm, with the padded column-major pixels as its index: its JSON is
+    written from them, and ``array`` is gathered only at its first read.
     """
     rows, cols = image.rows, image.cols
     count = rows * cols
     size = _pow2_size(count)
+    norm = _norm(image.array)
+    if norm == 0.0:
+        raise AllZeroImage("every pixel is zero; the image encodes no state")
     index = np.zeros(size, np.uint32)
     # the column-major order is the transpose of the row-major raster
     index[:count].reshape(cols, rows)[...] = image.array.reshape(rows, cols).T
-    counts = np.bincount(image.array, minlength=image.maxval + 1)
-    norm = _norm(counts)
-    if norm == 0.0:
-        raise AllZeroImage("every pixel is zero; the image encodes no state")
-    counts[0] += size - count  # the zero padding
-    values = np.arange(image.maxval + 1) / norm
-    return RealState._from_palette(size.bit_length() - 1, values, index, counts)
+    n_qubits = size.bit_length() - 1
+    if image.maxval + 1 < size:
+        return RealState._from_palette(n_qubits, np.arange(image.maxval + 1) / norm, index)
+    # index / norm is bit-equal to the palette entry of each pixel
+    return RealState(n_qubits, index / norm)

@@ -101,7 +101,6 @@ def _is_vector(values: object) -> bool:
 # A sum of n nonnegative floats, added in any order, lies within n * eps of
 # the exact sum, relative to it (eps of the type the sum is taken in).
 _SUM_EPS = float(np.finfo(np.longdouble).eps)
-_F64_EPS = float(np.finfo(np.float64).eps)
 # Timed inside whole CLI synth and verify runs, the longdouble test takes
 # longer than fsum alone at 256 amplitudes and less at 512 (in a hot loop of
 # calls alone it wins from about 70-120: a NumPy call costs several times
@@ -138,31 +137,6 @@ def _check_unit(amps: np.ndarray) -> None:
         raise DomainError(f"amplitudes are not unit norm: sum of squares = {norm_sq!r}")
 
 
-def _check_palette(
-    values: np.ndarray, counts: np.ndarray, index: np.ndarray
-) -> np.ndarray | None:
-    """``_check_unit(values[index])``, where value v occurs counts[v] times in
-    index, decided on the k values when there are fewer of them than
-    amplitudes; returns the amplitudes values[index] where it gathered them.
-    The values, as encode makes them, lie in [0, 1].
-
-    Each value's float64 square, the term _check_unit sums for each of its
-    amplitudes, is multiplied by its count with one more float64 rounding,
-    and the k products are summed in longdouble.  So the sum lies within
-    (eps_64 + (k + 1) * eps) * total of the exact sum of the squares of
-    values[index].  Where that settles the question, as in _check_unit's
-    bulk test, the amplitudes are never gathered; every other sum is decided
-    by _check_unit on them, which names it as before.
-    """
-    if values.size < index.size:
-        total = (counts * (values * values)).sum(dtype=np.longdouble)
-        if abs(total - 1) + (_F64_EPS + (values.size + 1) * _SUM_EPS) * total <= NORM_ATOL / 2:
-            return None
-    amps = values[index]
-    _check_unit(amps)
-    return amps
-
-
 def _palette_of(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of amps and the uint32 index of each amplitude
     among them; keyed on the bits, so that 0.0 and -0.0 stay apart."""
@@ -175,7 +149,9 @@ def _state_json_numpy(n_qubits: int, values: np.ndarray, index: np.ndarray) -> s
     finite float64 values, each used one formatted once:
     ``_simkernel.state_json`` in NumPy, its fallback and its reference."""
     # a palette of maxval + 1 values may hold far more than a small image uses
-    used = np.flatnonzero(np.bincount(index, minlength=len(values)))
+    seen = np.zeros(len(values), bool)
+    seen[index] = True
+    used = np.flatnonzero(seen)
     texts = np.empty(len(values), dtype=object)
     texts[used] = list(map(float.__repr__, values[used].tolist()))
     body = ", ".join(texts[index].tolist())
@@ -189,15 +165,16 @@ class RealState(_ArrayValue):
     ``amplitudes`` reads them as a tuple of floats.  A one-dimensional
     float64 array is taken as it is, copied; any other iterable goes through
     the real-number rule.  A state that ``encode`` makes of more pixels than
-    palette entries holds its palette instead, and gathers ``array`` from it
-    at its first read.
+    palette entries holds its palette instead, unit-norm by construction for
+    images below 2**32 pixels, and gathers ``array`` from it at its first
+    read.
     """
 
     _FIELDS = ("n_qubits", "amplitudes")
     _SEQUENCE = "amplitudes"
     n_qubits: int
-    # (values, index) of a state from _from_palette whose norm check settled
-    # on the palette, its amplitudes being values[index]; None for every other
+    # (values, index) of a state from _from_palette, its amplitudes being
+    # values[index]; None for every other
     _palette: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, n_qubits: int, amplitudes: Iterable[float]) -> None:
@@ -220,25 +197,26 @@ class RealState(_ArrayValue):
         _check_unit(amps)
 
     @classmethod
-    def _from_palette(
-        cls, n_qubits: int, values: np.ndarray, index: np.ndarray, counts: np.ndarray
-    ) -> "RealState":
-        """The n_qubits state of the amplitudes values[index], for float64
-        values and a uint32 index of length 2**n_qubits in which value v
-        occurs counts[v] times.  Where the norm check settles on the palette,
-        the state holds the arrays, taken as they are and made read-only;
-        where it gathers the amplitudes, the state holds those, as a state
-        from the constructor does."""
+    def _from_palette(cls, n_qubits: int, values: np.ndarray, index: np.ndarray) -> "RealState":
+        """The n_qubits state of the amplitudes values[index], for the values
+        v / r, v = 0..maxval, that encode makes and its uint32 index of
+        length 2**n_qubits, both taken as they are and made read-only.
+
+        They are unit-norm by construction, so they are not checked.  Let S
+        be the exact integer sum of the squares of the pixels, below 2**64
+        for fewer than 2**32 pixels, and r = fl(sqrt(fl(S))).  The float64
+        square of each amplitude fl(v / r) is v**2 / S times six rounding
+        factors (1 + d)**(+-1), |d| <= u = 2**-53: three in r**2, two in
+        the quotient squared, one in the square.  So the fsum of the squares,
+        one rounding more, is 1 * (1 +- u)**7, within about 8e-16 of 1 and
+        far inside NORM_ATOL.  r is at most 2**32, so every nonzero
+        amplitude is at least 2**-32 and none is subnormal.
+        """
         state = object.__new__(cls)
         object.__setattr__(state, "n_qubits", n_qubits)
-        amps = _check_palette(values, counts, index)
-        if amps is None:
-            values.setflags(write=False)
-            index.setflags(write=False)
-            object.__setattr__(state, "_palette", (values, index))
-        else:
-            amps.setflags(write=False)
-            object.__setattr__(state, "array", amps)
+        values.setflags(write=False)
+        index.setflags(write=False)
+        object.__setattr__(state, "_palette", (values, index))
         return state
 
     @functools.cached_property

@@ -514,7 +514,7 @@ class TestGrayImage:
 def test_p5_to_state_json_builds_no_tuple(monkeypatch, maxval):
     """PGM bytes become state JSON without a tuple of every value, and, for
     an image of more pixels than maxval + 1, without the float64 amplitude
-    array: the norm check and the writer take the palette."""
+    array: the writer takes the palette."""
 
     def built(self):
         raise AssertionError("a tuple of every value, or the amplitude array, was built")
@@ -535,8 +535,8 @@ def _palette_images():
     a power of two), three distinct 16-bit values, and plain 8-bit ones.
     The maxval-1 image and the last have more amplitudes than palette
     entries, so their states hold the palette and gather the amplitudes at
-    the first read of array; the others gather them in the norm check and
-    hold them."""
+    the first read of array; the others are made by the constructor from
+    their amplitudes and hold them."""
     rng = np.random.default_rng(16)
     yield "1x1", GrayImage(1, 1, (7,), 255)
     bits = rng.integers(0, 2, 15)
@@ -587,6 +587,55 @@ def test_palette_state_is_the_value_of_its_amplitudes(simkernel, monkeypatch, na
     for writer in (None, simkernel.state_json):
         monkeypatch.setattr(states, "_state_json", writer)
         assert state.to_json() == plain.to_json() == reference_states.to_json(plain)
+
+
+def _seeded_image(seed, family):
+    """A seeded image of 1x1..63x63 pixels and maxval 1..65535: random
+    pixels, every pixel at maxval, one pixel at maxval among dim ones, or a
+    single lit pixel among zeros."""
+    rng = np.random.default_rng([seed, 17])
+    maxval = int(rng.choice([1, 2, 255, 256, 65535, rng.integers(1, 65536)]))
+    rows, cols = (int(k) for k in rng.integers(1, 64, 2))
+    count = rows * cols
+    if family == "random":
+        pixels = rng.integers(0, maxval + 1, count)
+    else:
+        fill = {"all-maxval": maxval, "bright-among-dim": 1, "one-lit-pixel": 0}[family]
+        pixels = np.full(count, fill)
+    # one pixel at maxval, so that no image is all zero
+    pixels[rng.integers(count)] = maxval
+    return GrayImage(rows, cols, pixels, maxval)
+
+
+# the fsum of the squares of an encoded state is 1 * (1 +- u)**7, u = 2**-53
+# (RealState._from_palette); this allows 16 u
+UNIT_MARGIN = 8 * 2**-52
+
+
+def _unit_margin_holds(state):
+    amps = state.array
+    return abs(math.fsum((amps * amps).tolist()) - 1) <= UNIT_MARGIN
+
+
+@pytest.mark.parametrize("name", PALETTE_IMAGES)
+def test_encoded_state_is_unit_norm_by_construction(name):
+    assert _unit_margin_holds(encode(PALETTE_IMAGES[name]))
+
+
+@pytest.mark.parametrize("family", ["random", "all-maxval", "bright-among-dim", "one-lit-pixel"])
+def test_seeded_encoded_states_are_unit_norm_by_construction(family):
+    encoded = [encode(_seeded_image(seed, family)) for seed in range(200)]
+    # both of encode's forms are covered
+    assert {state._palette is None for state in encoded} == {True, False}
+    assert all(map(_unit_margin_holds, encoded))
+
+
+@pytest.mark.parametrize("side", [512, 1024])
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_large_encoded_states_are_unit_norm_by_construction(side, maxval):
+    pixels = np.random.default_rng([side, maxval]).integers(0, maxval + 1, side * side)
+    state = encode(GrayImage(side, side, pixels, maxval))
+    assert state._palette is not None and _unit_margin_holds(state)
 
 
 class TestUnfold:
@@ -718,7 +767,7 @@ def test_norm_rounds_a_sum_past_2_to_the_53_like_fsum():
         root = math.isqrt(rest)
         pixels.append(root)
         rest -= root * root
-    vec = np.array(pixels, np.int64)
-    assert vec.max() <= 65535 and sum(p * p for p in pixels) == target != float(target)
+    assert max(pixels) <= 65535 and sum(p * p for p in pixels) == target != float(target)
+    vec = np.array(pixels, np.uint16)
     squares = (vec.astype(np.float64) ** 2).tolist()
-    assert _norm(np.bincount(vec)) == math.sqrt(math.fsum(squares))
+    assert _norm(vec) == math.sqrt(math.fsum(squares))

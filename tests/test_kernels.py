@@ -294,8 +294,10 @@ def _package_copy(dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
-# The last line encodes an 8-bit and a 16-bit PGM, whose states hand the
-# writer encode's palette and pixel index.
+# The loop encodes 8-bit and 16-bit PGMs, in both of encode's forms: 5x7
+# images give states of their amplitudes, and the larger ones, with more
+# amplitudes than maxval + 1, states that hand the writer their palette and
+# pixel index.
 _PROBE = """
 import numpy as np
 import ryprep
@@ -304,9 +306,12 @@ state = run(Circuit(3, (ry(0.3, 0), x(1, (0,)), ry(1.1, 2, (0, 1)))))
 print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, states._state_json is None, end=" ")
 print(repr(state.amplitudes), state.to_json())
 rng = np.random.default_rng(16)
-for maxval, depth in ((255, "u1"), (65535, ">u2")):
-    pixels = rng.integers(0, maxval + 1, (5, 7)).astype(depth).tobytes()
-    print(encode(load_pgm(b"P5 7 5 %d\\n" % maxval + pixels)).to_json())
+for maxval, depth, rows, cols in (
+    (255, "u1", 5, 7), (65535, ">u2", 5, 7), (255, "u1", 17, 19), (65535, ">u2", 256, 257)
+):
+    pixels = rng.integers(0, maxval + 1, (rows, cols)).astype(depth).tobytes()
+    state = encode(load_pgm(b"P5 %d %d %d\\n" % (cols, rows, maxval) + pixels))
+    print(state._palette is not None, state.to_json())
 """
 
 
@@ -336,8 +341,10 @@ def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
     assert with_c[4] == f"ryprep {ryprep.__version__} (kernel: c)\n"
     assert without[:3] == ["numpy", "True", "True"]
     assert without[4] == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
-    # the run state's document and the two image states'
-    assert with_c[3].count('"amplitudes"') == 3
+    # the run state's document and the four image states', of both forms
+    assert with_c[3].count('"amplitudes"') == 5
+    forms = [line.split(" ", 1)[0] for line in with_c[3].splitlines()[1:]]
+    assert forms == ["False", "False", "True", "True"]
     assert with_c[3] == without[3]
 
 

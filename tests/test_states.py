@@ -420,95 +420,6 @@ class TestUnitNormEdge:
             RealState(1, np.array([x, y]))
 
 
-def _outcome(check, *args):
-    """None where check(*args) accepts, else its DomainError message."""
-    try:
-        check(*args)
-    except DomainError as exc:
-        return str(exc)
-    return None
-
-
-def _seeded_palette(seed):
-    """values, counts and a shuffled power-of-two index in which value v
-    occurs counts[v] times; values[0] is 0.0 and pads the index.  The values
-    are scaled so that their sum of squares is 1 + delta, for a delta drawn
-    from either side of NORM_ATOL / 2 and NORM_ATOL."""
-    rng = np.random.default_rng([seed, 16])
-    k = int(rng.choice([2, 3, 17, 256, 4096, 65536]))
-    counts = rng.integers(0, 6, k)
-    counts[1] = max(counts[1], 1)
-    values = rng.random(k)
-    values[0] = 0.0
-    size = 1 << (int(counts.sum()) - 1).bit_length()
-    counts[0] += size - counts.sum()
-    index = rng.permutation(np.repeat(np.arange(k, dtype=np.uint32), counts))
-    delta = float(rng.choice([0.0, 1e-13, 4.9e-13, 5.1e-13, 9.9e-13, 1.01e-12, 1e-9]))
-    norm_sq = math.fsum((values[index] ** 2).tolist())
-    values *= math.sqrt((1 + delta * rng.choice([-1, 1])) / norm_sq)
-    return values, counts, index
-
-
-class TestUnitNormOfAPalette:
-    """``_check_palette``, the check of an encoded state, decides as
-    ``_check_unit`` on the gathered amplitudes does."""
-
-    @pytest.mark.parametrize("seed", range(60))
-    def test_decided_as_the_gathered_amplitudes_are(self, seed):
-        values, counts, index = _seeded_palette(seed)
-        want = _outcome(states._check_unit, values[index])
-        assert _outcome(states._check_palette, values, counts, index) == want
-
-    def _spied(self, monkeypatch):
-        calls = []
-        check_unit = states._check_unit
-
-        def spy(amps):
-            calls.append(amps)
-            check_unit(amps)
-
-        monkeypatch.setattr(states, "_check_unit", spy)
-        return calls
-
-    def test_unit_palette_is_settled_without_the_amplitudes(self, monkeypatch):
-        calls = self._spied(monkeypatch)
-        values = np.arange(65536) / 1e6
-        values /= math.sqrt(math.fsum((values * values).tolist()) * 2)
-        index = np.arange(1 << 17, dtype=np.uint32) >> 1
-        states._check_palette(values, np.full(65536, 2), index)
-        assert calls == []
-
-    def test_palette_no_smaller_than_the_state_is_gathered(self, monkeypatch):
-        """An image of fewer pixels than maxval + 1, such as a 16-bit
-        thumbnail, is checked on its amplitudes, which cost less to sum."""
-        calls = self._spied(monkeypatch)
-        values = np.arange(65536) / 5.0
-        counts = np.zeros(65536, np.int64)
-        counts[[3, 4]] = 1
-        states._check_palette(values, counts, np.array([3, 4], np.uint32))
-        assert len(calls) == 1 and calls[0].tolist() == [0.6, 0.8]
-
-    @pytest.mark.parametrize("name", NORM_EDGE)
-    def test_inconclusive_sum_falls_back_to_the_amplitudes(self, monkeypatch, name):
-        """A sum of squares between NORM_ATOL / 2 and NORM_ATOL from 1, or
-        just past it, is left to _check_unit on the gathered amplitudes,
-        which accepts or refuses it, with the same message, as for any
-        other state."""
-        offset, inside = NORM_EDGE[name]
-        x, y = _near_edge(offset)
-        values, counts = np.array([0.0, x, y]), np.array([254, 1, 1])
-        index = np.zeros(256, np.uint32)
-        index[[3, 200]] = 1, 2
-        calls = self._spied(monkeypatch)
-        got = _outcome(states._check_palette, values, counts, index)
-        assert len(calls) == 1 and np.array_equal(calls[0], values[index])
-        assert got == _outcome(RealState, 8, values[index])
-        assert (got is None) is inside
-        if not inside:
-            norm_sq = math.fsum([x * x, y * y])
-            assert got == f"amplitudes are not unit norm: sum of squares = {norm_sq!r}"
-
-
 class TestUnitNormPastTwoToThe22:
     """At 2**23 amplitudes (64 MB), n * eps of one longdouble sum would be past
     NORM_ATOL / 2; the blocked sum keeps the check in NumPy."""
