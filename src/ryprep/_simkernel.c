@@ -24,26 +24,40 @@
    as the compiler contracts no multiply-add into an FMA: build with
    -ffp-contract=off.
 
-   state_json(n_qubits, values, index) returns the state document
-   {"n_qubits": N, "amplitudes": [a0, a1, ...]} as one str, byte for byte
-   what json.dumps writes (states._state_json_numpy is the fallback), for
-   the amplitudes values[index[0]], values[index[1]], ...: a table of
-   values and an index into it, such as encode's palette and pixel index,
-   or the distinct amplitudes of any other state.  values is a
-   C-contiguous one-dimensional float64 buffer of finite values, used or
-   not; index is a C-contiguous one-dimensional uint32 buffer of fewer than
-   2**32 entries, each below len(values).  Every value has a record,
-   formatted at its first use as float.__repr__ formats it: by short_repr,
-   or else by PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the
-   call float.__repr__ makes.  One pass reads each value once, refusing any
-   that is not finite, and keeps its bits in its record.  A second reads
-   each index entry once: it checks the entry, formats the value if it is
-   the first use, keeps the entry in a private uint32 array and adds up the
-   length.  A third copies the records by those private numbers into the one
-   str.  Memory is 4 bytes per amplitude plus 32 bytes per value.  A thread
+   state_json(n_qubits, values, index[, write]) writes the state document
+   {"n_qubits": N, "amplitudes": [a0, a1, ...]}, byte for byte what
+   json.dumps writes (states._state_json_numpy is the fallback), for the
+   amplitudes values[index[0]], values[index[1]], ...: a table of values and
+   an index into it, such as encode's palette and pixel index, or the
+   distinct amplitudes of any other state.  values is a C-contiguous
+   one-dimensional float64 buffer of finite values, used or not; index is a
+   C-contiguous one-dimensional uint32 buffer of fewer than 2**32 entries,
+   each below len(values).  It serves two callers.  Without write it returns
+   the document as one str, which RealState.to_json returns.  With write, a
+   callable such as a binary file's write method, it hands the document to
+   write in pieces of at most CHUNK bytes, each a memoryview of one private
+   bytearray, and returns None; RealState.write_json streams a state to a
+   file this way.
+
+   Each value has a record, its text formatted as float.__repr__ formats it:
+   by short_repr, or else by PyOS_double_to_string(x, 'r', 0,
+   Py_DTSF_ADD_DOT_0, NULL), the call float.__repr__ makes.  The document is
+   built in passes.  A hint pass over index marks each value it uses, in a
+   private array of one byte per value; a palette of at most one value per
+   HINT_SPAN entries is marked whole instead.  One pass over values reads
+   each value once, refuses any that is not finite, and formats the marked
+   ones, in value order; each other value's bits go into its record.  For
+   the str, a pass over index adds up the records' lengths, so that the str
+   is allocated once at its length.  The emitting pass reads each index
+   entry once, checks it, formats at its first use any value that the hint
+   pass missed, and copies its record to the str or the chunk.  So the str
+   costs its own length plus 33 bytes per value, and the stream 33 bytes
+   per value plus the chunk, whatever the number of amplitudes.  A thread
    that changes values or index during the call, such as a NumPy ufunc
-   running without the GIL, cannot make the document inconsistent: it holds
-   each value and each entry as the one pass over it read them.
+   running without the GIL or a write call, cannot make the document
+   inconsistent: it holds each entry as the emitting pass read it and each
+   value as the values pass read it.  The str then grows or shrinks to the
+   length it takes.
 
    short_repr writes the text of most amplitudes itself, in exact 128-bit
    integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
@@ -64,6 +78,8 @@
    of 2**52 (whose interval is not symmetric), for s outside [0, 32] or t
    outside [1, 110] (so that every product fits), and for an exact tie when
    rounding to p digits; so it answers only for 2**-53 <= |x| < 2**51.  The
+   three tries are inlined with constant divisors, and the 16 digits after
+   the first are written two at a time, in two independent halves.  The
    nonzero amplitudes of an image state lie in about [1.9e-9, 1]; of those,
    only a power of two, such as the 1.0 of a single lit pixel, defers. */
 
@@ -247,6 +263,7 @@ done:
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
+#define TEN16 10000000000000000ULL
 #define TEN17 100000000000000000ULL
 
 /* pow5[s] = 5**s, filled by the module's init */
@@ -263,6 +280,40 @@ scale(uint64_t m, int e, int s, u128 *n)
     }
     *n = (u128)m * pow5[s];
     return t;
+}
+
+/* Rounds q + r / 2**t to the nearest multiple of unit, into *rounded;
+   returns 1 where that reads back as x, whose half ulp times 10**s is
+   five_s / 2 in units of 2**-t, 0 where it does not, and -1 for an exact
+   tie.  Inlined with a constant unit, so that no division is left. */
+static inline int
+round_to(uint64_t q, u128 r, int t, uint64_t unit, u128 five_s, uint64_t *rounded)
+{
+    const uint64_t rem = q % unit;
+    const u128 below = (u128)rem << t | r; /* x * 10**s above q - rem */
+    const u128 above = ((u128)unit << t) - below;
+    if (below == above) {
+        return -1;
+    }
+    const u128 dist = below < above ? below : above;
+    *rounded = q - rem + (below > above ? unit : 0);
+    return 2 * dist < five_s;
+}
+
+/* "00", "01", ..., "99" */
+static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233"
+                            "34353637383940414243444546474849505152535455565758596061626364656667"
+                            "6869707172737475767778798081828384858687888990919293949596979899";
+
+/* Writes h < 10**8 as eight digits, two at a time. */
+static inline void
+put8(char *out, uint32_t h)
+{
+    const uint32_t hi = h / 10000, lo = h % 10000;
+    memcpy(out, pairs + 2 * (hi / 100), 2);
+    memcpy(out + 2, pairs + 2 * (hi % 100), 2);
+    memcpy(out + 4, pairs + 2 * (lo / 100), 2);
+    memcpy(out + 6, pairs + 2 * (lo % 100), 2);
 }
 
 /* Writes float.__repr__(x) to out, at most 23 characters without a
@@ -298,43 +349,34 @@ short_repr(double x, char *out)
     /* 10**16 <= q < 10**17 */
     const uint64_t q = (uint64_t)(n >> t);
     const u128 r = n & (((u128)1 << t) - 1);
-    /* p = 15, 16, 17 digits: round q + r / 2**t to a multiple of unit */
-    static const uint64_t units[3] = {100, 10, 1};
+    /* the 15-, 16- and 17-digit roundings of x * 10**s, tried in turn */
     uint64_t digits = 0;
-    int k = 0;
-    for (; k < 3; k++) {
-        const uint64_t unit = units[k];
-        const u128 below = (u128)(q % unit) << t | r; /* x * 10**s above q - q % unit */
-        const u128 above = ((u128)unit << t) - below;
-        if (below == above) {
-            return 0;
-        }
-        /* half an ulp of x, times 10**s, is 5**s / 2 in units of 2**-t */
-        const u128 dist = below < above ? below : above;
-        if (2 * dist < pow5[s]) {
-            digits = q / unit + (below > above);
-            break;
-        }
+    int fits = round_to(q, r, t, 100, pow5[s], &digits);
+    if (fits == 0) {
+        fits = round_to(q, r, t, 10, pow5[s], &digits);
     }
-    if (k == 3) {
+    if (fits == 0) {
+        fits = round_to(q, r, t, 1, pow5[s], &digits);
+    }
+    if (fits != 1) {
         return 0;
     }
-    /* the value is digits * 10**point, digits without trailing zeros */
-    int point = 2 - k - s;
-    while (digits % 10 == 0) {
-        digits /= 10;
-        point++;
+    /* x is 0.ddd * 10**decpt for the 17 digits ddd of digits, which a
+       carry can round up to 10**17 */
+    int decpt = 17 - s;
+    if (digits == TEN17) {
+        digits = TEN17 / 10;
+        decpt++;
     }
-    char buf[20];
-    char *const end = buf + sizeof buf;
-    char *d = end;
-    do {
-        *--d = (char)('0' + digits % 10);
-        digits /= 10;
-    } while (digits != 0);
-    const int len = (int)(end - d);
-    /* repr's decimal point position: the value is 0.ddd * 10**decpt */
-    const int decpt = len + point;
+    char d[17];
+    const uint64_t rest = digits % TEN16;
+    d[0] = (char)('0' + digits / TEN16);
+    put8(d + 1, (uint32_t)(rest / 100000000));
+    put8(d + 9, (uint32_t)(rest % 100000000));
+    int len = 17;
+    while (d[len - 1] == '0') {
+        len--;
+    }
     char *o = out;
     if (bits >> 63) {
         *o++ = '-';
@@ -350,8 +392,8 @@ short_repr(double x, char *out)
         const int exponent = decpt - 1;
         *o++ = 'e';
         *o++ = exponent < 0 ? '-' : '+';
-        *o++ = (char)('0' + abs(exponent) / 10);
-        *o++ = (char)('0' + abs(exponent) % 10);
+        memcpy(o, pairs + 2 * abs(exponent), 2);
+        o += 2;
     }
     else if (decpt <= 0) {
         memcpy(o, "0.000", (size_t)(2 - decpt));
@@ -405,40 +447,25 @@ init_short_repr(void)
    separator ", ", the float's repr (at most 23 characters from short_repr,
    17 digits, a sign, a point and an exponent such as e-16, or 24 from
    PyOS_double_to_string, whose exponent can be e-308), and in its last
-   byte the length of both together, so that the writer can copy every
-   record whole.  Until its value is first used, a record's last byte is 0
-   and bytes STAGED..STAGED+7 hold the value's bits, so that values is read
-   once. */
+   byte the length of both together, at most TEXT_MAX, so that the writer
+   can copy every record whole.  A value that the hint pass did not mark is
+   left unformatted: its record's last byte is 0 and bytes STAGED..STAGED+7
+   hold the value's bits, so that values is read once. */
 #define RECORD 32
 #define STAGED 8
+#define TEXT_MAX 26
 #define EXPONENT_BITS 0x7FF0000000000000ULL
+/* the streamed document goes to write in pieces of at most this many bytes */
+#define CHUNK 65536
+/* Formatting one value takes about as long as marking 100 index entries in
+   the hint pass (60 against 0.6 ns on a 2 GHz Xeon), so a palette of at
+   most one value per HINT_SPAN entries is formatted whole. */
+#define HINT_SPAN 64
 
-/* Copies the bits of each of the count values into its record, unformatted;
-   returns -1 with an exception set at the first value that is not finite. */
+/* Formats x into record; returns -1 with an exception set. */
 static int
-stage_values(char *records, const double *values, Py_ssize_t count)
+format_record(char *record, double x)
 {
-    for (Py_ssize_t v = 0; v < count; v++) {
-        uint64_t bits;
-        memcpy(&bits, &values[v], sizeof bits);
-        if ((bits & EXPONENT_BITS) == EXPONENT_BITS) {
-            PyErr_Format(PyExc_ValueError, "state_json: values[%zd] is not finite", v);
-            return -1;
-        }
-        char *record = records + RECORD * v;
-        memcpy(record + STAGED, &bits, sizeof bits);
-        record[RECORD - 1] = 0;
-    }
-    return 0;
-}
-
-/* Formats the value staged in record over it; returns -1 with an exception
-   set. */
-static int
-format_record(char *record)
-{
-    double x;
-    memcpy(&x, record + STAGED, sizeof x);
     record[0] = ',';
     record[1] = ' ';
     size_t len = (size_t)short_repr(x, record + 2);
@@ -455,78 +482,243 @@ format_record(char *record)
     return 0;
 }
 
-/* The one pass over index: checks each entry against the count values,
-   formats each value at its first use, stores the entry in numbers[i], and
-   returns the summed length of all the amplitudes' records, separators
-   included, or -1 with an exception set. */
-static Py_ssize_t
-collect_records(char *records, Py_ssize_t count, const uint32_t *index, Py_ssize_t size,
-                uint32_t *numbers)
+static int
+past_the_values(Py_ssize_t i, uint32_t v, Py_ssize_t count)
 {
-    Py_ssize_t total = 0;
+    PyErr_Format(PyExc_ValueError, "state_json: index[%zd] is %lu, past the %zd values", i,
+                 (unsigned long)v, count);
+    return -1;
+}
+
+/* The hint pass: sets used[v] to 1 for each entry v of index; returns -1
+   with an exception set at the first entry not below count. */
+static int
+mark_used(unsigned char *used, Py_ssize_t count, const uint32_t *index, Py_ssize_t size)
+{
     for (Py_ssize_t i = 0; i < size; i++) {
         const uint32_t v = index[i];
         if ((Py_ssize_t)v >= count) {
-            PyErr_Format(PyExc_ValueError, "state_json: index[%zd] is %lu, past the %zd values",
-                         i, (unsigned long)v, count);
+            return past_the_values(i, v, count);
+        }
+        used[v] = 1;
+    }
+    return 0;
+}
+
+/* The one pass over the count values: formats each one that used marks
+   into its record, setting used[v] to the record's length, and stages the
+   bits of every other; returns -1 with an exception set at the first value
+   that is not finite. */
+static int
+read_values(char *records, unsigned char *used, const double *values, Py_ssize_t count)
+{
+    for (Py_ssize_t v = 0; v < count; v++) {
+        uint64_t bits;
+        memcpy(&bits, &values[v], sizeof bits);
+        if ((bits & EXPONENT_BITS) == EXPONENT_BITS) {
+            PyErr_Format(PyExc_ValueError, "state_json: values[%zd] is not finite", v);
             return -1;
         }
         char *record = records + RECORD * (size_t)v;
-        if (record[RECORD - 1] == 0 && format_record(record) < 0) {
-            return -1;
+        if (used[v]) {
+            double x;
+            memcpy(&x, &bits, sizeof x);
+            if (format_record(record, x) < 0) {
+                return -1;
+            }
+            used[v] = (unsigned char)record[RECORD - 1];
         }
-        numbers[i] = v;
-        total += (unsigned char)record[RECORD - 1];
+        else {
+            memcpy(&record[STAGED], &bits, sizeof bits);
+            record[RECORD - 1] = 0;
+        }
+    }
+    return 0;
+}
+
+/* The summed length of the records of index, separators included, by the
+   lengths in used: the str's length, unless another thread has changed
+   index since the hint pass. */
+static uint64_t
+records_length(const unsigned char *used, Py_ssize_t count, const uint32_t *index,
+               Py_ssize_t size)
+{
+    uint64_t total = 0;
+    for (Py_ssize_t i = 0; i < size; i++) {
+        const uint32_t v = index[i];
+        total += (Py_ssize_t)v < count ? used[v] : 0;
     }
     return total;
 }
 
-/* The document: the records numbered in numbers copied in order, records_len
-   bytes in all, less the first separator. */
-static PyObject *
-write_document(const char *records, Py_ssize_t n_qubits, const uint32_t *numbers,
-               Py_ssize_t size, Py_ssize_t records_len)
+/* Where the document goes: the bytes start..end of the str doc, or of a
+   bytearray chunk that is handed to write, through view, when it is full. */
+typedef struct {
+    char *start, *out, *end;
+    PyObject *doc, *write, *view;
+} Sink;
+
+/* Hands the bytes written to the chunk to write, and empties it; returns -1
+   with an exception set. */
+static int
+flush(Sink *sink)
 {
-    char head[64];
-    const int head_len =
-        PyOS_snprintf(head, sizeof head, "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
-    /* the first amplitude has no separator */
-    const Py_ssize_t length = head_len + (size > 0 ? records_len - 2 : 0) + 2;
-    PyObject *doc = PyUnicode_New(length, 127);
-    if (doc == NULL) {
+    const Py_ssize_t length = sink->out - sink->start;
+    for (Py_ssize_t done = 0; done < length;) {
+        PyObject *part = PySequence_GetSlice(sink->view, done, length);
+        if (part == NULL) {
+            return -1;
+        }
+        PyObject *res = PyObject_CallOneArg(sink->write, part);
+        Py_DECREF(part);
+        if (res == NULL) {
+            return -1;
+        }
+        /* a count, as a raw file returns it, may be short of the part, and
+           the rest is written again; anything else, such as None, means
+           that write took the whole part */
+        Py_ssize_t wrote = length - done;
+        if (PyLong_Check(res)) {
+            wrote = PyLong_AsSsize_t(res);
+        }
+        Py_DECREF(res);
+        if (wrote == -1 && PyErr_Occurred()) {
+            return -1;
+        }
+        if (wrote <= 0 || wrote > length - done) {
+            PyErr_Format(PyExc_OSError, "state_json: write took %zd of %zd bytes", wrote,
+                         length - done);
+            return -1;
+        }
+        done += wrote;
+    }
+    sink->out = sink->start;
+    return 0;
+}
+
+/* Sets the str to length bytes, of which the first out - start are kept;
+   returns -1 with an exception set. */
+static int
+resize_doc(Sink *sink, Py_ssize_t length)
+{
+    const Py_ssize_t kept = sink->out - sink->start;
+    if (PyUnicode_Resize(&sink->doc, length) < 0) {
+        return -1;
+    }
+    sink->start = (char *)PyUnicode_1BYTE_DATA(sink->doc);
+    sink->out = sink->start + kept;
+    sink->end = sink->start + length;
+    return 0;
+}
+
+/* Makes room for the records of the left entries still to come and the
+   closing "]}": hands the chunk to write, or grows the str to fit the
+   longest records.  The str has the length that records_length added up,
+   so it grows only where another thread has changed index since. */
+static int
+make_room(Sink *sink, Py_ssize_t left)
+{
+    if (sink->doc == NULL) {
+        return flush(sink);
+    }
+    const Py_ssize_t kept = sink->out - sink->start;
+    if (left > (PY_SSIZE_T_MAX - kept - 2) / TEXT_MAX) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return resize_doc(sink, kept + left * TEXT_MAX + 2);
+}
+
+/* The record of entry i of index, formatted now if the hint pass missed its
+   value (another thread has changed index since); NULL with an exception
+   set where the entry is not below count. */
+static inline char *
+record_of(char *records, Py_ssize_t count, const uint32_t *index, Py_ssize_t i)
+{
+    const uint32_t v = index[i];
+    if ((Py_ssize_t)v >= count) {
+        past_the_values(i, v, count);
         return NULL;
     }
-    char *out = (char *)PyUnicode_1BYTE_DATA(doc);
-    char *const end = out + length;
-    memcpy(out, head, (size_t)head_len);
-    out += head_len;
-    for (Py_ssize_t i = 0; i < size; i++) {
-        const char *from = records + RECORD * (size_t)numbers[i];
-        size_t len = (unsigned char)from[RECORD - 1];
-        if (i == 0) {
-            from += 2;
-            len -= 2;
+    char *record = records + RECORD * (size_t)v;
+    if (record[RECORD - 1] == 0) {
+        double x;
+        memcpy(&x, &record[STAGED], sizeof x);
+        if (format_record(record, x) < 0) {
+            return NULL;
         }
-        if (i > 0 && end - out >= RECORD) {
-            /* a copy of fixed size, which compiles to a few moves; the
-               bytes past len are overwritten by what follows */
-            memcpy(out, from, RECORD);
-        }
-        else {
-            memcpy(out, from, len);
-        }
-        out += len;
     }
-    memcpy(out, "]}", 2);
-    return doc;
+    return record;
+}
+
+/* Copies the records of entries i..stop - 1 of index to out, which has
+   room for each of them at TEXT_MAX bytes and RECORD bytes more, and
+   returns the end of the last; NULL with an exception set. */
+static char *
+copy_records(char *out, char *records, Py_ssize_t count, const uint32_t *index, Py_ssize_t i,
+             Py_ssize_t stop)
+{
+    for (; i < stop; i++) {
+        const char *record = record_of(records, count, index, i);
+        if (record == NULL) {
+            return NULL;
+        }
+        /* a copy of fixed size, which compiles to a few moves; the bytes
+           past the record's length are overwritten by what follows */
+        memcpy(out, record, RECORD);
+        out += (unsigned char)record[RECORD - 1];
+    }
+    return out;
+}
+
+/* The emitting pass: reads each entry of index once, checks it, and
+   appends its record to the sink, the first without its separator;
+   returns -1 with an exception set.  Runs of entries are copied whole
+   while the sink has room for them at their longest, and the rest one by
+   one. */
+static int
+emit(Sink *sink, char *records, Py_ssize_t count, const uint32_t *index, Py_ssize_t size)
+{
+    Py_ssize_t i = 0;
+    while (i < size) {
+        const Py_ssize_t fit = (sink->end - sink->out - RECORD) / TEXT_MAX;
+        if (i > 0 && fit > 0) {
+            const Py_ssize_t stop = size - i < fit ? size : i + fit;
+            sink->out = copy_records(sink->out, records, count, index, i, stop);
+            if (sink->out == NULL) {
+                return -1;
+            }
+            i = stop;
+            continue;
+        }
+        const char *record = record_of(records, count, index, i);
+        if (record == NULL) {
+            return -1;
+        }
+        const Py_ssize_t skip = i == 0 ? 2 : 0;
+        const Py_ssize_t len = (unsigned char)record[RECORD - 1] - skip;
+        if (sink->end - sink->out < len + 2 && make_room(sink, size - i) < 0) {
+            return -1;
+        }
+        memcpy(sink->out, record + skip, (size_t)len);
+        sink->out += len;
+        i++;
+    }
+    return 0;
 }
 
 static PyObject *
 state_json(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t n_qubits;
-    PyObject *values_obj, *index_obj;
-    if (!PyArg_ParseTuple(args, "nOO:state_json", &n_qubits, &values_obj, &index_obj)) {
+    PyObject *values_obj, *index_obj, *write = Py_None;
+    if (!PyArg_ParseTuple(args, "nOO|O:state_json", &n_qubits, &values_obj, &index_obj,
+                          &write)) {
+        return NULL;
+    }
+    if (write != Py_None && !PyCallable_Check(write)) {
+        PyErr_Format(PyExc_TypeError, "state_json: write must be callable, not %.100s",
+                     Py_TYPE(write)->tp_name);
         return NULL;
     }
     Py_buffer values, index;
@@ -537,34 +729,83 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
         PyBuffer_Release(&values);
         return NULL;
     }
-    PyObject *doc = NULL;
+    PyObject *result = NULL, *chunk = NULL;
+    Sink sink = {NULL, NULL, NULL, NULL, NULL, NULL};
     char *records = NULL;
-    uint32_t *numbers = NULL;
+    unsigned char *used = NULL;
     const Py_ssize_t count = values.shape[0], size = index.shape[0];
     if ((uint64_t)size > UINT32_MAX) {
         PyErr_Format(PyExc_ValueError, "state_json: index holds %zd entries, 2**32 or more", size);
         goto done;
     }
     records = PyMem_Malloc((size_t)count * RECORD);
-    numbers = PyMem_Malloc((size_t)size * sizeof *numbers);
-    if (records == NULL || numbers == NULL) {
+    used = PyMem_Calloc((size_t)count, 1);
+    if (records == NULL || used == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (stage_values(records, values.buf, count) < 0) {
+    if (count <= size / HINT_SPAN) {
+        memset(used, 1, (size_t)count);
+    }
+    else if (mark_used(used, count, index.buf, size) < 0) {
         goto done;
     }
-    const Py_ssize_t records_len = collect_records(records, count, index.buf, size, numbers);
-    if (records_len >= 0) {
-        doc = write_document(records, n_qubits, numbers, size, records_len);
+    if (read_values(records, used, values.buf, count) < 0) {
+        goto done;
+    }
+    char head[64];
+    const int head_len =
+        PyOS_snprintf(head, sizeof head, "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
+    if (write == Py_None) {
+        uint64_t total = records_length(used, count, index.buf, size);
+        /* the first record has no separator */
+        total = head_len + (total >= 2 ? total - 2 : 0) + 2;
+        if (total > (uint64_t)PY_SSIZE_T_MAX) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        if ((sink.doc = PyUnicode_New((Py_ssize_t)total, 127)) == NULL) {
+            goto done;
+        }
+        sink.start = (char *)PyUnicode_1BYTE_DATA(sink.doc);
+        sink.end = sink.start + total;
+    }
+    else {
+        chunk = PyByteArray_FromStringAndSize(NULL, CHUNK);
+        if (chunk == NULL || (sink.view = PyMemoryView_FromObject(chunk)) == NULL) {
+            goto done;
+        }
+        sink.start = PyByteArray_AS_STRING(chunk);
+        sink.end = sink.start + CHUNK;
+        sink.write = write;
+    }
+    memcpy(sink.start, head, (size_t)head_len);
+    sink.out = sink.start + head_len;
+    if (emit(&sink, records, count, index.buf, size) < 0) {
+        goto done;
+    }
+    /* each record left room for these two bytes */
+    memcpy(sink.out, "]}", 2);
+    sink.out += 2;
+    if (sink.doc != NULL) {
+        if (sink.out == sink.end || resize_doc(&sink, sink.out - sink.start) == 0) {
+            result = sink.doc;
+            sink.doc = NULL;
+        }
+    }
+    else if (flush(&sink) == 0) {
+        result = Py_NewRef(Py_None);
     }
 
 done:
-    PyMem_Free(numbers);
+    Py_XDECREF(sink.doc);
+    Py_XDECREF(sink.view);
+    Py_XDECREF(chunk);
+    PyMem_Free(used);
     PyMem_Free(records);
     PyBuffer_Release(&index);
     PyBuffer_Release(&values);
-    return doc;
+    return result;
 }
 
 static PyObject *
@@ -590,15 +831,18 @@ static PyMethodDef methods[] = {
      "float64 statevector amps in place.  Raises ValueError, writing nothing,\n"
      "when a buffer or a gate does not fit."},
     {"state_json", state_json, METH_VARARGS,
-     "state_json(n_qubits, values, index)\n--\n\n"
-     "The state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]} as\n"
-     "one str, byte for byte what json.dumps writes, for the amplitudes\n"
-     "values[index]: each value of the float64 buffer values is formatted at\n"
-     "its first use, and each value and each index entry is read once.  Memory\n"
-     "is 4 bytes per amplitude plus 32 bytes per value.  Raises ValueError when\n"
-     "values is not a C-contiguous one-dimensional float64 buffer of finite\n"
-     "values, or index not a C-contiguous one-dimensional uint32 buffer of\n"
-     "fewer than 2**32 entries, each below len(values)."},
+     "state_json(n_qubits, values, index, write=None)\n--\n\n"
+     "The state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]},\n"
+     "byte for byte what json.dumps writes, for the amplitudes values[index]:\n"
+     "returned as one str, or, where write is given, handed to it in pieces of\n"
+     "at most 64 KiB, each a memoryview valid only during the call (a count\n"
+     "returned short of the piece has the rest written again), and None\n"
+     "returned.  The values that index uses are formatted in value order, and\n"
+     "each value and each index entry is read once.  Memory is 33 bytes per\n"
+     "value plus the str or the 64 KiB piece.  Raises ValueError when values\n"
+     "is not a C-contiguous one-dimensional float64 buffer of finite values,\n"
+     "or index not a C-contiguous one-dimensional uint32 buffer of fewer than\n"
+     "2**32 entries, each below len(values); and whatever write raises."},
     {"_short_repr", short_repr_py, METH_O,
      "_short_repr(x)\n--\n\n"
      "repr(x) as state_json's own formatter writes it, or None where it\n"

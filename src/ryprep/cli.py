@@ -82,7 +82,9 @@ def _load_state(path: str) -> RealState:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     state = encode(load_pgm(_read_bytes(args.image)))
-    _write_text(args.out, state.to_json(), "\n")
+    with open(args.out, "wb") as fh:
+        state.write_json(fh)
+        fh.write(b"\n")
     _say("info", f"encoded {args.image} into {state.n_qubits} qubits -> {args.out}")
     return EXIT_OK
 

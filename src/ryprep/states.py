@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
 
 # The compiled state-JSON writer, from the same extension as the simulator
-# kernel; without it, to_json runs _state_json_numpy.
+# kernel; without it, to_json and write_json run _state_json_numpy.
 try:
     from ._simkernel import state_json as _state_json
 except ImportError:
@@ -232,14 +232,29 @@ class RealState(_ArrayValue):
     def amplitudes(self) -> tuple[float, ...]:
         return tuple(self.array.tolist())
 
+    def _values_and_index(self) -> tuple[np.ndarray, np.ndarray]:
+        return _palette_of(self.array) if self._palette is None else self._palette
+
     def to_json(self) -> str:
         """``json.dumps({"n_qubits": ..., "amplitudes": [...]})``, byte for byte,
         with each distinct amplitude formatted once: an image state holds at
         most maxval + 1 of them, however many pixels it has.  Amplitudes are
         finite, since the norm check refuses inf and NaN."""
-        values, index = _palette_of(self.array) if self._palette is None else self._palette
+        values, index = self._values_and_index()
         writer = _state_json_numpy if _state_json is None else _state_json
         return writer(self.n_qubits, values, index)
+
+    def write_json(self, fh: BinaryIO) -> None:
+        """Write ``to_json()``'s text, as ASCII bytes, to the binary file fh.
+        The compiled writer hands it to ``fh.write`` in pieces of at most
+        64 KiB, so that no str or bytes of the whole document is built; what
+        ``fh.write`` raises propagates, leaving part of the document written.
+        Without the extension, the text is written as one bytes object."""
+        values, index = self._values_and_index()
+        if _state_json is None:
+            fh.write(_state_json_numpy(self.n_qubits, values, index).encode("ascii"))
+        else:
+            _state_json(self.n_qubits, values, index, fh.write)
 
     @classmethod
     def from_json(cls, text: str) -> "RealState":

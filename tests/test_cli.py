@@ -4,14 +4,16 @@ import inspect
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import ryprep
-from ryprep import Circuit, cli, encode, load_pgm, normalize, synth, synthesis
+from ryprep import Circuit, cli, encode, load_pgm, normalize, states, synth, synthesis
 from ryprep.cli import main
 from ryprep.tolerances import PRUNE_ATOL
 
@@ -113,6 +115,52 @@ def test_pgm_range_errors_are_format_errors(tmp_path, capsys, command, data, err
 
 def test_encode_missing_file_is_io_error(tmp_path):
     assert main(["encode", str(tmp_path / "nope.pgm"), str(tmp_path / "out.json")]) == 2
+
+
+@pytest.fixture(params=["numpy", "c"])
+def backend(request, monkeypatch):
+    """The state writer ``encode`` runs: the NumPy fallback (the extension
+    absent) or the compiled writer built from source."""
+    writer = None if request.param == "numpy" else request.getfixturevalue("simkernel").state_json
+    monkeypatch.setattr(states, "_state_json", writer)
+
+
+def _p5(rows: int, cols: int, maxval: int) -> bytes:
+    pixels = np.random.default_rng([rows, cols]).integers(0, maxval + 1, (rows, cols))
+    head = b"P5\n%d %d\n%d\n" % (cols, rows, maxval)
+    return head + pixels.astype("u1" if maxval < 256 else ">u2").tobytes()
+
+
+# the worked example's state is one short piece; the others take several
+ENCODED = {"worked": WORKED_PGM, "8-bit": _p5(200, 300, 255), "16-bit": _p5(150, 170, 65535)}
+
+
+@pytest.mark.parametrize("image", ENCODED.values(), ids=ENCODED.keys())
+def test_encode_writes_json_dumps_on_both_backends(backend, tmp_path, image):
+    img, out = tmp_path / "img.pgm", tmp_path / "state.json"
+    img.write_bytes(image)
+    assert main(["encode", str(img), str(out)]) == 0
+    state = encode(load_pgm(image))
+    doc = {"n_qubits": state.n_qubits, "amplitudes": state.array.tolist()}
+    assert out.read_bytes() == (json.dumps(doc) + "\n").encode()
+
+
+@pytest.mark.parametrize("image", ENCODED.values(), ids=ENCODED.keys())
+@pytest.mark.parametrize("target", ["dev-full", "directory"])
+def test_encode_unwritable_output_is_io_error(backend, tmp_path, capsys, image, target):
+    """A full device or a directory as the output is an I/O error, exit 2,
+    told in one line; a full device fails at the first piece or, for a
+    document shorter than the file's buffer, when the file is closed."""
+    if target == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    img = tmp_path / "img.pgm"
+    img.write_bytes(image)
+    out = "/dev/full" if target == "dev-full" else str(tmp_path)
+    assert main(["encode", str(img), out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = "OSError: [Errno 28] No space" if target == "dev-full" else "IsADirectoryError: "
+    assert re.fullmatch(rf"error: {re.escape(error)}[^\n]*\n", captured.err), captured.err
 
 
 def test_synth_from_image_writes_everything(worked_pgm, tmp_path):

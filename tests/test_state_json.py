@@ -1,10 +1,11 @@
 """State JSON: the compiled writer ``_simkernel.state_json`` and its NumPy
 fallback ``states._state_json_numpy`` against ``json.dumps``, byte for byte,
-on palettes from ``np.unique`` and from ``encode``; ``RealState.to_json`` on
-both through its dispatch; the compiled writer's own formatter
-``_short_repr`` against ``repr``; and the compiled writer's argument
-checks."""
+on palettes from ``np.unique`` and from ``encode``; ``RealState.to_json`` and
+``RealState.write_json`` on both through their dispatch; the compiled
+writer's own formatter ``_short_repr`` against ``repr``; and the compiled
+writer's argument checks and its calls of ``write``, with and without it."""
 
+import io
 import json
 import math
 import re
@@ -42,6 +43,18 @@ def to_json(request, monkeypatch):
     writer = None if request.param == "numpy" else request.getfixturevalue("simkernel").state_json
     monkeypatch.setattr(states, "_state_json", writer)
     return RealState.to_json
+
+
+def _streamed(state_json):
+    """``state_json`` with a ``write`` argument: the document that it hands to
+    write, gathered in a BytesIO and decoded."""
+
+    def call(n_qubits, values, index):
+        out = io.BytesIO()
+        assert state_json(n_qubits, values, index, out.write) is None
+        return out.getvalue().decode("ascii")
+
+    return call
 
 
 @pytest.fixture(params=["numpy", "c"])
@@ -165,6 +178,52 @@ IMAGES = {
 def test_image_states(to_json, image):
     state = _image_state(*IMAGES[image])
     _assert_same(to_json(state), _dumps(state.n_qubits, state.array))
+
+
+def _p5_state(pixels: np.ndarray, maxval: int) -> RealState:
+    rows, cols = pixels.shape
+    head = b"P5\n%d %d\n%d\n" % (cols, rows, maxval)
+    return encode(load_pgm(head + pixels.astype("u1" if maxval < 256 else ">u2").tobytes()))
+
+
+def _all_16_bit_values() -> RealState:
+    """A 300x340 image that uses every one of the 65,536 16-bit values."""
+    rng = np.random.default_rng(65536)
+    pixels = np.concatenate([np.arange(65536), rng.integers(0, 65536, 300 * 340 - 65536)])
+    return _p5_state(rng.permutation(pixels).reshape(300, 340), 65535)
+
+
+def _few_16_bit_values() -> RealState:
+    """A 300x340 16-bit image that uses 5 of its palette's 65,536 values."""
+    rng = np.random.default_rng(5)
+    pixels = rng.choice([0, 1, 7, 40000, 65535], (300, 340))
+    return _p5_state(pixels, 65535)
+
+
+# state, and whether it holds encode's palette rather than its amplitudes
+WRITTEN = {
+    "p2-8bit": (lambda: _image_state(b"P2", 120, 150, 255), True),
+    "p5-8bit": (lambda: _image_state(b"P5", 130, 170, 255), True),
+    "p5-16bit-every-value": (_all_16_bit_values, True),
+    "p5-16bit-five-values": (_few_16_bit_values, True),
+    "thumbnail": (lambda: _image_state(b"P5", 5, 7, 255), False),
+    "constructed": (lambda: normalize(np.random.default_rng(12).normal(size=4096)), False),
+}
+
+
+@pytest.mark.parametrize("state, palette", WRITTEN.values(), ids=WRITTEN.keys())
+def test_write_json_writes_what_to_json_returns(to_json, tmp_path, state, palette):
+    """``write_json`` and then a newline, as ``ryprep encode`` writes them
+    to a file, make the bytes of ``to_json() + "\\n"``, for each kind of
+    state: encode's palette and pixel index, whole or barely used, a state
+    of the amplitudes themselves, and one whose values ``np.unique`` finds."""
+    state = state()
+    assert (state._palette is not None) == palette
+    path = tmp_path / "state.json"
+    with open(path, "wb") as fh:
+        assert state.write_json(fh) is None
+        fh.write(b"\n")
+    _assert_same(path.read_bytes().decode("ascii"), to_json(state) + "\n")
 
 
 @pytest.mark.parametrize("image", ["p5-8bit-n16", "p5-8bit-n18", "p5-16bit-n17", "p5-16bit-n18"])
@@ -306,6 +365,109 @@ def test_kernel_backend_c_means_the_compiled_writer():
         assert states._state_json.__module__ == "ryprep._simkernel"
 
 
+def _distinct_state(n_qubits: int, count: int):
+    """n_qubits and random values and index, all values used."""
+    rng = np.random.default_rng([n_qubits, count])
+    values = rng.normal(size=count)
+    index = rng.permutation(np.resize(np.arange(count, dtype=np.uint32), 1 << n_qubits))
+    return n_qubits, values, index
+
+
+def test_pieces_are_memoryviews_of_at_most_64_kib(simkernel):
+    """The streamed document comes in pieces of at most 65,536 bytes, each
+    full but for the last, as memoryviews; a write that returns None takes
+    the whole piece."""
+    args = _distinct_state(15, 5000)
+    pieces = []
+
+    def write(piece):
+        pieces.append((type(piece), bytes(piece)))
+
+    assert simkernel.state_json(*args, write) is None
+    assert {kind for kind, _ in pieces} == {memoryview}
+    sizes = [len(data) for _, data in pieces]
+    assert len(sizes) > 5 and max(sizes) <= 65536 and min(sizes[:-1]) > 65536 - 32
+    doc = b"".join(data for _, data in pieces).decode("ascii")
+    assert doc == simkernel.state_json(*args)
+
+
+@pytest.mark.parametrize("most", [7, 1000, 65535])
+def test_short_writes_are_finished(simkernel, most):
+    """A write that takes at most ``most`` bytes and returns how many, as a
+    raw file may, is called again with the rest of the piece."""
+    args = _distinct_state(13, 3000)
+    written = bytearray()
+
+    def write(piece):
+        written.extend(piece[:most])
+        return min(len(piece), most)
+
+    simkernel.state_json(*args, write)
+    assert written.decode("ascii") == simkernel.state_json(*args)
+
+
+@pytest.mark.parametrize(
+    "count, error, match",
+    [
+        (0, OSError, r"^state_json: write took 0 of \d+ bytes$"),
+        (-1, OSError, r"^state_json: write took -1 of \d+ bytes$"),
+        (10**6, OSError, r"^state_json: write took 1000000 of \d+ bytes$"),
+        (2**70, OverflowError, "too large"),
+    ],
+)
+def test_write_count_out_of_range_is_refused(simkernel, count, error, match):
+    with pytest.raises(error, match=match):
+        simkernel.state_json(*_distinct_state(4, 3), lambda piece: count)
+
+
+def test_write_error_propagates(simkernel):
+    """What write raises partway through the document is what the call
+    raises, and nothing more is written."""
+    pieces = []
+
+    def write(piece):
+        pieces.append(len(piece))
+        if len(pieces) == 2:
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match=r"^\[Errno 28\] No space left on device$"):
+        simkernel.state_json(*_distinct_state(15, 5000), write)
+    assert len(pieces) == 2
+
+
+def test_write_must_be_callable(simkernel):
+    with pytest.raises(TypeError, match="^state_json: write must be callable, not int$"):
+        simkernel.state_json(*_distinct_state(2, 2), 1)
+
+
+def test_index_changed_during_a_write(simkernel):
+    """The emitting pass reads each index entry as it is when it comes to
+    it: an entry that a write call sets to a value the hint pass did not
+    mark has that value formatted then, from the bits that the values pass
+    read, and an entry set past the values is refused."""
+    values = (np.arange(4096) + 0.5) / 4096
+    for last in (7, 4096):
+        index = np.zeros(1 << 16, np.uint32)
+        changed = index.copy()
+        changed[-3:] = [7, 9, last]
+        pieces = []
+
+        def write(piece):
+            if not pieces:
+                index[:] = changed
+                values[7] = math.nan
+            pieces.append(bytes(piece))
+
+        if last == 7:
+            expect = _dumps(16, values[changed])
+            simkernel.state_json(16, values, index, write)
+            assert b"".join(pieces).decode("ascii") == expect
+        else:
+            with pytest.raises(ValueError, match=r"^state_json: index\[65535\] is 4096, past"):
+                simkernel.state_json(16, values, index, write)
+        values[7] = 7.5 / 4096
+
+
 PAIR = np.array([0.6, 0.8])
 ZERO_ONE = np.array([0, 1], np.uint32)
 
@@ -337,21 +499,23 @@ ZERO_ONE = np.array([0, 1], np.uint32)
     + ["index-past-end", "index-max", "no-values"],
 )
 def test_refused(simkernel, values, index, error, match):
-    with pytest.raises(error, match=match):
-        simkernel.state_json(1, values, index)
+    for call in (simkernel.state_json, _streamed(simkernel.state_json)):
+        with pytest.raises(error, match=match):
+            call(1, values, index)
 
 
 def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
-    """Back-to-back calls of the writer, while another thread xors every
-    entry of buffer with mask in a loop.  NumPy ufuncs run without the GIL,
-    so they can change values or index while the writer reads them; each is
-    the tail of its buffer, which is swept front to back and is long enough
-    that the tail changes late in a sweep, while a call is under way.  Each
-    call returns a document or, where refusal is a pattern, raises a
-    ValueError whose message matches it.  The documents are parsed only
-    after the last call, and each must hold one value of the palette per
-    index entry.  Whether a change overlaps a call at all is up to the
-    scheduler, so this can miss a fault but not invent one."""
+    """Back-to-back calls of the writer, returning its str and streaming it
+    in turn, while another thread xors every entry of buffer with mask in a
+    loop.  NumPy ufuncs run without the GIL, so they can change values or
+    index while the writer reads them; each is the tail of its buffer, which
+    is swept front to back and is long enough that the tail changes late in
+    a sweep, while a call is under way.  Each call gives a document or,
+    where refusal is a pattern, raises a ValueError whose message matches
+    it.  The documents are parsed only after the last call, and each must
+    hold one value of the palette per index entry.  Whether a change
+    overlaps a call at all is up to the scheduler, so this can miss a fault
+    but not invent one."""
     interval = sys.getswitchinterval()
     n_qubits = len(index).bit_length() - 1
     palette = set(values.tolist())
@@ -361,9 +525,9 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
         while not stop.is_set():
             np.bitwise_xor(buffer, mask, out=buffer)
 
-    def write():
+    def write(call):
         try:
-            return simkernel.state_json(n_qubits, values, index)
+            return call(n_qubits, values, index)
         except ValueError as exc:
             if refusal is None or not re.fullmatch(refusal, str(exc)):
                 raise
@@ -373,7 +537,8 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
     thread = threading.Thread(target=loop)
     thread.start()
     try:
-        docs = [write() for _ in range(calls)]
+        entries = (simkernel.state_json, _streamed(simkernel.state_json))
+        docs = [write(entries[k % 2]) for k in range(calls)]
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -447,34 +612,55 @@ kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
 with open("/proc/self/statm") as f:
     mapped = int(f.read().split()[0]) * mmap.PAGESIZE
-# room for 1 GiB more, not for the 16 GiB of record numbers
+# room for 1 GiB more, not for a document of 2**32 amplitudes
 resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), resource.RLIM_INFINITY))
-try:
-    kernel.state_json(32, values, index)
-except ValueError as exc:
-    print(exc)
+pieces = []
+for write in ((), (pieces.append,)):
+    try:
+        kernel.state_json(32, values, index, *write)
+    except ValueError as exc:
+        print(exc, len(pieces))
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
 def test_refused_at_2_to_the_32_values(simkernel, tmp_path):
     """An index of 2**32 entries, a sparse file mapped read-only, is refused
-    before anything is allocated or read, in a process without the address
-    space for the 16 GiB of record numbers."""
+    before anything is allocated, read or written, by the str and the
+    streaming writer, in a process without the address space for the
+    document."""
     res = subprocess.run(
         [sys.executable, "-c", _HUGE, str(tmp_path / "huge"), simkernel.__file__],
         capture_output=True,
         text=True,
     )
-    assert res.stdout == "state_json: index holds 4294967296 entries, 2**32 or more\n", res.stderr
+    refusal = "state_json: index holds 4294967296 entries, 2**32 or more 0\n"
+    assert res.stdout == 2 * refusal, res.stderr
 
 
-@pytest.mark.parametrize("where", ["none", "last", "index"])
+class _WriteError(Exception):
+    pass
+
+
+class _FailSecond:
+    """A write that takes the first piece and raises at the second."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, piece):
+        self.calls += 1
+        if self.calls == 2:
+            raise _WriteError("disk full")
+
+
+@pytest.mark.parametrize("where", ["none", "last", "index", "write"])
 def test_no_memory_is_kept(simkernel, where):
-    """The records and the record numbers are PyMem blocks, which tracemalloc
-    sees: neither a written document nor a refusal, of the last of 4,096
-    values or of the last index entry after 4,095 values were formatted,
-    keeps any of them."""
+    """The records, the hint array and the str or the chunk are PyMem blocks
+    or Python objects, which tracemalloc sees: neither a document, returned
+    or streamed, nor a refusal, of the last of 4,096 values or of the last
+    index entry, nor a write that raises at the second piece, keeps any of
+    them."""
     values = np.random.default_rng(9).normal(size=4096)
     index = np.arange(4096, dtype=np.uint32)
     if where == "last":
@@ -483,10 +669,15 @@ def test_no_memory_is_kept(simkernel, where):
         index[-1] = 4096
 
     def write():
-        try:
-            simkernel.state_json(12, values, index)
-        except ValueError:
-            assert where != "none"
+        # the document has about 90 kB of text: two pieces
+        sinks = [_FailSecond()] if where == "write" else [None, lambda piece: None]
+        for sink in sinks:
+            try:
+                simkernel.state_json(12, values, index, sink)
+            except ValueError:
+                assert where in ("last", "index")
+            except _WriteError:
+                assert where == "write" and sink.calls == 2
 
     tracemalloc.start()
     try:
@@ -497,7 +688,7 @@ def test_no_memory_is_kept(simkernel, where):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # one call's records and record numbers take about 150 kB
+    # one call's records, hint array and document or chunk take 150-230 kB
     assert kept < 10_000
 
 
