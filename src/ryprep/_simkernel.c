@@ -34,10 +34,11 @@
    C-contiguous one-dimensional uint32 buffer of fewer than 2**32 entries,
    each below len(values).  It serves two callers.  Without write it returns
    the document as one str, which RealState.to_json returns.  With write, a
-   callable such as a binary file's write method, it hands the document to
-   write in pieces of at most CHUNK bytes, each a memoryview of one private
-   bytearray, and returns None; RealState.write_json streams a state to a
-   file this way.
+   buffered binary file's write method or any callable that takes all of
+   each piece or raises, it hands the document to write in pieces of at
+   most CHUNK bytes, each a memoryview of one private bytearray that is
+   released when write returns, and returns None; RealState.write_json
+   streams a state to a file this way.
 
    Each value has a record, its text formatted as float.__repr__ formats it:
    by short_repr, or else by PyOS_double_to_string(x, 'r', 0,
@@ -558,40 +559,29 @@ typedef struct {
     PyObject *doc, *write, *view;
 } Sink;
 
-/* Hands the bytes written to the chunk to write, and empties it; returns -1
-   with an exception set. */
+/* Hands the bytes written to the chunk to write, as one memoryview, and
+   empties the chunk; returns -1 with an exception set.  write takes the
+   whole piece or raises, as a buffered file's write does, so what it
+   returns is not looked at.  The piece is released when write returns, so
+   that a write that keeps it, to read it after the chunk is refilled, fails
+   rather than reads other bytes. */
 static int
 flush(Sink *sink)
 {
-    const Py_ssize_t length = sink->out - sink->start;
-    for (Py_ssize_t done = 0; done < length;) {
-        PyObject *part = PySequence_GetSlice(sink->view, done, length);
-        if (part == NULL) {
-            return -1;
-        }
-        PyObject *res = PyObject_CallOneArg(sink->write, part);
-        Py_DECREF(part);
-        if (res == NULL) {
-            return -1;
-        }
-        /* a count, as a raw file returns it, may be short of the part, and
-           the rest is written again; anything else, such as None, means
-           that write took the whole part */
-        Py_ssize_t wrote = length - done;
-        if (PyLong_Check(res)) {
-            wrote = PyLong_AsSsize_t(res);
-        }
-        Py_DECREF(res);
-        if (wrote == -1 && PyErr_Occurred()) {
-            return -1;
-        }
-        if (wrote <= 0 || wrote > length - done) {
-            PyErr_Format(PyExc_OSError, "state_json: write took %zd of %zd bytes", wrote,
-                         length - done);
-            return -1;
-        }
-        done += wrote;
+    PyObject *piece = PySequence_GetSlice(sink->view, 0, sink->out - sink->start);
+    if (piece == NULL) {
+        return -1;
     }
+    PyObject *res = PyObject_CallOneArg(sink->write, piece);
+    if (res != NULL) {
+        Py_DECREF(res);
+        res = PyObject_CallMethod(piece, "release", NULL);
+    }
+    Py_DECREF(piece);
+    if (res == NULL) {
+        return -1;
+    }
+    Py_DECREF(res);
     sink->out = sink->start;
     return 0;
 }
@@ -835,9 +825,9 @@ static PyMethodDef methods[] = {
      "The state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]},\n"
      "byte for byte what json.dumps writes, for the amplitudes values[index]:\n"
      "returned as one str, or, where write is given, handed to it in pieces of\n"
-     "at most 64 KiB, each a memoryview valid only during the call (a count\n"
-     "returned short of the piece has the rest written again), and None\n"
-     "returned.  The values that index uses are formatted in value order, and\n"
+     "at most 64 KiB, and None returned.  Each piece is a memoryview, released\n"
+     "when write returns; write must take all of it or raise, as a buffered\n"
+     "binary file's write does, and what it returns is ignored.  The values that index uses are formatted in value order, and\n"
      "each value and each index entry is read once.  Memory is 33 bytes per\n"
      "value plus the str or the 64 KiB piece.  Raises ValueError when values\n"
      "is not a C-contiguous one-dimensional float64 buffer of finite values,\n"

@@ -245,11 +245,14 @@ class RealState(_ArrayValue):
         return writer(self.n_qubits, values, index)
 
     def write_json(self, fh: BinaryIO) -> None:
-        """Write ``to_json()``'s text, as ASCII bytes, to the binary file fh.
-        The compiled writer hands it to ``fh.write`` in pieces of at most
-        64 KiB, so that no str or bytes of the whole document is built; what
-        ``fh.write`` raises propagates, leaving part of the document written.
-        Without the extension, the text is written as one bytes object."""
+        """Write ``to_json()``'s text, as ASCII bytes, to the buffered binary
+        file fh, such as ``open(path, "wb")`` returns.  The compiled writer
+        hands it to ``fh.write`` in pieces of at most 64 KiB, so that no str
+        or bytes of the whole document is built.  A buffered file's write
+        takes each piece whole or raises; a raw file (``buffering=0``) may
+        take part of one, and is not supported.  What ``fh.write`` raises
+        propagates, leaving part of the document written.  Without the
+        extension, the text is written as one bytes object."""
         values, index = self._values_and_index()
         if _state_json is None:
             fh.write(_state_json_numpy(self.n_qubits, values, index).encode("ascii"))

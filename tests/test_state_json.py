@@ -375,13 +375,13 @@ def _distinct_state(n_qubits: int, count: int):
 
 def test_pieces_are_memoryviews_of_at_most_64_kib(simkernel):
     """The streamed document comes in pieces of at most 65,536 bytes, each
-    full but for the last, as memoryviews; a write that returns None takes
-    the whole piece."""
+    full but for the last, as memoryviews; what write returns is ignored."""
     args = _distinct_state(15, 5000)
     pieces = []
 
     def write(piece):
         pieces.append((type(piece), bytes(piece)))
+        return 0
 
     assert simkernel.state_json(*args, write) is None
     assert {kind for kind, _ in pieces} == {memoryview}
@@ -391,33 +391,16 @@ def test_pieces_are_memoryviews_of_at_most_64_kib(simkernel):
     assert doc == simkernel.state_json(*args)
 
 
-@pytest.mark.parametrize("most", [7, 1000, 65535])
-def test_short_writes_are_finished(simkernel, most):
-    """A write that takes at most ``most`` bytes and returns how many, as a
-    raw file may, is called again with the rest of the piece."""
-    args = _distinct_state(13, 3000)
-    written = bytearray()
-
-    def write(piece):
-        written.extend(piece[:most])
-        return min(len(piece), most)
-
-    simkernel.state_json(*args, write)
-    assert written.decode("ascii") == simkernel.state_json(*args)
-
-
-@pytest.mark.parametrize(
-    "count, error, match",
-    [
-        (0, OSError, r"^state_json: write took 0 of \d+ bytes$"),
-        (-1, OSError, r"^state_json: write took -1 of \d+ bytes$"),
-        (10**6, OSError, r"^state_json: write took 1000000 of \d+ bytes$"),
-        (2**70, OverflowError, "too large"),
-    ],
-)
-def test_write_count_out_of_range_is_refused(simkernel, count, error, match):
-    with pytest.raises(error, match=match):
-        simkernel.state_json(*_distinct_state(4, 3), lambda piece: count)
+def test_pieces_are_released_when_write_returns(simkernel):
+    """Each piece is a view of a chunk that is refilled for the next one, so
+    it is released when write returns: a write that keeps it cannot read
+    other bytes through it later."""
+    pieces = []
+    assert simkernel.state_json(*_distinct_state(15, 5000), pieces.append) is None
+    assert len(pieces) > 5
+    for piece in pieces:
+        with pytest.raises(ValueError, match="released memoryview"):
+            bytes(piece)
 
 
 def test_write_error_propagates(simkernel):
@@ -505,17 +488,17 @@ def test_refused(simkernel, values, index, error, match):
 
 
 def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
-    """Back-to-back calls of the writer, returning its str and streaming it
-    in turn, while another thread xors every entry of buffer with mask in a
-    loop.  NumPy ufuncs run without the GIL, so they can change values or
-    index while the writer reads them; each is the tail of its buffer, which
-    is swept front to back and is long enough that the tail changes late in
-    a sweep, while a call is under way.  Each call gives a document or,
-    where refusal is a pattern, raises a ValueError whose message matches
-    it.  The documents are parsed only after the last call, and each must
-    hold one value of the palette per index entry.  Whether a change
-    overlaps a call at all is up to the scheduler, so this can miss a fault
-    but not invent one."""
+    """Back-to-back calls of the writer, calls times returning its str and
+    calls times streaming it, in turn, while another thread xors every entry
+    of buffer with mask in a loop.  NumPy ufuncs run without the GIL, so
+    they can change values or index while the writer reads them; each is the
+    tail of its buffer, which is swept front to back and is long enough that
+    the tail changes late in a sweep, while a call is under way.  Each call
+    gives a document or, where refusal is a pattern, raises a ValueError
+    whose message matches it.  Each document is parsed as it comes and then
+    dropped, and must hold one value of the palette per index entry.
+    Whether a change overlaps a call at all is up to the scheduler, so this
+    can miss a fault but not invent one."""
     interval = sys.getswitchinterval()
     n_qubits = len(index).bit_length() - 1
     palette = set(values.tolist())
@@ -527,30 +510,31 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
 
     def write(call):
         try:
-            return call(n_qubits, values, index)
+            doc = call(n_qubits, values, index)
         except ValueError as exc:
             if refusal is None or not re.fullmatch(refusal, str(exc)):
                 raise
-            return None
+            return
+        doc = json.loads(doc)
+        assert doc["n_qubits"] == n_qubits and len(doc["amplitudes"]) == len(index)
+        assert set(doc["amplitudes"]) <= palette
 
     sys.setswitchinterval(1e-5)
     thread = threading.Thread(target=loop)
     thread.start()
     try:
-        entries = (simkernel.state_json, _streamed(simkernel.state_json))
-        docs = [write(entries[k % 2]) for k in range(calls)]
+        for _ in range(calls):
+            write(simkernel.state_json)
+            write(_streamed(simkernel.state_json))
     finally:
         stop.set()
         thread.join(timeout=10)
         sys.setswitchinterval(interval)
     assert not thread.is_alive()
-    for doc in filter(None, docs):
-        doc = json.loads(doc)
-        assert doc["n_qubits"] == n_qubits and len(doc["amplitudes"]) == len(index)
-        assert set(doc["amplitudes"]) <= palette
 
 
-# short texts, so that the 60 documents take about 100 MB together
+# 256 values over 2**18 entries: too few for the hint pass, so each is
+# formatted before the emitting pass
 QUARTERS = np.arange(256) / 4.0
 
 
@@ -575,6 +559,36 @@ def test_index_made_out_of_range_by_another_thread(simkernel):
     buffer = _index_buffer()
     refusal = r"state_json: index\[\d+\] is \d+, past the 256 values"
     _race(simkernel, QUARTERS, buffer[-1 << 18 :], buffer, 1 << 20, refusal)
+
+
+# 8,192 values over 2**18 entries, enough for the hint pass to run: short
+# texts at even positions, long ones at odd positions
+HINTED = np.empty(8192)
+HINTED[0::2] = np.arange(4096) / 4.0
+HINTED[1::2] = np.random.default_rng(8192).normal(size=4096)
+
+
+def _hinted_buffer():
+    """8 * 2**18 random even entries below 8,192, the last 2**18 of them the
+    index: xor with 1 turns every entry to the odd value after it."""
+    return 2 * np.random.default_rng(4).integers(0, 4096, 8 << 18).astype(np.uint32)
+
+
+def test_index_changed_by_another_thread_after_the_hint_pass(simkernel):
+    """Where the hint pass runs, an entry that another thread changes after
+    it to a value that it did not mark has that value formatted late, and
+    the str grows or shrinks to the longer or shorter texts: every document
+    is still whole, and each of its values one of the palette's."""
+    buffer = _hinted_buffer()
+    _race(simkernel, HINTED, buffer[-1 << 18 :], buffer, 1)
+
+
+def test_index_made_out_of_range_by_another_thread_after_the_hint_pass(simkernel):
+    """Where the hint pass runs, an entry set past the palette after it is
+    refused by the emitting pass, or the call returns a whole document."""
+    buffer = _hinted_buffer()
+    refusal = r"state_json: index\[\d+\] is \d+, past the 8192 values"
+    _race(simkernel, HINTED, buffer[-1 << 18 :], buffer, 1 << 20, refusal)
 
 
 def test_values_made_non_finite_by_another_thread(simkernel):
@@ -654,19 +668,26 @@ class _FailSecond:
             raise _WriteError("disk full")
 
 
-@pytest.mark.parametrize("where", ["none", "last", "index", "write"])
+@pytest.mark.parametrize("where", ["none", "last", "index", "emit", "write"])
 def test_no_memory_is_kept(simkernel, where):
     """The records, the hint array and the str or the chunk are PyMem blocks
-    or Python objects, which tracemalloc sees: neither a document, returned
-    or streamed, nor a refusal, of the last of 4,096 values or of the last
-    index entry, nor a write that raises at the second piece, keeps any of
-    them."""
+    or Python objects, which tracemalloc sees, and no call keeps any of
+    them: not a document, returned or streamed; not a refusal of the last of
+    4,096 values, or of the last index entry, by the hint pass before
+    anything is formatted ("index") or by the emitting pass after the str or
+    the first piece is written ("emit", 64 values over 4,096 entries, too
+    few for the hint pass); and not a write that raises at the second
+    piece."""
     values = np.random.default_rng(9).normal(size=4096)
     index = np.arange(4096, dtype=np.uint32)
     if where == "last":
         values[-1] = math.nan
     elif where == "index":
         index[-1] = 4096
+    elif where == "emit":
+        values = values[:64]
+        index %= 64
+        index[-1] = 64
 
     def write():
         # the document has about 90 kB of text: two pieces
@@ -675,7 +696,7 @@ def test_no_memory_is_kept(simkernel, where):
             try:
                 simkernel.state_json(12, values, index, sink)
             except ValueError:
-                assert where in ("last", "index")
+                assert where in ("last", "index", "emit")
             except _WriteError:
                 assert where == "write" and sink.calls == 2
 
