@@ -533,14 +533,20 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
     assert not thread.is_alive()
 
 
-# 256 values over 2**18 entries: too few for the hint pass, so each is
-# formatted before the emitting pass
-QUARTERS = np.arange(256) / 4.0
-
-
-def _index_buffer():
-    """8 * 2**18 random entries below 256, the last 2**18 of them the index."""
-    return np.random.default_rng(3).integers(0, 256, 8 << 18).astype(np.uint32)
+# Two palettes for 2**18 index entries, each with a buffer of 8 * 2**18
+# entries below its length whose last 2**18 are the index.  256 values are
+# too few for the hint pass, so each is formatted before the emitting pass.
+# 8,192 values are enough for it to run: short texts at even positions and
+# long ones at odd positions, the entries all even, so that xor with 1 turns
+# each to a value that the hint pass may not have marked, formatted late,
+# and the str must grow or shrink.
+HINTED = np.empty(8192)
+HINTED[0::2] = np.arange(4096) / 4.0
+HINTED[1::2] = np.random.default_rng(8192).normal(size=4096)
+PALETTES = [
+    (np.arange(256) / 4.0, lambda: np.random.default_rng(3).integers(0, 256, 8 << 18)),
+    (HINTED, lambda: 2 * np.random.default_rng(4).integers(0, 4096, 8 << 18)),
+]
 
 
 def test_index_changed_by_another_thread(simkernel):
@@ -548,47 +554,20 @@ def test_index_changed_by_another_thread(simkernel):
     own copy of them, so every document is whole: JSON of 2**18 values, each
     one of the palette's.  (A second read could find a value with no text,
     or texts that no longer fit the str.)"""
-    buffer = _index_buffer()
-    _race(simkernel, QUARTERS, buffer[-1 << 18 :], buffer, 1)
+    for values, entries in PALETTES:
+        buffer = entries().astype(np.uint32)
+        _race(simkernel, values, buffer[-1 << 18 :], buffer, 1)
 
 
 def test_index_made_out_of_range_by_another_thread(simkernel):
     """An entry set past the palette during the call is refused with
-    ValueError, naming its position, or the call returns a whole document
-    from before the change; it never reads past the records."""
-    buffer = _index_buffer()
-    refusal = r"state_json: index\[\d+\] is \d+, past the 256 values"
-    _race(simkernel, QUARTERS, buffer[-1 << 18 :], buffer, 1 << 20, refusal)
-
-
-# 8,192 values over 2**18 entries, enough for the hint pass to run: short
-# texts at even positions, long ones at odd positions
-HINTED = np.empty(8192)
-HINTED[0::2] = np.arange(4096) / 4.0
-HINTED[1::2] = np.random.default_rng(8192).normal(size=4096)
-
-
-def _hinted_buffer():
-    """8 * 2**18 random even entries below 8,192, the last 2**18 of them the
-    index: xor with 1 turns every entry to the odd value after it."""
-    return 2 * np.random.default_rng(4).integers(0, 4096, 8 << 18).astype(np.uint32)
-
-
-def test_index_changed_by_another_thread_after_the_hint_pass(simkernel):
-    """Where the hint pass runs, an entry that another thread changes after
-    it to a value that it did not mark has that value formatted late, and
-    the str grows or shrinks to the longer or shorter texts: every document
-    is still whole, and each of its values one of the palette's."""
-    buffer = _hinted_buffer()
-    _race(simkernel, HINTED, buffer[-1 << 18 :], buffer, 1)
-
-
-def test_index_made_out_of_range_by_another_thread_after_the_hint_pass(simkernel):
-    """Where the hint pass runs, an entry set past the palette after it is
-    refused by the emitting pass, or the call returns a whole document."""
-    buffer = _hinted_buffer()
-    refusal = r"state_json: index\[\d+\] is \d+, past the 8192 values"
-    _race(simkernel, HINTED, buffer[-1 << 18 :], buffer, 1 << 20, refusal)
+    ValueError, naming its position, by the hint pass or the emitting pass,
+    or the call returns a whole document from before the change; it never
+    reads past the records."""
+    for values, entries in PALETTES:
+        buffer = entries().astype(np.uint32)
+        refusal = rf"state_json: index\[\d+\] is \d+, past the {len(values)} values"
+        _race(simkernel, values, buffer[-1 << 18 :], buffer, 1 << 20, refusal)
 
 
 def test_values_made_non_finite_by_another_thread(simkernel):
