@@ -1,6 +1,7 @@
-/* Compiled helpers for ryprep: the control-subspace simulator kernel and the
-   state-JSON writer.  Each has a NumPy fallback in the package, used when
-   this module cannot be imported, which is also its reference in the tests.
+/* Compiled helpers for ryprep: the control-subspace simulator kernel, the
+   P2 raster decoder and the state-JSON writer.  Each has a NumPy fallback
+   in the package, used when this module cannot be imported, which is also
+   its reference in the tests.
 
    run_gates(amps, kind, target, cmask, angle) applies a whole circuit, given
    as four equal-length columns, to a float64 statevector in place:
@@ -23,6 +24,16 @@
    kernel (simulator._apply_inplace), so the two agree bit for bit as long
    as the compiler contracts no multiply-add into an FMA: build with
    -ffp-contract=off.
+
+   p2_samples(rest, out) fills the int32 buffer out with the first len(out)
+   samples of a P2 raster, the bytes after the maxval token with encoding's
+   comments blanked, in one pass over the bytes, and returns True.  Each
+   sample is one to five ASCII digits, and runs of the six whitespace bytes
+   come before and between them.  It returns False, for the token walk in
+   encoding.load_pgm to decide, where a byte that is neither whitespace nor
+   a digit comes before the end of the last sample, a token has more than
+   five digits, or rest holds fewer than len(out) tokens; the bytes after
+   the last sample are not read.  encoding._p2_samples is the fallback.
 
    state_json(n_qubits, values, index[, write]) writes the state document
    {"n_qubits": N, "amplitudes": [a0, a1, ...]}, byte for byte what
@@ -259,6 +270,62 @@ done:
         PyBuffer_Release(&views[--held]);
     }
     return result;
+}
+
+/* The six bytes bytes.split takes for whitespace, as the PGM header does. */
+static inline int
+is_space(unsigned char c)
+{
+    return c == ' ' || (unsigned)(c - '\t') <= '\r' - '\t';
+}
+
+/* Reads count samples of a comment-blanked P2 raster into out; 0 where the
+   token walk must decide instead. */
+static int
+decode_p2(const unsigned char *p, const unsigned char *end, int32_t *out, Py_ssize_t count)
+{
+    for (Py_ssize_t k = 0; k < count; k++) {
+        while (p < end && is_space(*p)) {
+            p++;
+        }
+        const unsigned char *start = p, *stop = end - p > 5 ? p + 5 : end;
+        int32_t value = 0;
+        while (p < stop && (unsigned)(*p - '0') <= 9) {
+            value = value * 10 + (*p++ - '0');
+        }
+        /* a sixth digit or any other byte before the next whitespace is left
+           to the walk, and so is the end of the bytes before the sample */
+        if (p == start || (p < end && !is_space(*p))) {
+            return 0;
+        }
+        out[k] = value;
+    }
+    return 1;
+}
+
+static PyObject *
+p2_samples(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *rest_obj, *out_obj;
+    if (!PyArg_UnpackTuple(args, "p2_samples", 2, 2, &rest_obj, &out_obj)) {
+        return NULL;
+    }
+    Py_buffer rest, out;
+    if (get_column(rest_obj, &rest, "p2_samples", "rest", "B", 1, 0) < 0) {
+        return NULL;
+    }
+    if (get_column(out_obj, &out, "p2_samples", "out", "il", 4, 1) < 0) {
+        PyBuffer_Release(&rest);
+        return NULL;
+    }
+    const unsigned char *bytes = rest.buf;
+    int ok;
+    Py_BEGIN_ALLOW_THREADS
+    ok = decode_p2(bytes, bytes + rest.len, out.buf, out.shape[0]);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&rest);
+    return PyBool_FromLong(ok);
 }
 
 #ifdef __SIZEOF_INT128__
@@ -833,6 +900,15 @@ static PyMethodDef methods[] = {
      "is not a C-contiguous one-dimensional float64 buffer of finite values,\n"
      "or index not a C-contiguous one-dimensional uint32 buffer of fewer than\n"
      "2**32 entries, each below len(values); and whatever write raises."},
+    {"p2_samples", p2_samples, METH_VARARGS,
+     "p2_samples(rest, out)\n--\n\n"
+     "Fill the C-contiguous writable int32 buffer out with the first len(out)\n"
+     "samples of the P2 raster rest, a bytes-like object whose comments are\n"
+     "blanked, in one pass, and return True.  Return False, with out partly\n"
+     "written, where a byte that is neither whitespace nor a digit comes before\n"
+     "the end of the last sample, a sample has more than 5 digits, or rest\n"
+     "holds fewer than len(out) samples.  Raises ValueError for a buffer of\n"
+     "the wrong type, shape or layout."},
     {"_short_repr", short_repr_py, METH_O,
      "_short_repr(x)\n--\n\n"
      "repr(x) as state_json's own formatter writes it, or None where it\n"
@@ -843,7 +919,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "ryprep._simkernel",
-    .m_doc = "Compiled simulator kernel and state-JSON writer for ryprep.",
+    .m_doc = "Compiled simulator kernel, P2 raster decoder and state-JSON writer for ryprep.",
     .m_size = 0,
     .m_methods = methods,
 };

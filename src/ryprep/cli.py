@@ -17,7 +17,7 @@ from typing import Callable
 from . import KERNEL_BACKEND, __version__
 from ._values import json_reals, parse
 from .circuits import RY, Circuit
-from .encoding import encode, load_pgm
+from .encoding import encode, load_pgm, looks_like_pgm
 from .errors import DimensionMismatch, DomainError, FormatError
 from .qasm import export_qasm
 from .simulator import max_abs_diff, run
@@ -65,8 +65,7 @@ def _load_state(path: str) -> RealState:
     """Load a state from a PGM image, a state JSON object, or a bare JSON
     array of reals (normalized on the way in)."""
     data = _read_bytes(path)
-    head = data.lstrip()[:2]
-    if head[:1] == b"P" and head[1:2].isdigit():
+    if looks_like_pgm(data):
         return encode(load_pgm(data))
     try:
         text = data.decode("utf-8")

@@ -26,6 +26,13 @@ from .errors import (
 )
 from .states import RealState, _ArrayValue, _is_vector
 
+# The compiled P2 raster decoder, from the same extension as the simulator
+# kernel; without it, load_pgm runs _p2_samples from _BULK_P2 samples on.
+try:
+    from ._simkernel import p2_samples as _p2_decode
+except ImportError:
+    _p2_decode = None
+
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
 # Skips whitespace and '#' comments (up to LF or CR), then captures the next
@@ -115,17 +122,19 @@ _OTHER = ~_SPACE
 _OTHER[list(b"0123456789")] = False
 
 
-# The bulk decode makes about twenty NumPy calls, a fixed cost.  Timed inside
-# whole CLI synth and verify runs, it overtakes the split and map(int) below
-# at about 640-700 samples (in a hot loop of load_pgm calls alone, already at
-# 130-190: a NumPy call costs several times more inside a CLI run).
+# The bulk decode, which load_pgm runs only without the compiled decoder,
+# makes about twenty NumPy calls, a fixed cost.  Timed inside whole CLI synth
+# and verify runs, it overtakes the split and map(int) below at about 640-700
+# samples (in a hot loop of load_pgm calls alone, already at 130-190: a NumPy
+# call costs several times more inside a CLI run).
 _BULK_P2 = 640
 
 
 def _p2_samples(rest: bytes, count: int) -> np.ndarray | None:
     """The first count samples of a P2 raster whose comments are blanked,
     decoded together; None unless there are count of them within the first
-    16 * count + 64 bytes, each a run of one to five ASCII digits.
+    16 * count + 64 bytes, each a run of one to five ASCII digits.  The
+    NumPy fallback of ``_simkernel.p2_samples``, and its reference.
 
     The byte limit keeps a long trailer past the raster from being scanned;
     a raster spaced wider than that is left to the token walk.
@@ -152,6 +161,13 @@ def _p2_samples(rest: bytes, count: int) -> np.ndarray | None:
     return value
 
 
+def looks_like_pgm(data: bytes) -> bool:
+    """Whether the first token of data, past the whitespace and '#' comments
+    that load_pgm skips, starts with P and a digit, as a PGM magic does."""
+    start = _TOKEN.match(data).start(1)
+    return data[start : start + 1] == b"P" and data[start + 1 : start + 2].isdigit()
+
+
 def load_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes, ASCII (P2) or binary (P5), 8- or 16-bit.
 
@@ -176,7 +192,16 @@ def load_pgm(data: bytes) -> GrayImage:
 
     if magic == b"P2":
         rest = _COMMENT.sub(b" ", data[match.end() :])
-        pixels = _p2_samples(rest, count) if count >= _BULK_P2 else None
+        pixels = None
+        if _p2_decode is not None:
+            # count samples take at least 2 * count - 1 bytes, so a count that
+            # a header alone declares never sizes this array
+            if 2 * count - 1 <= len(rest):
+                pixels = np.empty(count, np.int32)
+                if not _p2_decode(rest, pixels):
+                    pixels = None
+        elif count >= _BULK_P2:
+            pixels = _p2_samples(rest, count)
         if pixels is None:
             # With the comments blanked, bytes.split's whitespace is _TOKEN's
             # six bytes.  The rest holds at most len(rest) tokens, and whatever

@@ -11,11 +11,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import ryprep
 from ryprep import Circuit, cli, encode, load_pgm, normalize, states, synth, synthesis
 from ryprep.cli import main
+from ryprep.errors import BadMagic, FormatError
 from ryprep.tolerances import PRUNE_ATOL
+from test_encoding import parse, pgm_files
+from test_fuzz import FILLER
 
 WORKED_PGM = b"P2\n2 2\n255\n0 192\n128 255\n"
 
@@ -183,6 +187,42 @@ def test_synth_defaults_to_stdout(worked_pgm, capsys):
     assert main(["synth", str(worked_pgm)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_qubits"] == 2 and len(doc["gates"]) == 3
+
+
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_pgm_after_a_leading_comment_is_an_image(tmp_path, capsys, command):
+    img = tmp_path / "img.pgm"
+    img.write_bytes(b"# leading comment\nP2 2 2 255\n0 192 128 255\n")
+    circ = tmp_path / "c.json"
+    circ.write_text(synth(encode(load_pgm(WORKED_PGM)))[0].to_json() + "\n")
+    argv = ["synth", str(img)] if command == "synth" else ["verify", str(img), str(circ)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if command == "synth":
+        assert out == circ.read_text()
+    else:
+        assert json.loads(out)["ok"] is True
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(FILLER, pgm_files())
+def test_load_state_reads_a_pgm_as_encode_does(tmp_path, prefix, data):
+    # the file is rewritten for each example, so one tmp_path serves them all
+    path = tmp_path / "in.pgm"
+    path.write_bytes(prefix + data)
+    expect = parse(lambda data: encode(load_pgm(data)), prefix + data)
+    got = parse(cli._load_state, str(path))
+    if isinstance(expect, tuple) and expect[0] is BadMagic:
+        # the data was cut before its magic: the file is neither PGM nor JSON
+        assert isinstance(got, tuple) and issubclass(got[0], FormatError)
+    else:
+        assert got == expect
 
 
 def test_synth_vector_json_no_prune_gate_count(tmp_path):

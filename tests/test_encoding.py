@@ -5,18 +5,29 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import reference_pgm
 import reference_states
-from ryprep import GrayImage, RealState, encode, load_pgm, normalize, pad_pow2, states, unfold
+from ryprep import (
+    GrayImage,
+    RealState,
+    encode,
+    encoding,
+    load_pgm,
+    normalize,
+    pad_pow2,
+    states,
+    unfold,
+)
 from ryprep.encoding import _BULK_P2, _norm
 from ryprep.errors import (
     AllZeroImage,
@@ -211,19 +222,44 @@ def assert_matches_reference(data):
         assert got == expect
 
 
-PARITY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+# p2_decoders patches each decoder in within every example, so that the
+# fixture is function-scoped does not matter here
+PARITY = settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture
+def p2_decoders(simkernel, monkeypatch):
+    """Patches in, one after the other, each P2 raster decoder that
+    ``load_pgm`` may run: the NumPy fallback (the extension absent) and the
+    compiled decoder built from source.  A test loops over it, so that its
+    id is the same for both, and reads the name yielded (``-l`` shows it)."""
+
+    def each():
+        for name, decode in (("numpy", None), ("c", simkernel.p2_samples)):
+            monkeypatch.setattr(encoding, "_p2_decode", decode)
+            yield name
+
+    return each
 
 
 @PARITY
 @given(pgm_files())
-def test_load_pgm_matches_reference(data):
-    assert_matches_reference(data)
+def test_load_pgm_matches_reference(p2_decoders, data):
+    for decoder in p2_decoders():
+        assert_matches_reference(data)
 
 
 @PARITY
 @given(PGM_BYTES)
-def test_load_pgm_matches_reference_on_fuzz_bytes(data):
-    assert_matches_reference(data)
+def test_load_pgm_matches_reference_on_fuzz_bytes(p2_decoders, data):
+    for decoder in p2_decoders():
+        assert_matches_reference(data)
 
 
 def full_size_p2():
@@ -241,24 +277,26 @@ def full_size_p2():
     return head, pieces, trailer, GrayImage(rows, cols, tuple(pixels), 255)
 
 
-def test_full_size_p2_matches_reference():
+def test_full_size_p2_matches_reference(p2_decoders):
     head, pieces, trailer, image = full_size_p2()
     data = head + b"".join(pieces) + trailer
-    assert load_pgm(data) == image
-    assert_matches_reference(data)
+    for decoder in p2_decoders():
+        assert load_pgm(data) == image
+        assert_matches_reference(data)
 
 
 @pytest.mark.parametrize("control", [b"\x1c", b"\x85"])
-def test_full_size_p2_control_byte_is_not_whitespace(control):
+def test_full_size_p2_control_byte_is_not_whitespace(p2_decoders, control):
     head, pieces, trailer, image = full_size_p2()
     # the next piece starts with whitespace or '#', so the byte ends a token
     k = 40000
     pieces[k] += control
     token = b"%d" % image.pixels[k] + control
     data = head + b"".join(pieces) + trailer
-    with pytest.raises(PgmError, match=re.escape(f"malformed sample token {token!r}")):
-        load_pgm(data)
-    assert_matches_reference(data)
+    for decoder in p2_decoders():
+        with pytest.raises(PgmError, match=re.escape(f"malformed sample token {token!r}")):
+            load_pgm(data)
+        assert_matches_reference(data)
 
 
 @pytest.mark.parametrize(
@@ -287,11 +325,12 @@ def test_full_size_p2_control_byte_is_not_whitespace(control):
         b"100000 4",
     ],
 )
-def test_irregular_p2_rasters_match_reference(raster):
-    assert_matches_reference(b"P2 2 1 255 " + raster)
+def test_irregular_p2_rasters_match_reference(p2_decoders, raster):
     # the same bytes at the end of a large raster, which is otherwise regular
     head, pieces, trailer, _ = full_size_p2()
-    assert_matches_reference(head + b"".join(pieces[:-2]) + b" " + raster)
+    for decoder in p2_decoders():
+        assert_matches_reference(b"P2 2 1 255 " + raster)
+        assert_matches_reference(head + b"".join(pieces[:-2]) + b" " + raster)
 
 
 # the P2 tokens that decide between the bulk decode and the token walk
@@ -303,31 +342,111 @@ RASTER_TOKENS = st.sampled_from(
 
 @PARITY
 @given(st.lists(st.tuples(FILLER, RASTER_TOKENS), max_size=4), st.binary(max_size=8))
-def test_bulk_p2_decode_matches_reference(pairs, tail):
+def test_bulk_p2_decode_matches_reference(p2_decoders, pairs, tail):
     # all but two samples plain, then the drawn ones: the raster is large
     # enough for the bulk decode, whose every outcome must be the reference's
     head = b"P2 %d 1 65535\n" % _BULK_P2
     data = head + b"7 " * (_BULK_P2 - 2) + b"".join(map(b"".join, pairs)) + tail
-    assert_matches_reference(data)
+    for decoder in p2_decoders():
+        assert_matches_reference(data)
 
 
-def test_p2_token_across_the_scanned_bytes_is_read_whole():
-    # the bulk decode reads the first 16 * count + 64 bytes of the raster,
+def test_p2_token_across_the_scanned_bytes_is_read_whole(p2_decoders):
+    # the NumPy decode reads the first 16 * count + 64 bytes of the raster,
     # and the last sample here starts two bytes before their end
     body = b" " + b"1 " * (_BULK_P2 - 1)
     data = b"P2 %d 1 65535" % _BULK_P2 + body + b" " * (16 * _BULK_P2 + 62 - len(body)) + b"456"
-    assert load_pgm(data).pixels[-1] == 456
-    assert_matches_reference(data)
+    for decoder in p2_decoders():
+        assert load_pgm(data).pixels[-1] == 456
+        assert_matches_reference(data)
 
 
 @pytest.mark.parametrize("spacing", [b" " * 17, b"\r\n" * 9, b"#" + b"x" * 40 + b"\n"])
-def test_widely_spaced_p2_raster_is_read_token_by_token(spacing):
+def test_widely_spaced_p2_raster_is_read_token_by_token(p2_decoders, spacing):
     rng = np.random.default_rng(17)
-    # enough samples for the bulk decode, spaced too widely for its bytes
+    # enough samples for the NumPy decode, spaced too widely for its bytes
     pixels = rng.integers(0, 65536, _BULK_P2).tolist()
     data = b"P2 %d 1 65535" % _BULK_P2 + b"".join(spacing + b"%d" % p for p in pixels)
-    assert load_pgm(data) == GrayImage(1, _BULK_P2, tuple(pixels), 65535)
-    assert_matches_reference(data)
+    for decoder in p2_decoders():
+        assert load_pgm(data) == GrayImage(1, _BULK_P2, tuple(pixels), 65535)
+        assert_matches_reference(data)
+
+
+@pytest.mark.parametrize(
+    "data", [b"P2 100000 100000 255 1 2 3", b"P2 1048576 1048576 255 1 2 3"], ids=["1e10", "2**40"]
+)
+def test_p2_count_from_the_header_alone_sizes_nothing(p2_decoders, data):
+    for decoder in p2_decoders():
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedData, match="^header ended early$"):
+                load_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("count", [2, _BULK_P2])
+@pytest.mark.parametrize("sample", [99999, 70000])
+def test_p2_sample_past_16_bits_exceeds_maxval(p2_decoders, count, sample):
+    data = b"P2 %d 1 65535 " % count + b"7 " * (count - 1) + b"%d" % sample
+    message = re.escape(f"pixel value {sample} outside [0, 65535]")
+    for decoder in p2_decoders():
+        with pytest.raises(PixelExceedsMaxval, match=f"^{message}$"):
+            load_pgm(data)
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize(
+    "out,why",
+    [
+        (np.zeros(3, np.int64), "has the wrong item type"),
+        (np.zeros(3, np.uint32), "has the wrong item type"),
+        (np.zeros(3, np.float32), "has the wrong item type"),
+        (np.zeros((3, 1), np.int32), "must be one-dimensional"),
+        (np.zeros(6, np.int32)[::2], "must be C-contiguous"),
+        (_read_only(np.zeros(3, np.int32)), "must be writable"),
+    ],
+    ids=["int64", "uint32", "float32", "2d", "strided", "read-only"],
+)
+def test_p2_samples_refuses_a_bad_out(simkernel, out, why):
+    with pytest.raises(ValueError, match=f"^p2_samples: out {why} "):
+        simkernel.p2_samples(b"1 2 3", out)
+
+
+def test_p2_samples_refuses_a_bad_rest(simkernel):
+    out = np.zeros(3, np.int32)
+    with pytest.raises(ValueError, match="^p2_samples: rest has the wrong item type "):
+        simkernel.p2_samples(np.zeros(3, np.int32), out)
+    with pytest.raises(TypeError):
+        simkernel.p2_samples("1 2 3", out)
+
+
+@pytest.mark.parametrize(
+    "rest,samples",
+    [
+        (b"1 23 456", [1, 23, 456]),
+        (b" 1\t23\r\n99999", [1, 23, 99999]),
+        (bytearray(b"1 23 00456"), [1, 23, 456]),
+        (memoryview(b"1 23 4567")[:-1], [1, 23, 456]),  # the byte past rest is a digit
+        (b"1 23 456 x -1 " + b"9" * 10, [1, 23, 456]),  # what follows is not read
+        (b"1 23 100000", None),
+        (b"1 23 456x", None),
+        (b"1 x 456", None),
+        (b"1 23", None),
+        (b"1 23 ", None),
+    ],
+)
+def test_p2_samples_reads_the_last_sample_whole(simkernel, rest, samples):
+    out = np.full(3, -1, np.int32)
+    assert simkernel.p2_samples(rest, out) is (samples is not None)
+    if samples is not None:
+        assert out.tolist() == samples
 
 
 def _pgm_bytes(fmt, pixels, maxval):
