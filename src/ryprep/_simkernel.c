@@ -32,8 +32,9 @@
    come before and between them.  It returns False, for the token walk in
    encoding.load_pgm to decide, where a byte that is neither whitespace nor
    a digit comes before the end of the last sample, a token has more than
-   five digits, or rest holds fewer than len(out) tokens; the bytes after
-   the last sample are not read.  encoding._p2_samples is the fallback.
+   five digits, or rest holds fewer than len(out) tokens.  Nothing past the
+   byte that ends the last sample is read.  encoding._p2_samples is the
+   fallback.
 
    state_json(n_qubits, values, index[, write]) writes the state document
    {"n_qubits": N, "amplitudes": [a0, a1, ...]}, byte for byte what
@@ -293,8 +294,8 @@ decode_p2(const unsigned char *p, const unsigned char *end, int32_t *out, Py_ssi
         while (p < stop && (unsigned)(*p - '0') <= 9) {
             value = value * 10 + (*p++ - '0');
         }
-        /* a sixth digit or any other byte before the next whitespace is left
-           to the walk, and so is the end of the bytes before the sample */
+        /* no digit here (the bytes ended, or another byte), or a sixth digit
+           or another byte before the next whitespace: left to the walk */
         if (p == start || (p < end && !is_space(*p))) {
             return 0;
         }
