@@ -213,10 +213,11 @@ def test_pgm_after_a_leading_comment_is_an_image(tmp_path, capsys, command):
 )
 @given(FILLER, pgm_files())
 def test_load_state_reads_a_pgm_as_encode_does(tmp_path, prefix, data):
+    data = prefix + data
     # the file is rewritten for each example, so one tmp_path serves them all
     path = tmp_path / "in.pgm"
-    path.write_bytes(prefix + data)
-    expect = parse(lambda data: encode(load_pgm(data)), prefix + data)
+    path.write_bytes(data)
+    expect = parse(lambda data: encode(load_pgm(data)), data)
     got = parse(cli._load_state, str(path))
     if isinstance(expect, tuple) and expect[0] is BadMagic:
         # the data was cut before its magic: the file is neither PGM nor JSON
