@@ -35,9 +35,15 @@ except ImportError:
 
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
-# Skips whitespace and '#' comments (up to LF or CR), then captures the next
-# header token, which is empty only at the end of the data.
-_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]+|#[^\n\r]*)*([^ \t\n\r\x0b\x0c#]*)")
+# Whitespace and '#' comments (up to LF or CR), which PGM skips before a
+# header token.
+_SKIP = rb"(?:[ \t\n\r\x0b\x0c]+|#[^\n\r]*)*"
+# Skips as _SKIP does, then captures the next header token, which is empty
+# only at the end of the data.
+_TOKEN = re.compile(_SKIP + rb"([^ \t\n\r\x0b\x0c#]*)")
+# _SKIP alone: it always matches, so it ends where the next token starts
+# without reading that token.
+_LEAD = re.compile(_SKIP)
 # A comment in the P2 raster, which _TOKEN would skip like whitespace.
 _COMMENT = re.compile(rb"#[^\n\r]*")
 
@@ -164,7 +170,7 @@ def _p2_samples(rest: bytes, count: int) -> np.ndarray | None:
 def looks_like_pgm(data: bytes) -> bool:
     """Whether the first token of data, past the whitespace and '#' comments
     that load_pgm skips, starts with P and a digit, as a PGM magic does."""
-    start = _TOKEN.match(data).start(1)
+    start = _LEAD.match(data).end()
     return data[start : start + 1] == b"P" and data[start + 1 : start + 2].isdigit()
 
 
