@@ -36,7 +36,7 @@
    byte that ends the last sample is read.  encoding._p2_samples is the
    fallback.
 
-   state_json(n_qubits, values, index[, write]) writes the state document
+   state_json(n_qubits, values, index, write) writes the state document
    {"n_qubits": N, "amplitudes": [a0, a1, ...]}, byte for byte what
    json.dumps writes (states._state_json_numpy is the fallback), for the
    amplitudes values[index[0]], values[index[1]], ...: a table of values and
@@ -44,13 +44,11 @@
    distinct amplitudes of any other state.  values is a C-contiguous
    one-dimensional float64 buffer of finite values, used or not; index is a
    C-contiguous one-dimensional uint32 buffer of fewer than 2**32 entries,
-   each below len(values).  It serves two callers.  Without write it returns
-   the document as one str, which RealState.to_json returns.  With write, a
-   buffered binary file's write method or any callable that takes all of
-   each piece or raises, it hands the document to write in pieces of at
-   most CHUNK bytes, each a memoryview of one private bytearray that is
-   released when write returns, and returns None; RealState.write_json
-   streams a state to a file this way.
+   each below len(values).  write, a buffered binary file's write method or
+   any callable that takes all of each piece or raises, gets the document in
+   pieces of at most CHUNK bytes, each a memoryview of one private bytearray
+   that is released when write returns.  RealState.write_json streams a
+   state to a file this way, and RealState.to_json joins the pieces.
 
    Each value has a record, its text formatted as float.__repr__ formats it:
    by short_repr, or else by PyOS_double_to_string(x, 'r', 0,
@@ -59,18 +57,14 @@
    private array of one byte per value; a palette of at most one value per
    HINT_SPAN entries is marked whole instead.  One pass over values reads
    each value once, refuses any that is not finite, and formats the marked
-   ones, in value order; each other value's bits go into its record.  For
-   the str, a pass over index adds up the records' lengths, so that the str
-   is allocated once at its length.  The emitting pass reads each index
-   entry once, checks it, formats at its first use any value that the hint
-   pass missed, and copies its record to the str or the chunk.  So the str
-   costs its own length plus 33 bytes per value, and the stream 33 bytes
-   per value plus the chunk, whatever the number of amplitudes.  A thread
-   that changes values or index during the call, such as a NumPy ufunc
-   running without the GIL or a write call, cannot make the document
-   inconsistent: it holds each entry as the emitting pass read it and each
-   value as the values pass read it.  The str then grows or shrinks to the
-   length it takes.
+   ones, in value order; each other value's bits go into its record.  The
+   emitting pass reads each index entry once, checks it, formats at its
+   first use any value that the hint pass missed, and copies its record to
+   the chunk.  So a call takes 33 bytes per value plus the chunk, whatever
+   the number of amplitudes.  A thread that changes values or index during
+   the call, such as a NumPy ufunc running without the GIL or a write call,
+   cannot make the document inconsistent: it holds each entry as the
+   emitting pass read it and each value as the values pass read it.
 
    short_repr writes the text of most amplitudes itself, in exact 128-bit
    integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
@@ -605,26 +599,11 @@ read_values(char *records, unsigned char *used, const double *values, Py_ssize_t
     return 0;
 }
 
-/* The summed length of the records of index, separators included, by the
-   lengths in used: the str's length, unless another thread has changed
-   index since the hint pass. */
-static uint64_t
-records_length(const unsigned char *used, Py_ssize_t count, const uint32_t *index,
-               Py_ssize_t size)
-{
-    uint64_t total = 0;
-    for (Py_ssize_t i = 0; i < size; i++) {
-        const uint32_t v = index[i];
-        total += (Py_ssize_t)v < count ? used[v] : 0;
-    }
-    return total;
-}
-
-/* Where the document goes: the bytes start..end of the str doc, or of a
-   bytearray chunk that is handed to write, through view, when it is full. */
+/* Where the document goes: the bytes start..end of a bytearray chunk,
+   handed to write, through view, when it is full. */
 typedef struct {
     char *start, *out, *end;
-    PyObject *doc, *write, *view;
+    PyObject *write, *view;
 } Sink;
 
 /* Hands the bytes written to the chunk to write, as one memoryview, and
@@ -652,39 +631,6 @@ flush(Sink *sink)
     Py_DECREF(res);
     sink->out = sink->start;
     return 0;
-}
-
-/* Sets the str to length bytes, of which the first out - start are kept;
-   returns -1 with an exception set. */
-static int
-resize_doc(Sink *sink, Py_ssize_t length)
-{
-    const Py_ssize_t kept = sink->out - sink->start;
-    if (PyUnicode_Resize(&sink->doc, length) < 0) {
-        return -1;
-    }
-    sink->start = (char *)PyUnicode_1BYTE_DATA(sink->doc);
-    sink->out = sink->start + kept;
-    sink->end = sink->start + length;
-    return 0;
-}
-
-/* Makes room for the records of the left entries still to come and the
-   closing "]}": hands the chunk to write, or grows the str to fit the
-   longest records.  The str has the length that records_length added up,
-   so it grows only where another thread has changed index since. */
-static int
-make_room(Sink *sink, Py_ssize_t left)
-{
-    if (sink->doc == NULL) {
-        return flush(sink);
-    }
-    const Py_ssize_t kept = sink->out - sink->start;
-    if (left > (PY_SSIZE_T_MAX - kept - 2) / TEXT_MAX) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    return resize_doc(sink, kept + left * TEXT_MAX + 2);
 }
 
 /* The record of entry i of index, formatted now if the hint pass missed its
@@ -755,7 +701,7 @@ emit(Sink *sink, char *records, Py_ssize_t count, const uint32_t *index, Py_ssiz
         }
         const Py_ssize_t skip = i == 0 ? 2 : 0;
         const Py_ssize_t len = (unsigned char)record[RECORD - 1] - skip;
-        if (sink->end - sink->out < len + 2 && make_room(sink, size - i) < 0) {
+        if (sink->end - sink->out < len + 2 && flush(sink) < 0) {
             return -1;
         }
         memcpy(sink->out, record + skip, (size_t)len);
@@ -769,12 +715,11 @@ static PyObject *
 state_json(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t n_qubits;
-    PyObject *values_obj, *index_obj, *write = Py_None;
-    if (!PyArg_ParseTuple(args, "nOO|O:state_json", &n_qubits, &values_obj, &index_obj,
-                          &write)) {
+    PyObject *values_obj, *index_obj, *write;
+    if (!PyArg_ParseTuple(args, "nOOO:state_json", &n_qubits, &values_obj, &index_obj, &write)) {
         return NULL;
     }
-    if (write != Py_None && !PyCallable_Check(write)) {
+    if (!PyCallable_Check(write)) {
         PyErr_Format(PyExc_TypeError, "state_json: write must be callable, not %.100s",
                      Py_TYPE(write)->tp_name);
         return NULL;
@@ -788,7 +733,7 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     }
     PyObject *result = NULL, *chunk = NULL;
-    Sink sink = {NULL, NULL, NULL, NULL, NULL, NULL};
+    Sink sink = {NULL, NULL, NULL, write, NULL};
     char *records = NULL;
     unsigned char *used = NULL;
     const Py_ssize_t count = values.shape[0], size = index.shape[0];
@@ -811,52 +756,25 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
     if (read_values(records, used, values.buf, count) < 0) {
         goto done;
     }
-    char head[64];
-    const int head_len =
-        PyOS_snprintf(head, sizeof head, "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
-    if (write == Py_None) {
-        uint64_t total = records_length(used, count, index.buf, size);
-        /* the first record has no separator */
-        total = head_len + (total >= 2 ? total - 2 : 0) + 2;
-        if (total > (uint64_t)PY_SSIZE_T_MAX) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        if ((sink.doc = PyUnicode_New((Py_ssize_t)total, 127)) == NULL) {
-            goto done;
-        }
-        sink.start = (char *)PyUnicode_1BYTE_DATA(sink.doc);
-        sink.end = sink.start + total;
+    chunk = PyByteArray_FromStringAndSize(NULL, CHUNK);
+    if (chunk == NULL || (sink.view = PyMemoryView_FromObject(chunk)) == NULL) {
+        goto done;
     }
-    else {
-        chunk = PyByteArray_FromStringAndSize(NULL, CHUNK);
-        if (chunk == NULL || (sink.view = PyMemoryView_FromObject(chunk)) == NULL) {
-            goto done;
-        }
-        sink.start = PyByteArray_AS_STRING(chunk);
-        sink.end = sink.start + CHUNK;
-        sink.write = write;
-    }
-    memcpy(sink.start, head, (size_t)head_len);
-    sink.out = sink.start + head_len;
+    sink.start = PyByteArray_AS_STRING(chunk);
+    sink.end = sink.start + CHUNK;
+    sink.out = sink.start + PyOS_snprintf(sink.start, CHUNK,
+                                          "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
     if (emit(&sink, records, count, index.buf, size) < 0) {
         goto done;
     }
     /* each record left room for these two bytes */
     memcpy(sink.out, "]}", 2);
     sink.out += 2;
-    if (sink.doc != NULL) {
-        if (sink.out == sink.end || resize_doc(&sink, sink.out - sink.start) == 0) {
-            result = sink.doc;
-            sink.doc = NULL;
-        }
-    }
-    else if (flush(&sink) == 0) {
+    if (flush(&sink) == 0) {
         result = Py_NewRef(Py_None);
     }
 
 done:
-    Py_XDECREF(sink.doc);
     Py_XDECREF(sink.view);
     Py_XDECREF(chunk);
     PyMem_Free(used);
@@ -889,18 +807,19 @@ static PyMethodDef methods[] = {
      "float64 statevector amps in place.  Raises ValueError, writing nothing,\n"
      "when a buffer or a gate does not fit."},
     {"state_json", state_json, METH_VARARGS,
-     "state_json(n_qubits, values, index, write=None)\n--\n\n"
-     "The state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]},\n"
-     "byte for byte what json.dumps writes, for the amplitudes values[index]:\n"
-     "returned as one str, or, where write is given, handed to it in pieces of\n"
-     "at most 64 KiB, and None returned.  Each piece is a memoryview, released\n"
-     "when write returns; write must take all of it or raise, as a buffered\n"
-     "binary file's write does, and what it returns is ignored.  The values that index uses are formatted in value order, and\n"
+     "state_json(n_qubits, values, index, write)\n--\n\n"
+     "Hand the state document {\"n_qubits\": n_qubits, \"amplitudes\": [...]},\n"
+     "byte for byte what json.dumps writes, for the amplitudes values[index],\n"
+     "to write in pieces of at most 64 KiB, and return None.  Each piece is a\n"
+     "memoryview, released when write returns; write must take all of it or\n"
+     "raise, as a buffered binary file's write does, and what it returns is\n"
+     "ignored.  The values that index uses are formatted in value order, and\n"
      "each value and each index entry is read once.  Memory is 33 bytes per\n"
-     "value plus the str or the 64 KiB piece.  Raises ValueError when values\n"
-     "is not a C-contiguous one-dimensional float64 buffer of finite values,\n"
-     "or index not a C-contiguous one-dimensional uint32 buffer of fewer than\n"
-     "2**32 entries, each below len(values); and whatever write raises."},
+     "value plus the 64 KiB piece.  Raises TypeError when write is not\n"
+     "callable, ValueError when values is not a C-contiguous one-dimensional\n"
+     "float64 buffer of finite values, or index not a C-contiguous\n"
+     "one-dimensional uint32 buffer of fewer than 2**32 entries, each below\n"
+     "len(values); and whatever write raises."},
     {"p2_samples", p2_samples, METH_VARARGS,
      "p2_samples(rest, out)\n--\n\n"
      "Fill the C-contiguous writable int32 buffer out with the first len(out)\n"

@@ -26,13 +26,6 @@ from .errors import (
 )
 from .states import RealState, _ArrayValue, _is_vector
 
-# The compiled P2 raster decoder, from the same extension as the simulator
-# kernel; without it, load_pgm runs _p2_samples from _BULK_P2 samples on.
-try:
-    from ._simkernel import p2_samples as _p2_decode
-except ImportError:
-    _p2_decode = None
-
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
 # Whitespace and '#' comments (up to LF or CR), which PGM skips before a
@@ -136,15 +129,20 @@ _OTHER[list(b"0123456789")] = False
 _BULK_P2 = 640
 
 
-def _p2_samples(rest: bytes, count: int) -> np.ndarray | None:
-    """The first count samples of a P2 raster whose comments are blanked,
-    decoded together; None unless there are count of them within the first
-    16 * count + 64 bytes, each a run of one to five ASCII digits.  The
-    NumPy fallback of ``_simkernel.p2_samples``, and its reference.
+def _p2_samples(rest: bytes, out: np.ndarray) -> bool:
+    """Fill the int32 array out with the first len(out) samples of a P2
+    raster whose comments are blanked, decoded together, and return True;
+    return False below _BULK_P2 samples, or unless there are len(out) of
+    them within the first 16 * len(out) + 64 bytes, each a run of one to
+    five ASCII digits.  The NumPy fallback of ``_simkernel.p2_samples``, and
+    its reference.
 
     The byte limit keeps a long trailer past the raster from being scanned;
     a raster spaced wider than that is left to the token walk.
     """
+    count = len(out)
+    if count < _BULK_P2:
+        return False
     raw = np.frombuffer(rest, np.uint8, min(len(rest), 16 * count + 64))
     # whitespace with one more byte of it at each end, so that its edges
     # alternate: where a token starts, where it ends, where the next starts
@@ -154,17 +152,26 @@ def _p2_samples(rest: bytes, count: int) -> np.ndarray | None:
     starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
     # a last token that reaches the end of the bytes read may go on past them
     if len(ends) < count or ends[-1] == len(raw) < len(rest):
-        return None
+        return False
     lengths = ends - starts
     longest = int(lengths.max())
     if longest > 5 or _OTHER[raw[: ends[-1]]].any():
-        return None
+        return False
     # Horner's rule over the digits, the last of each token in the last pass
-    value = np.zeros(count, np.int32)
+    out[:] = 0
     for place in range(longest, 0, -1):
         digit = raw.take(ends - place, mode="clip") - 48
-        value = value * 10 + np.where(lengths >= place, digit, 0)
-    return value
+        out *= 10
+        out += np.where(lengths >= place, digit, 0)
+    return True
+
+
+# The compiled P2 raster decoder, from the same extension as the simulator
+# kernel, or else its NumPy fallback, which takes the same arguments.
+try:
+    from ._simkernel import p2_samples as _p2_decode
+except ImportError:
+    _p2_decode = _p2_samples
 
 
 def looks_like_pgm(data: bytes) -> bool:
@@ -197,17 +204,17 @@ def load_pgm(data: bytes) -> GrayImage:
     count = width * height
 
     if magic == b"P2":
-        rest = _COMMENT.sub(b" ", data[match.end() :])
+        # bytes for any bytes-like data, so that tokens and messages are too
+        rest = bytes(data[match.end() :])
+        if b"#" in rest:
+            rest = _COMMENT.sub(b" ", rest)
         pixels = None
-        if _p2_decode is not None:
-            # count samples take at least 2 * count - 1 bytes, so a count that
-            # a header alone declares never sizes this array
-            if 2 * count - 1 <= len(rest):
-                pixels = np.empty(count, np.int32)
-                if not _p2_decode(rest, pixels):
-                    pixels = None
-        elif count >= _BULK_P2:
-            pixels = _p2_samples(rest, count)
+        # count samples take at least 2 * count - 1 bytes, so a count that a
+        # header alone declares never sizes this array
+        if 2 * count - 1 <= len(rest):
+            pixels = np.empty(count, np.int32)
+            if not _p2_decode(rest, pixels):
+                pixels = None
         if pixels is None:
             # With the comments blanked, bytes.split's whitespace is _TOKEN's
             # six bytes.  The rest holds at most len(rest) tokens, and whatever

@@ -13,20 +13,13 @@ import math
 import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
 from ._values import header, integers, json_reals, num, parse, reals
 from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
-
-# The compiled state-JSON writer, from the same extension as the simulator
-# kernel; without it, to_json and write_json run _state_json_numpy.
-try:
-    from ._simkernel import state_json as _state_json
-except ImportError:
-    _state_json = None
 
 __all__ = ["RealState", "AngleList", "normalize", "to_angles", "from_angles"]
 
@@ -144,10 +137,13 @@ def _palette_of(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits.view(np.float64), index.astype(np.uint32)
 
 
-def _state_json_numpy(n_qubits: int, values: np.ndarray, index: np.ndarray) -> str:
-    """The state document of n_qubits and the amplitudes values[index], for
-    finite float64 values, each used one formatted once:
-    ``_simkernel.state_json`` in NumPy, its fallback and its reference."""
+def _state_json_numpy(
+    n_qubits: int, values: np.ndarray, index: np.ndarray, write: Callable[[bytes], object]
+) -> None:
+    """Hand write, in one call, the ASCII bytes of the state document of
+    n_qubits and the amplitudes values[index], for finite float64 values,
+    each used one formatted once: ``_simkernel.state_json`` in NumPy, its
+    fallback and its reference."""
     # a palette of maxval + 1 values may hold far more than a small image uses
     seen = np.zeros(len(values), bool)
     seen[index] = True
@@ -155,7 +151,15 @@ def _state_json_numpy(n_qubits: int, values: np.ndarray, index: np.ndarray) -> s
     texts = np.empty(len(values), dtype=object)
     texts[used] = list(map(float.__repr__, values[used].tolist()))
     body = ", ".join(texts[index].tolist())
-    return f'{{"n_qubits": {n_qubits}, "amplitudes": [{body}]}}'
+    write(f'{{"n_qubits": {n_qubits}, "amplitudes": [{body}]}}'.encode("ascii"))
+
+
+# The compiled state-JSON writer, from the same extension as the simulator
+# kernel, or else its NumPy fallback, which takes the same arguments.
+try:
+    from ._simkernel import state_json as _state_json
+except ImportError:
+    _state_json = _state_json_numpy
 
 
 class RealState(_ArrayValue):
@@ -236,28 +240,30 @@ class RealState(_ArrayValue):
         return _palette_of(self.array) if self._palette is None else self._palette
 
     def to_json(self) -> str:
-        """``json.dumps({"n_qubits": ..., "amplitudes": [...]})``, byte for byte,
-        with each distinct amplitude formatted once: an image state holds at
-        most maxval + 1 of them, however many pixels it has.  Amplitudes are
-        finite, since the norm check refuses inf and NaN."""
+        """``json.dumps({"n_qubits": ..., "amplitudes": [...]})``, byte for byte:
+        the text that ``write_json`` writes, gathered piece by piece."""
+        # one str per piece and one join, which copy the document twice, where
+        # a BytesIO's growth and getvalue copy it more often
+        parts = []
         values, index = self._values_and_index()
-        writer = _state_json_numpy if _state_json is None else _state_json
-        return writer(self.n_qubits, values, index)
+        _state_json(self.n_qubits, values, index, lambda piece: parts.append(str(piece, "ascii")))
+        return "".join(parts)
 
     def write_json(self, fh: BinaryIO) -> None:
-        """Write ``to_json()``'s text, as ASCII bytes, to the buffered binary
-        file fh, such as ``open(path, "wb")`` returns.  The compiled writer
-        hands it to ``fh.write`` in pieces of at most 64 KiB, so that no str
-        or bytes of the whole document is built.  A buffered file's write
-        takes each piece whole or raises; a raw file (``buffering=0``) may
-        take part of one, and is not supported.  What ``fh.write`` raises
-        propagates, leaving part of the document written.  Without the
-        extension, the text is written as one bytes object."""
+        """Write the state document, ``to_json()``'s text, as ASCII bytes to
+        the buffered binary file fh, such as ``open(path, "wb")`` or a
+        BytesIO, with each distinct amplitude formatted once: an image state
+        holds at most maxval + 1 of them, however many pixels it has.
+        Amplitudes are finite, since the norm check refuses inf and NaN.
+
+        The compiled writer hands the text to ``fh.write`` in pieces of at
+        most 64 KiB, so that no str or bytes of the whole document is built;
+        its NumPy fallback writes it as one bytes object.  A buffered file's
+        write takes each piece whole or raises; a raw file (``buffering=0``)
+        may take part of one, and is not supported.  What ``fh.write``
+        raises propagates, leaving part of the document written."""
         values, index = self._values_and_index()
-        if _state_json is None:
-            fh.write(_state_json_numpy(self.n_qubits, values, index).encode("ascii"))
-        else:
-            _state_json(self.n_qubits, values, index, fh.write)
+        _state_json(self.n_qubits, values, index, fh.write)
 
     @classmethod
     def from_json(cls, text: str) -> "RealState":

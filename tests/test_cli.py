@@ -125,7 +125,10 @@ def test_encode_missing_file_is_io_error(tmp_path):
 def backend(request, monkeypatch):
     """The state writer ``encode`` runs: the NumPy fallback (the extension
     absent) or the compiled writer built from source."""
-    writer = None if request.param == "numpy" else request.getfixturevalue("simkernel").state_json
+    if request.param == "numpy":
+        writer = states._state_json_numpy
+    else:
+        writer = request.getfixturevalue("simkernel").state_json
     monkeypatch.setattr(states, "_state_json", writer)
 
 

@@ -242,7 +242,7 @@ def p2_decoders(request, monkeypatch):
     loops over it, so that its id is the same for both, and reads the name
     yielded (``-l`` shows it).  Without gcc only the fallback runs, which is
     then the decoder that ships, and the test is not skipped."""
-    decoders = [("numpy", None)]
+    decoders = [("numpy", encoding._p2_samples)]
     if shutil.which("gcc") is not None:
         decoders.append(("c", request.getfixturevalue("simkernel").p2_samples))
 
@@ -401,6 +401,14 @@ def test_p2_sample_past_16_bits_exceeds_maxval(p2_decoders, count, sample):
     for decoder in p2_decoders():
         with pytest.raises(PixelExceedsMaxval, match=f"^{message}$"):
             load_pgm(data)
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+@pytest.mark.parametrize("data", [b"P2 2 1 255 3 4", b"P2 2 1 255 3 x", b"P2 2 1 255 3 #c\n x"])
+def test_p2_from_bytes_like_data_reads_as_from_bytes(kind, data):
+    """The raster is read as bytes whether or not it holds a comment, so a
+    bad token is named as it is from bytes."""
+    assert parse(load_pgm, kind(data)) == parse(load_pgm, data)
 
 
 def _read_only(array):
@@ -709,7 +717,7 @@ def test_palette_state_is_the_value_of_its_amplitudes(simkernel, monkeypatch, na
     with pytest.raises(FrozenInstanceError, match="cannot delete field 'array'"):
         del state.array
     assert state.array.flags.writeable is False and state == plain
-    for writer in (None, simkernel.state_json):
+    for writer in (states._state_json_numpy, simkernel.state_json):
         monkeypatch.setattr(states, "_state_json", writer)
         assert state.to_json() == plain.to_json() == reference_states.to_json(plain)
 

@@ -20,6 +20,7 @@ from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
 from ryprep import simulator
 from ryprep.errors import DomainError
 from ryprep.simulator import MAX_QUBITS, _apply_inplace, _columns
+from test_state_json import _streamed
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -303,7 +304,8 @@ import numpy as np
 import ryprep
 from ryprep import Circuit, encode, load_pgm, run, ry, simulator, states, x
 state = run(Circuit(3, (ry(0.3, 0), x(1, (0,)), ry(1.1, 2, (0, 1)))))
-print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, states._state_json is None, end=" ")
+fallback = states._state_json is states._state_json_numpy
+print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, fallback, end=" ")
 print(repr(state.amplitudes), state.to_json())
 rng = np.random.default_rng(16)
 for maxval, depth, rows, cols in (
@@ -366,7 +368,7 @@ def test_build_with_all_warnings_as_errors(tmp_path):
     lib = tmp_path / "lib"
     res = build_ext(lib, tmp_path / "temp", CFLAGS="-Wall -Wextra -Werror")
     kernel = import_built(lib, res)
-    doc = kernel.state_json(1, np.array([0.6, 0.8]), np.array([0, 1], np.uint32))
+    doc = _streamed(kernel.state_json)(1, np.array([0.6, 0.8]), np.array([0, 1], np.uint32))
     assert doc == '{"n_qubits": 1, "amplitudes": [0.6, 0.8]}'
 
 
@@ -379,4 +381,4 @@ def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
     amps = np.random.default_rng(8).random(1000)
     assert {kernel._short_repr(x) for x in amps.tolist() + [0.3, 1e-05]} == {None}
     expect = json.dumps({"n_qubits": 10, "amplitudes": amps.tolist()})
-    assert kernel.state_json(10, amps, np.arange(1000, dtype=np.uint32)) == expect
+    assert _streamed(kernel.state_json)(10, amps, np.arange(1000, dtype=np.uint32)) == expect

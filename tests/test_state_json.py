@@ -1,9 +1,9 @@
 """State JSON: the compiled writer ``_simkernel.state_json`` and its NumPy
 fallback ``states._state_json_numpy`` against ``json.dumps``, byte for byte,
 on palettes from ``np.unique`` and from ``encode``; ``RealState.to_json`` and
-``RealState.write_json`` on both through their dispatch; the compiled
-writer's own formatter ``_short_repr`` against ``repr``; and the compiled
-writer's argument checks and its calls of ``write``, with and without it."""
+``RealState.write_json`` on both, each bound as ``states._state_json``; the
+compiled writer's own formatter ``_short_repr`` against ``repr``; and the
+compiled writer's argument checks and its calls of ``write``."""
 
 import io
 import json
@@ -40,7 +40,10 @@ def _assert_same(doc, expect):
 def to_json(request, monkeypatch):
     """``RealState.to_json`` with the NumPy fallback (the extension absent)
     or with the compiled writer built from source."""
-    writer = None if request.param == "numpy" else request.getfixturevalue("simkernel").state_json
+    if request.param == "numpy":
+        writer = states._state_json_numpy
+    else:
+        writer = request.getfixturevalue("simkernel").state_json
     monkeypatch.setattr(states, "_state_json", writer)
     return RealState.to_json
 
@@ -60,10 +63,10 @@ def _streamed(state_json):
 @pytest.fixture(params=["numpy", "c"])
 def writer(request):
     """``state_json``'s NumPy fallback, or the compiled writer built from
-    source."""
+    source, each through ``_streamed``."""
     if request.param == "numpy":
-        return states._state_json_numpy
-    return request.getfixturevalue("simkernel").state_json
+        return _streamed(states._state_json_numpy)
+    return _streamed(request.getfixturevalue("simkernel").state_json)
 
 
 # repr switches to exponent form below 1e-4 and from 1e16 on
@@ -89,8 +92,8 @@ def test_compiled_and_numpy_writers_match_json_dumps(simkernel, values, n_qubits
     amps = np.array(values, dtype=np.float64)
     expect = _dumps(n_qubits, amps)
     palette = states._palette_of(amps)
-    assert simkernel.state_json(n_qubits, *palette) == expect
-    assert states._state_json_numpy(n_qubits, *palette) == expect
+    assert _streamed(simkernel.state_json)(n_qubits, *palette) == expect
+    assert _streamed(states._state_json_numpy)(n_qubits, *palette) == expect
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -106,15 +109,16 @@ def test_palettes_with_repeated_and_unused_values(simkernel, palette):
     and any palette may hold one value twice."""
     values, index = np.array(palette[0]), np.array(palette[1], np.uint32)
     expect = _dumps(5, values[index])
-    assert simkernel.state_json(5, values, index) == expect
-    assert states._state_json_numpy(5, values, index) == expect
+    assert _streamed(simkernel.state_json)(5, values, index) == expect
+    assert _streamed(states._state_json_numpy)(5, values, index) == expect
 
 
 def test_all_distinct_values(simkernel):
     amps = np.random.default_rng(5).normal(size=5000)
     expect = _dumps(12, amps)
     palette = states._palette_of(amps)
-    assert simkernel.state_json(12, *palette) == expect == states._state_json_numpy(12, *palette)
+    compiled, fallback = _streamed(simkernel.state_json), _streamed(states._state_json_numpy)
+    assert compiled(12, *palette) == expect == fallback(12, *palette)
 
 
 def test_read_only_buffer_and_empty_array(simkernel):
@@ -122,11 +126,12 @@ def test_read_only_buffer_and_empty_array(simkernel):
     values.setflags(write=False)
     index.setflags(write=False)
     doc = '{"n_qubits": 1, "amplitudes": [0.6, -0.8]}'
-    assert simkernel.state_json(1, values, index) == doc
+    compiled, fallback = _streamed(simkernel.state_json), _streamed(states._state_json_numpy)
+    assert compiled(1, values, index) == doc
     empty = np.array([], np.uint32)
     for values in (np.array([]), np.array([0.5, math.inf])[:1]):
-        assert simkernel.state_json(0, values, empty) == '{"n_qubits": 0, "amplitudes": []}'
-        assert states._state_json_numpy(0, values, empty) == _dumps(0, [])
+        assert compiled(0, values, empty) == '{"n_qubits": 0, "amplitudes": []}'
+        assert fallback(0, values, empty) == _dumps(0, [])
 
 
 @pytest.mark.parametrize(
@@ -316,7 +321,8 @@ def test_value_sets(writer, value_set):
 def test_own_formatter_is_repr_or_defers(simkernel, x):
     text = simkernel._short_repr(x)
     assert text is None or (text == repr(x) and len(text) <= 23)
-    assert simkernel.state_json(0, np.array([x]), np.zeros(1, np.uint32)) == _dumps(0, [x])
+    doc = _streamed(simkernel.state_json)(0, np.array([x]), np.zeros(1, np.uint32))
+    assert doc == _dumps(0, [x])
 
 
 @pytest.mark.parametrize(
@@ -337,9 +343,9 @@ def test_to_json_calls_the_compiled_writer_when_it_imports(simkernel, monkeypatc
     its palette as it is."""
     calls = []
 
-    def writer(n_qubits, values, index):
+    def writer(n_qubits, values, index, write):
         calls.append((n_qubits, values, index))
-        return simkernel.state_json(n_qubits, values, index)
+        return simkernel.state_json(n_qubits, values, index, write)
 
     monkeypatch.setattr(states, "_state_json", writer)
     state = normalize([0, 3, 0, 4])
@@ -357,11 +363,12 @@ def test_to_json_calls_the_compiled_writer_when_it_imports(simkernel, monkeypatc
 
 def test_kernel_backend_c_means_the_compiled_writer():
     """Both helpers come from one module: ``KERNEL_BACKEND`` is ``"c"``
-    exactly when ``to_json`` dispatches to the compiled writer.  (The
-    in-process answer depends on the build; tests/test_kernels.py checks
-    both answers on a copy of the package.)"""
-    assert (ryprep.KERNEL_BACKEND == "c") == (states._state_json is not None)
-    if states._state_json is not None:
+    exactly when the compiled writer, not its fallback, is bound as
+    ``states._state_json``.  (The in-process answer depends on the build;
+    tests/test_kernels.py checks both answers on a copy of the package.)"""
+    compiled = states._state_json is not states._state_json_numpy
+    assert (ryprep.KERNEL_BACKEND == "c") == compiled
+    if compiled:
         assert states._state_json.__module__ == "ryprep._simkernel"
 
 
@@ -388,7 +395,8 @@ def test_pieces_are_memoryviews_of_at_most_64_kib(simkernel):
     sizes = [len(data) for _, data in pieces]
     assert len(sizes) > 5 and max(sizes) <= 65536 and min(sizes[:-1]) > 65536 - 32
     doc = b"".join(data for _, data in pieces).decode("ascii")
-    assert doc == simkernel.state_json(*args)
+    n_qubits, values, index = args
+    assert doc == _dumps(n_qubits, values[index])
 
 
 def test_pieces_are_released_when_write_returns(simkernel):
@@ -421,6 +429,16 @@ def test_write_error_propagates(simkernel):
 def test_write_must_be_callable(simkernel):
     with pytest.raises(TypeError, match="^state_json: write must be callable, not int$"):
         simkernel.state_json(*_distinct_state(2, 2), 1)
+
+
+def test_write_is_required(simkernel):
+    """There is one call form: without write, or with None for it, the
+    writer is refused rather than returning a str."""
+    args = _distinct_state(2, 2)
+    with pytest.raises(TypeError, match=r"^state_json\(\) takes exactly 4 arguments \(3 given\)$"):
+        simkernel.state_json(*args)
+    with pytest.raises(TypeError, match="^state_json: write must be callable, not NoneType$"):
+        simkernel.state_json(*args, None)
 
 
 def test_index_changed_during_a_write(simkernel):
@@ -482,18 +500,17 @@ ZERO_ONE = np.array([0, 1], np.uint32)
     + ["index-past-end", "index-max", "no-values"],
 )
 def test_refused(simkernel, values, index, error, match):
-    for call in (simkernel.state_json, _streamed(simkernel.state_json)):
-        with pytest.raises(error, match=match):
-            call(1, values, index)
+    with pytest.raises(error, match=match):
+        _streamed(simkernel.state_json)(1, values, index)
 
 
-def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
-    """Back-to-back calls of the writer, calls times returning its str and
-    calls times streaming it, in turn, while another thread xors every entry
-    of buffer with mask in a loop.  NumPy ufuncs run without the GIL, so
-    they can change values or index while the writer reads them; each is the
-    tail of its buffer, which is swept front to back and is long enough that
-    the tail changes late in a sweep, while a call is under way.  Each call
+def _race(simkernel, values, index, buffer, mask, refusal=None, calls=120):
+    """Back-to-back calls of the writer, calls times streaming its document
+    to a BytesIO, while another thread xors every entry of buffer with mask
+    in a loop.  NumPy ufuncs run without the GIL, so they can change values
+    or index while the writer reads them; each is the tail of its buffer,
+    which is swept front to back and is long enough that the tail changes
+    late in a sweep, while a call is under way.  Each call
     gives a document or, where refusal is a pattern, raises a ValueError
     whose message matches it.  Each document is parsed as it comes and then
     dropped, and must hold one value of the palette per index entry.
@@ -524,7 +541,6 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
     thread.start()
     try:
         for _ in range(calls):
-            write(simkernel.state_json)
             write(_streamed(simkernel.state_json))
     finally:
         stop.set()
@@ -539,7 +555,7 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=60):
 # 8,192 values are enough for it to run: short texts at even positions and
 # long ones at odd positions, the entries all even, so that xor with 1 turns
 # each to a value that the hint pass may not have marked, formatted late,
-# and the str must grow or shrink.
+# with a text of another length.
 HINTED = np.empty(8192)
 HINTED[0::2] = np.arange(4096) / 4.0
 HINTED[1::2] = np.random.default_rng(8192).normal(size=4096)
@@ -552,8 +568,7 @@ PALETTES = [
 def test_index_changed_by_another_thread(simkernel):
     """The writer reads each index entry once and copies the records by its
     own copy of them, so every document is whole: JSON of 2**18 values, each
-    one of the palette's.  (A second read could find a value with no text,
-    or texts that no longer fit the str.)"""
+    one of the palette's.  (A second read could find a value with no text.)"""
     for values, entries in PALETTES:
         buffer = entries().astype(np.uint32)
         _race(simkernel, values, buffer[-1 << 18 :], buffer, 1)
@@ -587,7 +602,7 @@ def test_values_made_non_finite_by_another_thread(simkernel):
     refusal = r"state_json: values\[\d+\] is not finite"
     # most calls are refused at once, so many more are made, to spread them
     # over a few dozen sweeps
-    _race(simkernel, values, index, buffer.view(np.uint64), mask, refusal, calls=6000)
+    _race(simkernel, values, index, buffer.view(np.uint64), mask, refusal, calls=12000)
 
 
 _HUGE = """
@@ -608,27 +623,25 @@ with open("/proc/self/statm") as f:
 # room for 1 GiB more, not for a document of 2**32 amplitudes
 resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), resource.RLIM_INFINITY))
 pieces = []
-for write in ((), (pieces.append,)):
-    try:
-        kernel.state_json(32, values, index, *write)
-    except ValueError as exc:
-        print(exc, len(pieces))
+try:
+    kernel.state_json(32, values, index, pieces.append)
+except ValueError as exc:
+    print(exc, len(pieces))
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
 def test_refused_at_2_to_the_32_values(simkernel, tmp_path):
     """An index of 2**32 entries, a sparse file mapped read-only, is refused
-    before anything is allocated, read or written, by the str and the
-    streaming writer, in a process without the address space for the
-    document."""
+    before anything is allocated, read or written, in a process without the
+    address space for the document."""
     res = subprocess.run(
         [sys.executable, "-c", _HUGE, str(tmp_path / "huge"), simkernel.__file__],
         capture_output=True,
         text=True,
     )
     refusal = "state_json: index holds 4294967296 entries, 2**32 or more 0\n"
-    assert res.stdout == 2 * refusal, res.stderr
+    assert res.stdout == refusal, res.stderr
 
 
 class _WriteError(Exception):
@@ -648,14 +661,14 @@ class _FailSecond:
 
 
 @pytest.mark.parametrize("where", ["none", "last", "index", "emit", "write"])
-def test_no_memory_is_kept(simkernel, where):
-    """The records, the hint array and the str or the chunk are PyMem blocks
-    or Python objects, which tracemalloc sees, and no call keeps any of
-    them: not a document, returned or streamed; not a refusal of the last of
-    4,096 values, or of the last index entry, by the hint pass before
-    anything is formatted ("index") or by the emitting pass after the str or
-    the first piece is written ("emit", 64 values over 4,096 entries, too
-    few for the hint pass); and not a write that raises at the second
+def test_no_memory_is_kept(simkernel, monkeypatch, where):
+    """The records, the hint array and the chunk are PyMem blocks or Python
+    objects, which tracemalloc sees, and no call keeps any of them: not a
+    document, streamed or returned by ``RealState.to_json``; not a refusal
+    of the last of 4,096 values, or of the last index entry, by the hint
+    pass before anything is formatted ("index") or by the emitting pass
+    after the first piece is written ("emit", 64 values over 4,096 entries,
+    too few for the hint pass); and not a write that raises at the second
     piece."""
     values = np.random.default_rng(9).normal(size=4096)
     index = np.arange(4096, dtype=np.uint32)
@@ -667,13 +680,19 @@ def test_no_memory_is_kept(simkernel, where):
         values = values[:64]
         index %= 64
         index[-1] = 64
+    monkeypatch.setattr(states, "_state_json", simkernel.state_json)
+    # a state that holds values and index as its palette, which is not checked
+    state = RealState._from_palette(12, values.copy(), index.copy())
 
     def write():
         # the document has about 90 kB of text: two pieces
-        sinks = [_FailSecond()] if where == "write" else [None, lambda piece: None]
-        for sink in sinks:
+        sink = _FailSecond() if where == "write" else lambda piece: None
+        calls = [lambda: simkernel.state_json(12, values, index, sink)]
+        if where != "write":
+            calls.append(state.to_json)
+        for call in calls:
             try:
-                simkernel.state_json(12, values, index, sink)
+                call()
             except ValueError:
                 assert where in ("last", "index", "emit")
             except _WriteError:
@@ -688,13 +707,14 @@ def test_no_memory_is_kept(simkernel, where):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # one call's records, hint array and document or chunk take 150-230 kB
+    # one call's records, hint array and chunk, or to_json's document, take
+    # 150-230 kB
     assert kept < 10_000
 
 
 def test_refused_n_qubits(simkernel):
     values, index = np.array([1.0]), np.zeros(1, np.uint32)
     with pytest.raises(TypeError):
-        simkernel.state_json("1", values, index)
+        _streamed(simkernel.state_json)("1", values, index)
     with pytest.raises(OverflowError):
-        simkernel.state_json(2**70, values, index)
+        _streamed(simkernel.state_json)(2**70, values, index)
