@@ -56,12 +56,21 @@
    built in passes.  A hint pass over index marks each value it uses, in a
    private array of one byte per value; a palette of at most one value per
    HINT_SPAN entries is marked whole instead.  One pass over values reads
-   each value once, refuses any that is not finite, and formats the marked
-   ones, in value order; each other value's bits go into its record.  The
-   emitting pass reads each index entry once, checks it, formats at its
-   first use any value that the hint pass missed, and copies its record to
-   the chunk.  So a call takes 33 bytes per value plus the chunk, whatever
-   the number of amplitudes.  A thread that changes values or index during
+   each value once, refuses any that is not finite, and formats with
+   short_repr the marked ones, in value order.  It calls no Python API.
+   From SPLIT_AT values on, such as a 16-bit palette's 65,536, it releases
+   the GIL, and the upper half runs on a second thread while the calling
+   thread reads the lower half; the call joins that thread before it goes
+   on.  Each half stops at its first value that is not
+   finite, and the lower half's is reported before the upper half's, so the
+   call names the lowest, as one pass would.  A value that the pass does
+   not format, being unmarked or declined by short_repr, is staged: its
+   bits go into its record, whose length is 0.  The emitting pass, holding
+   the GIL, reads each index entry once, checks it, formats a staged value
+   at its first use, with PyOS_double_to_string where short_repr declines
+   it, and copies its record to the chunk.  So a call takes 33 bytes per
+   value plus the chunk, whatever the number of amplitudes, and at most one
+   thread besides its own.  A thread that changes values or index during
    the call, such as a NumPy ufunc running without the GIL or a write call,
    cannot make the document inconsistent: it holds each entry as the
    emitting pass read it and each value as the values pass read it.
@@ -85,15 +94,24 @@
    of 2**52 (whose interval is not symmetric), for s outside [0, 32] or t
    outside [1, 110] (so that every product fits), and for an exact tie when
    rounding to p digits; so it answers only for 2**-53 <= |x| < 2**51.  The
-   three tries are inlined with constant divisors, and the 16 digits after
-   the first are written two at a time, in two independent halves.  The
-   nonzero amplitudes of an image state lie in about [1.9e-9, 1]; of those,
-   only a power of two, such as the 1.0 of a single lit pixel, defers. */
+   three tries are inlined with constant divisors.  Before the exact 15- and
+   16-digit tries, a check in 64 bits skips a candidate that cannot read
+   back: the distance of q from a multiple of the unit in whole units of q,
+   min(rem, unit - 1 - rem) for rem = q mod unit, is at most the exact
+   distance, so where it is at least hq = (5**s >> (t + 1)) + 1, which
+   exceeds the half ulp 5**s / 2**(t + 1), so is the exact distance.  The
+   check skips no tie (rem = unit / 2), which still defers.  Most 17-digit
+   values skip both exact tries.  The 16 digits after the first are written
+   two at a time, in two independent halves, and copied with copies of
+   fixed size.  The nonzero amplitudes of an image state lie in about
+   [1.9e-9, 1]; of those, only a power of two, such as the 1.0 of a single
+   lit pixel, defers. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -363,6 +381,20 @@ round_to(uint64_t q, u128 r, int t, uint64_t unit, u128 five_s, uint64_t *rounde
     return 2 * dist < five_s;
 }
 
+/* round_to, after a check in 64 bits that answers 0 for most candidates
+   without the 128-bit arithmetic: where q is at least hq whole units of q
+   from both multiples of unit, beside it, and cannot be a tie. */
+static inline int
+try_round(uint64_t q, u128 r, int t, uint64_t unit, u128 five_s, uint64_t hq, uint64_t *rounded)
+{
+    const uint64_t rem = q % unit;
+    const uint64_t whole = rem < unit - 1 - rem ? rem : unit - 1 - rem;
+    if (whole >= hq && rem != unit / 2) {
+        return 0;
+    }
+    return round_to(q, r, t, unit, five_s, rounded);
+}
+
 /* "00", "01", ..., "99" */
 static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233"
                             "34353637383940414243444546474849505152535455565758596061626364656667"
@@ -412,13 +444,19 @@ short_repr(double x, char *out)
     /* 10**16 <= q < 10**17 */
     const uint64_t q = (uint64_t)(n >> t);
     const u128 r = n & (((u128)1 << t) - 1);
-    /* the 15-, 16- and 17-digit roundings of x * 10**s, tried in turn */
+    /* the 15-, 16- and 17-digit roundings of x * 10**s, tried in turn; a
+       candidate hq or more whole units of q away lies past the half ulp,
+       pow5[s] / 2**(t + 1) units, and cannot read back */
+    const uint64_t hq = (uint64_t)(pow5[s] >> (t + 1)) + 1;
     uint64_t digits = 0;
-    int fits = round_to(q, r, t, 100, pow5[s], &digits);
+    int len = 15;
+    int fits = try_round(q, r, t, 100, pow5[s], hq, &digits);
     if (fits == 0) {
-        fits = round_to(q, r, t, 10, pow5[s], &digits);
+        len = 16;
+        fits = try_round(q, r, t, 10, pow5[s], hq, &digits);
     }
     if (fits == 0) {
+        len = 17;
         fits = round_to(q, r, t, 1, pow5[s], &digits);
     }
     if (fits != 1) {
@@ -436,21 +474,22 @@ short_repr(double x, char *out)
     d[0] = (char)('0' + digits / TEN16);
     put8(d + 1, (uint32_t)(rest / 100000000));
     put8(d + 9, (uint32_t)(rest % 100000000));
-    int len = 17;
+    /* the rounding to len digits left zeros after them */
     while (d[len - 1] == '0') {
         len--;
     }
+    /* the copies of fixed size below write past the text, at most to
+       out[22], which the caller's 30 bytes hold */
     char *o = out;
     if (bits >> 63) {
         *o++ = '-';
     }
     if (decpt <= -4 || decpt > 16) {
-        *o++ = d[0];
-        if (len > 1) {
-            *o++ = '.';
-            memcpy(o, d + 1, (size_t)len - 1);
-            o += len - 1;
-        }
+        o[0] = d[0];
+        o[1] = '.';
+        memcpy(o + 2, d + 1, 16);
+        /* without the point where there is one digit */
+        o += len > 1 ? len + 1 : 1;
         /* two digits, since 2**-53 <= x < 2**51 here */
         const int exponent = decpt - 1;
         *o++ = 'e';
@@ -459,9 +498,9 @@ short_repr(double x, char *out)
         o += 2;
     }
     else if (decpt <= 0) {
-        memcpy(o, "0.000", (size_t)(2 - decpt));
+        memcpy(o, "0.000", 5);
         o += 2 - decpt;
-        memcpy(o, d, (size_t)len);
+        memcpy(o, d, 17);
         o += len;
     }
     else if (decpt < len) {
@@ -511,19 +550,30 @@ init_short_repr(void)
    17 digits, a sign, a point and an exponent such as e-16, or 24 from
    PyOS_double_to_string, whose exponent can be e-308), and in its last
    byte the length of both together, at most TEXT_MAX, so that the writer
-   can copy every record whole.  A value that the hint pass did not mark is
-   left unformatted: its record's last byte is 0 and bytes STAGED..STAGED+7
-   hold the value's bits, so that values is read once. */
+   can copy every record whole.  A value that the values pass does not
+   format, being unmarked or declined by short_repr, is staged: its
+   record's last byte is 0 and bytes STAGED..STAGED+7 hold the value's
+   bits, so that values is read once. */
 #define RECORD 32
 #define STAGED 8
 #define TEXT_MAX 26
 #define EXPONENT_BITS 0x7FF0000000000000ULL
 /* the streamed document goes to write in pieces of at most this many bytes */
 #define CHUNK 65536
-/* Formatting one value takes about as long as marking 100 index entries in
-   the hint pass (60 against 0.6 ns on a 2 GHz Xeon), so a palette of at
-   most one value per HINT_SPAN entries is formatted whole. */
+/* Formatting one value on one thread takes about as long as marking 25 to
+   70 index entries in the hint pass (35-49 ns against 0.7-1.4 ns, for the
+   values of a 16-bit palette and a smooth or a random index, on a 2-vCPU
+   Xeon VM), so a palette of at most one value per HINT_SPAN entries is
+   formatted whole. */
 #define HINT_SPAN 64
+/* A values pass over at least this many values, such as a 16-bit palette,
+   runs in two halves on two threads; an 8-bit palette's 256 stay on one.
+   Without 128-bit integers the pass only stages bits, so it never splits. */
+#ifdef __SIZEOF_INT128__
+#define SPLIT_AT 8192
+#else
+#define SPLIT_AT PY_SSIZE_T_MAX
+#endif
 
 /* Formats x into record; returns -1 with an exception set. */
 static int
@@ -568,35 +618,82 @@ mark_used(unsigned char *used, Py_ssize_t count, const uint32_t *index, Py_ssize
     return 0;
 }
 
-/* The one pass over the count values: formats each one that used marks
-   into its record, setting used[v] to the record's length, and stages the
-   bits of every other; returns -1 with an exception set at the first value
-   that is not finite. */
-static int
-read_values(char *records, unsigned char *used, const double *values, Py_ssize_t count)
+/* One range lo..hi - 1 of the values pass, which calls no Python API, so
+   that a large palette's runs without the GIL, in two halves on two
+   threads: formats each value that used marks and short_repr answers for
+   into its record, and stages the bits of every other, with a record
+   length of 0, for record_of to format.  range->bad is set to the first
+   value that is not finite, where the range stops, or to -1. */
+typedef struct {
+    char *records;
+    const unsigned char *used;
+    const double *values;
+    Py_ssize_t lo, hi, bad;
+} Range;
+
+static void *
+read_values(void *arg)
 {
-    for (Py_ssize_t v = 0; v < count; v++) {
+    Range *range = arg;
+    range->bad = -1;
+    for (Py_ssize_t v = range->lo; v < range->hi; v++) {
         uint64_t bits;
-        memcpy(&bits, &values[v], sizeof bits);
+        memcpy(&bits, &range->values[v], sizeof bits);
         if ((bits & EXPONENT_BITS) == EXPONENT_BITS) {
-            PyErr_Format(PyExc_ValueError, "state_json: values[%zd] is not finite", v);
-            return -1;
+            range->bad = v;
+            break;
         }
-        char *record = records + RECORD * (size_t)v;
-        if (used[v]) {
+        char *record = range->records + RECORD * (size_t)v;
+        int len = 0;
+        if (range->used[v]) {
             double x;
             memcpy(&x, &bits, sizeof x);
-            if (format_record(record, x) < 0) {
-                return -1;
-            }
-            used[v] = (unsigned char)record[RECORD - 1];
+            len = short_repr(x, record + 2);
+        }
+        if (len != 0) {
+            record[0] = ',';
+            record[1] = ' ';
+            record[RECORD - 1] = (char)(2 + len);
         }
         else {
             memcpy(&record[STAGED], &bits, sizeof bits);
             record[RECORD - 1] = 0;
         }
     }
-    return 0;
+    return NULL;
+}
+
+/* The values pass over all count values.  Below SPLIT_AT values it runs
+   on this thread and keeps the GIL: it takes microseconds, and a thread
+   that took the GIL meanwhile would keep this one waiting for it (beside
+   a busy Python thread, a call on 256 values took 0.125 ms that way, and
+   0.022 ms keeping the GIL).  From SPLIT_AT on it releases the GIL and
+   runs the upper half on a thread of its own while this one reads the
+   lower half, or the whole range here where the thread cannot be made.
+   Returns the first value that is not finite, or -1. */
+static Py_ssize_t
+read_all_values(char *records, const unsigned char *used, const double *values,
+                Py_ssize_t count)
+{
+    Range lower = {records, used, values, 0, count, -1};
+    Range upper = {records, used, values, count / 2, count, -1};
+    if (count < SPLIT_AT) {
+        read_values(&lower);
+        return lower.bad;
+    }
+    pthread_t thread;
+    int split;
+    Py_BEGIN_ALLOW_THREADS
+    split = pthread_create(&thread, NULL, read_values, &upper) == 0;
+    if (split) {
+        lower.hi = upper.lo;
+    }
+    read_values(&lower);
+    if (split) {
+        pthread_join(thread, NULL);
+    }
+    Py_END_ALLOW_THREADS
+    return lower.bad >= 0 ? lower.bad : upper.bad;
 }
 
 /* Where the document goes: the bytes start..end of a bytearray chunk,
@@ -753,7 +850,9 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
     else if (mark_used(used, count, index.buf, size) < 0) {
         goto done;
     }
-    if (read_values(records, used, values.buf, count) < 0) {
+    const Py_ssize_t bad = read_all_values(records, used, values.buf, count);
+    if (bad >= 0) {
+        PyErr_Format(PyExc_ValueError, "state_json: values[%zd] is not finite", bad);
         goto done;
     }
     chunk = PyByteArray_FromStringAndSize(NULL, CHUNK);
@@ -813,9 +912,11 @@ static PyMethodDef methods[] = {
      "to write in pieces of at most 64 KiB, and return None.  Each piece is a\n"
      "memoryview, released when write returns; write must take all of it or\n"
      "raise, as a buffered binary file's write does, and what it returns is\n"
-     "ignored.  The values that index uses are formatted in value order, and\n"
-     "each value and each index entry is read once.  Memory is 33 bytes per\n"
-     "value plus the 64 KiB piece.  Raises TypeError when write is not\n"
+     "ignored.  The values that index uses are formatted in value order,\n"
+     "from _SPLIT_AT values on without the GIL, in two halves on two\n"
+     "threads, the second joined before write is first called; each value\n"
+     "and each index entry is read once.  Memory is 33 bytes per value plus\n"
+     "the 64 KiB piece.  Raises TypeError when write is not\n"
      "callable, ValueError when values is not a C-contiguous one-dimensional\n"
      "float64 buffer of finite values, or index not a C-contiguous\n"
      "one-dimensional uint32 buffer of fewer than 2**32 entries, each below\n"
@@ -849,7 +950,8 @@ PyInit__simkernel(void)
 {
     init_short_repr();
     PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddIntConstant(m, "MAX_QUBITS", MAX_QUBITS) < 0) {
+    if (m != NULL && (PyModule_AddIntConstant(m, "MAX_QUBITS", MAX_QUBITS) < 0 ||
+                      PyModule_AddIntConstant(m, "_SPLIT_AT", SPLIT_AT) < 0)) {
         Py_DECREF(m);
         return NULL;
     }

@@ -62,13 +62,18 @@ def simkernel(tmp_path_factory):
     return import_built(tmp / "lib", build_ext(tmp / "lib", tmp / "temp"))
 
 
-def import_built(lib: pathlib.Path, res: subprocess.CompletedProcess):
-    """The ``ryprep._simkernel`` that the build res put under lib, imported
-    from there."""
+def built_path(lib: pathlib.Path, res: subprocess.CompletedProcess) -> pathlib.Path:
+    """The file of the ``ryprep._simkernel`` that the build res put under lib."""
     # the extension is optional: a failed compile still exits 0, with no module
     built = list((lib / "ryprep").glob("_simkernel*.so"))
     assert res.returncode == 0 and built, f"no extension built:\n{res.stdout}{res.stderr}"
-    spec = importlib.util.spec_from_file_location("ryprep._simkernel", built[0])
+    return built[0]
+
+
+def import_built(lib: pathlib.Path, res: subprocess.CompletedProcess):
+    """The ``ryprep._simkernel`` that the build res put under lib, imported
+    from there."""
+    spec = importlib.util.spec_from_file_location("ryprep._simkernel", built_path(lib, res))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

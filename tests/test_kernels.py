@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ryprep
-from conftest import build_ext, import_built
+from conftest import build_ext, built_path, import_built
 from dense_oracle import run_pairs
 from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
 from ryprep import simulator
@@ -375,10 +375,156 @@ def test_build_with_all_warnings_as_errors(tmp_path):
 def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
     """Where the compiler has no 128-bit integers, the state-JSON writer's
     own formatter is compiled out: ``_short_repr`` answers None for every
-    value, and the documents are unchanged."""
+    value, the values pass, which would only stage bits, never splits, and
+    the documents are unchanged."""
     lib = tmp_path / "lib"
     kernel = import_built(lib, build_ext(lib, tmp_path / "temp", CFLAGS="-U__SIZEOF_INT128__"))
+    assert kernel._SPLIT_AT == sys.maxsize
     amps = np.random.default_rng(8).random(1000)
     assert {kernel._short_repr(x) for x in amps.tolist() + [0.3, 1e-05]} == {None}
     expect = json.dumps({"n_qubits": 10, "amplitudes": amps.tolist()})
     assert _streamed(kernel.state_json)(10, amps, np.arange(1000, dtype=np.uint32)) == expect
+
+
+# The sanitized build's corpus: tests of this suite that take the compiled
+# module as simkernel (or patch it in through the kernel or p2_decoders
+# fixture), each called with the sanitized module over all its parametrized
+# cases, and with calls set where the name ends in :calls; and test_value_sets
+# on the named value sets.
+_SANITIZED = """
+import importlib.util, inspect, itertools, sys
+from ryprep import encoding, simulator
+import test_encoding, test_kernels, test_state_json
+
+spec = importlib.util.spec_from_file_location("ryprep._simkernel", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+simulator._run_gates = kernel.run_gates
+encoding._p2_decode = kernel.p2_samples
+writer = test_state_json._streamed(kernel.state_json)
+fixtures = {"simkernel": kernel, "kernel": None, "p2_decoders": lambda: iter(["c"])}
+
+
+def run(test, **given):
+    marks = [m for m in getattr(test, "pytestmark", []) if m.name == "parametrize"]
+    names = [[n.strip() for n in m.args[0].split(",")] for m in marks]
+    wanted = inspect.signature(test).parameters
+    given.update((k, v) for k, v in fixtures.items() if k in wanted)
+    for values in itertools.product(*(m.args[1] for m in marks)):
+        case = dict(given)
+        for keys, value in zip(names, values):
+            case.update(zip(keys, value if len(keys) > 1 else (value,)))
+        test(**case)
+
+
+for name in sys.argv[2:]:
+    module, test, *calls = name.replace("::", " ").replace(":", " ").split()
+    if module == "value_set":
+        amps = test_state_json._value_set(test)
+        test_state_json.test_value_sets(writer, (amps, test_state_json._dumps(20, amps)))
+    else:
+        run(getattr(sys.modules[module], test), **{"calls": int(c) for c in calls})
+    print(name, flush=True)
+"""
+
+SANITIZED_CORPUS = [
+    f"test_kernels::{name}"
+    # not test_amps_length_not_a_register_refused: the sanitizer maps
+    # shadow memory for its array of 2**27 values
+    for name in [
+        "test_run_matches_pair_index_reference",
+        "test_valid_columns_are_accepted",
+        "test_wrong_dtype_refused",
+        "test_non_contiguous_buffer_refused",
+        "test_read_only_amps_refused",
+        "test_unequal_column_lengths_refused",
+        "test_column_sharing_memory_with_amps_refused",
+        "test_target_outside_register_refused",
+        "test_control_mask_outside_register_or_on_target_refused",
+        "test_unknown_kind_refused",
+    ]
+] + [
+    f"test_state_json::{name}"
+    for name in [
+        "test_all_distinct_values",
+        "test_read_only_buffer_and_empty_array",
+        "test_palettes_around_the_split",
+        "test_first_non_finite_value_of_a_split_pass",
+        "test_deferred_values_in_the_upper_half",
+        "test_no_thread_outlives_a_call",
+        "test_pieces_are_memoryviews_of_at_most_64_kib",
+        "test_pieces_are_released_when_write_returns",
+        "test_write_error_propagates",
+        "test_write_must_be_callable",
+        "test_index_changed_during_a_write",
+        "test_refused",
+        "test_refused_n_qubits",
+        # the races, with fewer calls: each document is parsed in Python
+        "test_index_changed_by_another_thread:3",
+        "test_index_made_out_of_range_by_another_thread:20",
+        "test_values_made_non_finite_by_another_thread:60",
+        "test_values_made_non_finite_during_a_split_pass:60",
+    ]
+] + [
+    f"value_set::{name}"
+    for name in ["log-uniform", "bit-patterns", "powers-of-two", "exact-ties", "edges"]
+] + [
+    f"test_encoding::{name}"
+    for name in [
+        "test_truncated",
+        "test_full_size_p2_matches_reference",
+        "test_full_size_p2_control_byte_is_not_whitespace",
+        "test_p2_token_across_the_scanned_bytes_is_read_whole",
+        "test_p2_count_from_the_header_alone_sizes_nothing",
+        "test_p2_samples_reads_the_last_sample_whole",
+        "test_p2_samples_refuses_a_bad_out",
+        "test_p2_samples_refuses_a_bad_rest",
+    ]
+]
+
+
+def _runtime(name: str) -> str | None:
+    """The path of gcc's shared sanitizer runtime name, or None."""
+    path = subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True, text=True)
+    return path.stdout.strip() if os.path.isabs(path.stdout.strip()) else None
+
+
+def test_sanitized_build_runs_the_corpus_clean(tmp_path):
+    """The extension built with AddressSanitizer and UndefinedBehaviorSanitizer
+    runs SANITIZED_CORPUS in a subprocess, with both runtimes preloaded,
+    since the interpreter is not built with them, and PyMem blocks taken
+    from malloc, so that the sanitizer sees them: a bad read or write, or
+    undefined behaviour, in any of its entry points or in the second thread
+    of the state writer's values pass ends the run with a report."""
+    runtimes = [_runtime("libasan.so"), _runtime("libubsan.so")] if shutil.which("gcc") else []
+    if not runtimes or None in runtimes:
+        pytest.skip("no gcc with AddressSanitizer and UndefinedBehaviorSanitizer runtimes")
+    flags = "-fsanitize=address,undefined"
+    lib = tmp_path / "lib"
+    res = build_ext(
+        lib,
+        tmp_path / "temp",
+        CFLAGS=f"{flags} -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g",
+        LDFLAGS=flags,
+    )
+    # not imported here: it needs the sanitizer runtimes loaded first
+    built = built_path(lib, res)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+        "LD_PRELOAD": " ".join(runtimes),
+        # a quarantine of freed blocks smaller than the default 256 MB: the
+        # run peaks at about 240 MB, not 700
+        "ASAN_OPTIONS": "detect_leaks=0:quarantine_size_mb=16",
+        "PYTHONMALLOC": "malloc",
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", _SANITIZED, str(built), *SANITIZED_CORPUS],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert run.stdout.split() == SANITIZED_CORPUS
+    assert "Sanitizer" not in run.stderr and "runtime error" not in run.stderr, run.stderr

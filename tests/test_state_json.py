@@ -2,12 +2,14 @@
 fallback ``states._state_json_numpy`` against ``json.dumps``, byte for byte,
 on palettes from ``np.unique`` and from ``encode``; ``RealState.to_json`` and
 ``RealState.write_json`` on both, each bound as ``states._state_json``; the
-compiled writer's own formatter ``_short_repr`` against ``repr``; and the
+compiled writer's own formatter ``_short_repr`` against ``repr``; its values
+pass in two halves on two threads from ``_SPLIT_AT`` values on; and the
 compiled writer's argument checks and its calls of ``write``."""
 
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -289,18 +291,18 @@ def _value_set(name: str) -> np.ndarray:
     return np.array(EDGES + [-x for x in EDGES])
 
 
-@pytest.fixture(
-    scope="module",
-    params=[
-        "uniform",
-        "log-uniform",
-        "bit-patterns",
-        "near-short-decimals",
-        "powers-of-two",
-        "exact-ties",
-        "edges",
-    ],
-)
+VALUE_SETS = [
+    "uniform",
+    "log-uniform",
+    "bit-patterns",
+    "near-short-decimals",
+    "powers-of-two",
+    "exact-ties",
+    "edges",
+]
+
+
+@pytest.fixture(scope="module", params=VALUE_SETS)
 def value_set(request):
     amps = _value_set(request.param)
     return amps, _dumps(20, amps)
@@ -441,6 +443,80 @@ def test_write_is_required(simkernel):
         simkernel.state_json(*args, None)
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_palettes_around_the_split(simkernel, offset):
+    """From ``_SPLIT_AT`` values on, the values pass runs in two halves, the
+    upper on a thread of its own: one value below, at and above that count,
+    with zeros and powers of two on both sides of the middle and a few values
+    unused, the document is json.dumps's."""
+    count = simkernel._SPLIT_AT + offset
+    rng = np.random.default_rng(count)
+    values = 10.0 ** rng.uniform(-9, 0, count) * rng.choice([-1.0, 1.0], count)
+    values[rng.integers(0, count, 40)] = [0.0, -0.0, 0.5, 2.0**-20] * 10
+    index = rng.integers(0, count, 1 << 15).astype(np.uint32)
+    expect = _dumps(15, values[index])
+    _assert_same(_streamed(simkernel.state_json)(15, values, index), expect)
+    assert _streamed(states._state_json_numpy)(15, values, index) == expect
+
+
+SPLIT_FAILURES = {
+    # the non-finite values' positions, given the middle of the palette
+    "lower": lambda mid: [100],
+    "lower-last": lambda mid: [mid - 1],
+    "upper-first": lambda mid: [mid],
+    "upper": lambda mid: [mid + 900, 2 * mid - 1],
+    "both": lambda mid: [2 * mid - 3, 7],
+    "both-at-the-middle": lambda mid: [mid, mid - 1],
+}
+
+
+@pytest.mark.parametrize("positions", SPLIT_FAILURES.values(), ids=SPLIT_FAILURES.keys())
+def test_first_non_finite_value_of_a_split_pass(simkernel, positions):
+    """Each half stops at its first value that is not finite, and the call
+    names the lowest of all, the lower half's before the upper half's, as a
+    pass on one thread does."""
+    mid = simkernel._SPLIT_AT
+    values = np.random.default_rng(mid).normal(size=2 * mid)
+    at = positions(mid)
+    values[at] = [math.nan, math.inf, -math.inf][: len(at)]
+    index = np.arange(2 * mid, dtype=np.uint32)
+    with pytest.raises(ValueError, match=rf"^state_json: values\[{min(at)}\] is not finite$"):
+        _streamed(simkernel.state_json)(14, values, index)
+
+
+def test_deferred_values_in_the_upper_half(simkernel):
+    """The thread that reads the upper half calls no Python API, so the
+    values its formatter leaves to PyOS_double_to_string (zeros, powers of
+    two and exact ties) are staged there and formatted by the emitting pass:
+    placed after the middle of the palette, each comes out as its repr."""
+    powers = [math.ldexp(1.0, k) for k in range(-60, 61)]
+    candidates = [0.0, -0.0] + powers + [-p for p in powers] + _exact_ties()
+    deferred = [x for x in candidates if simkernel._short_repr(x) is None]
+    assert len(deferred) > 3000
+    count = max(2 * len(deferred), simkernel._SPLIT_AT)
+    values = np.random.default_rng(count).random(count)
+    values[count - len(deferred) :] = deferred
+    index = np.random.default_rng(1).permutation(count).astype(np.uint32)
+    expect = _dumps(13, values[index])
+    _assert_same(_streamed(simkernel.state_json)(13, values, index), expect)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_no_thread_outlives_a_call(simkernel):
+    """A call makes at most one thread, for the upper half of the values
+    pass, and joins it before the emitting pass: the process has as many
+    threads when write is called, and after the call, as before it."""
+
+    def threads():
+        return len(os.listdir("/proc/self/task"))
+
+    before, seen = threads(), []
+    for count in (256, simkernel._SPLIT_AT, 1 << 16):
+        args = _distinct_state(16, count)
+        assert simkernel.state_json(*args, lambda piece: seen.append(threads())) is None
+    assert threads() == before and set(seen) == {before}
+
+
 def test_index_changed_during_a_write(simkernel):
     """The emitting pass reads each index entry as it is when it comes to
     it: an entry that a write call sets to a value the hint pass did not
@@ -555,7 +631,8 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=120):
 # 8,192 values are enough for it to run: short texts at even positions and
 # long ones at odd positions, the entries all even, so that xor with 1 turns
 # each to a value that the hint pass may not have marked, formatted late,
-# with a text of another length.
+# with a text of another length.  The values pass reads the 256 values on
+# one thread, and the 8,192 in two halves on two threads.
 HINTED = np.empty(8192)
 HINTED[0::2] = np.arange(4096) / 4.0
 HINTED[1::2] = np.random.default_rng(8192).normal(size=4096)
@@ -565,44 +642,59 @@ PALETTES = [
 ]
 
 
-def test_index_changed_by_another_thread(simkernel):
+def test_index_changed_by_another_thread(simkernel, calls=120):
     """The writer reads each index entry once and copies the records by its
     own copy of them, so every document is whole: JSON of 2**18 values, each
     one of the palette's.  (A second read could find a value with no text.)"""
+    assert len(HINTED) >= simkernel._SPLIT_AT > 256
     for values, entries in PALETTES:
         buffer = entries().astype(np.uint32)
-        _race(simkernel, values, buffer[-1 << 18 :], buffer, 1)
+        _race(simkernel, values, buffer[-1 << 18 :], buffer, 1, calls=calls)
 
 
-def test_index_made_out_of_range_by_another_thread(simkernel):
+def test_index_made_out_of_range_by_another_thread(simkernel, calls=120):
     """An entry set past the palette during the call is refused with
     ValueError, naming its position, by the hint pass or the emitting pass,
     or the call returns a whole document from before the change; it never
     reads past the records."""
+    assert len(HINTED) >= simkernel._SPLIT_AT > 256
     for values, entries in PALETTES:
         buffer = entries().astype(np.uint32)
         refusal = rf"state_json: index\[\d+\] is \d+, past the {len(values)} values"
-        _race(simkernel, values, buffer[-1 << 18 :], buffer, 1 << 20, refusal)
+        _race(simkernel, values, buffer[-1 << 18 :], buffer, 1 << 20, refusal, calls)
 
 
-def test_values_made_non_finite_by_another_thread(simkernel):
+def _values_race(simkernel, count, calls):
+    """_race on count values at the end of a buffer of 2**20, each used only
+    at the end of an index of 2**18 entries but the first."""
+    # all in [1, 2), so that flipping the top exponent bit makes each
+    # non-finite and flipping it again restores it
+    buffer = np.ones(1 << 20)
+    values = buffer[-count:]
+    values += np.arange(count) / count
+    index = np.zeros(1 << 18, np.uint32)
+    index[-count:] = np.arange(count)
+    mask = np.uint64(0x400 << 52)
+    refusal = r"state_json: values\[\d+\] is not finite"
+    _race(simkernel, values, index, buffer.view(np.uint64), mask, refusal, calls=calls)
+
+
+def test_values_made_non_finite_by_another_thread(simkernel, calls=12000):
     """The writer reads each value once, refusing it if it is not finite,
     and formats it from that read: a value that another thread turns into
     NaN or inf and back is refused, or the document holds it as it was.
     Every value but the first is used only at the end of the index, long
     after the values were read."""
-    # all in [1, 2), so that flipping the top exponent bit makes each
-    # non-finite and flipping it again restores it
-    buffer = np.ones(1 << 20)
-    values = buffer[-256:]
-    values += np.arange(256) / 256.0
-    index = np.zeros(1 << 18, np.uint32)
-    index[-256:] = np.arange(256)
-    mask = np.uint64(0x400 << 52)
-    refusal = r"state_json: values\[\d+\] is not finite"
     # most calls are refused at once, so many more are made, to spread them
     # over a few dozen sweeps
-    _race(simkernel, values, index, buffer.view(np.uint64), mask, refusal, calls=12000)
+    _values_race(simkernel, 256, calls)
+
+
+def test_values_made_non_finite_during_a_split_pass(simkernel, calls=600):
+    """As above, with a palette of 16,384 values, whose two halves are read
+    on two threads: each value is still read once, by one of them."""
+    assert 16384 >= simkernel._SPLIT_AT
+    _values_race(simkernel, 16384, calls)
 
 
 _HUGE = """
