@@ -3,14 +3,25 @@
 Two gate kinds suffice for real statevector preparation: Ry rotations and X,
 each optionally conditioned on any set of positive-polarity controls.
 Circuits are value objects; every operation returns a new circuit.
+
+A circuit of at most 64 qubits can also be held as the four columns that
+``ryprep._simkernel.run_gates`` reads: kind (0 for Ry, 1 for X), target,
+control bit mask and angle (0.0 for X).  ``Circuit.from_json`` reads a
+document into them without building a ``Gate``, and ``Circuit.gates`` is
+then built on first read; a circuit built from gates packs its columns
+when something first reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 from typing import Iterable
+
+import numpy as np
 
 from ._values import header, integers, json_reals, num, parse, reals
 from .errors import (
@@ -28,6 +39,66 @@ X = "x"
 
 _SEQUENCES = (tuple, list)
 _INTS = frozenset((int,))
+# A control mask is a uint64, so only a circuit of at most this many qubits
+# has columns.
+_MASK_BITS = 64
+_BITS = tuple(1 << q for q in range(_MASK_BITS))
+_DTYPES = (np.uint8, np.int32, np.uint64, np.float64)
+
+
+def _gate_rule(
+    kind: object, target: object, controls: object, angle: object
+) -> tuple[int, tuple[int, ...], float | None]:
+    """A gate's target, controls and angle as a ``Gate`` holds them: indices
+    under the integer rule, controls sorted, a Ry angle under the real rule.
+    The first refused field raises, in this order: the kind, the integer
+    rule, a negative index, a duplicate control, the target among the
+    controls, the angle.  Controls already a sorted tuple of ints, and
+    fields already of their stored type, come back as the same objects."""
+    if kind not in (RY, X):
+        raise DomainError(f"unknown gate kind {num(kind)}")
+    given_target, given_controls, given_angle = target, controls, angle
+    # Qubit indices select array axes.  Plain ints in a tuple or list, the
+    # common case, skip the integer rule; other containers take it, since
+    # the type test would use up a generator.
+    if not (
+        type(target) is int
+        and type(controls) in _SEQUENCES
+        and _INTS.issuperset(map(type, controls))
+    ):
+        try:
+            target, *controls = integers((target, *controls))
+        except TypeError:
+            raise IndexOutOfRange(
+                f"qubit indices must be integers, got target {num(given_target)} "
+                f"and controls {num(given_controls)}"
+            ) from None
+    ordered = tuple(sorted(controls))
+    if target < 0:
+        raise IndexOutOfRange(f"target must be nonnegative, got {num(target)}")
+    if ordered and ordered[0] < 0:
+        raise IndexOutOfRange(f"controls must be nonnegative, got {num(ordered)}")
+    if len(set(ordered)) != len(ordered):
+        raise ControlCollision(f"duplicate control in {num(ordered)}")
+    if target in ordered:
+        raise ControlEqualsTarget(f"qubit {num(target)} is both target and control")
+    # a list, as callers and the integer rule give, never equals the tuple
+    if ordered == controls:
+        ordered = controls
+    if kind == RY:
+        try:
+            if type(angle) is not float:
+                (angle,) = reals((angle,))
+            finite = math.isfinite(angle)
+        except TypeError:
+            finite = False
+        except OverflowError:
+            raise DomainError("ry angle is an integer too large for a float") from None
+        if not finite:
+            raise DomainError(f"ry needs a finite angle, got {num(given_angle)}")
+    elif angle is not None:
+        raise DomainError("x takes no angle")
+    return target, ordered, angle
 
 
 @dataclass(frozen=True)
@@ -38,54 +109,13 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (RY, X):
-            raise DomainError(f"unknown gate kind {num(self.kind)}")
-        target = self.target
-        controls = self.controls
-        # Qubit indices select array axes.  Plain ints in a tuple or list, the
-        # common case, skip the integer rule; other containers take it, since
-        # the type test would use up a generator.
-        if not (
-            type(target) is int
-            and type(controls) in _SEQUENCES
-            and _INTS.issuperset(map(type, controls))
-        ):
-            try:
-                target, *controls = integers((target, *controls))
-            except TypeError:
-                raise IndexOutOfRange(
-                    f"qubit indices must be integers, got target {num(self.target)} "
-                    f"and controls {num(self.controls)}"
-                ) from None
+        target, controls, angle = _gate_rule(self.kind, self.target, self.controls, self.angle)
+        if target is not self.target:
             object.__setattr__(self, "target", target)
-        ordered = tuple(sorted(controls))
-        if target < 0:
-            raise IndexOutOfRange(f"target must be nonnegative, got {num(target)}")
-        if ordered and ordered[0] < 0:
-            raise IndexOutOfRange(f"controls must be nonnegative, got {num(ordered)}")
-        if len(set(ordered)) != len(ordered):
-            raise ControlCollision(f"duplicate control in {num(ordered)}")
-        if target in ordered:
-            raise ControlEqualsTarget(f"qubit {num(target)} is both target and control")
-        # a list, as callers and the rule's path give, never equals the tuple
-        if ordered != controls:
-            object.__setattr__(self, "controls", ordered)
-        if self.kind == RY:
-            angle = self.angle
-            try:
-                if type(angle) is not float:
-                    (angle,) = reals((angle,))
-                finite = math.isfinite(angle)
-            except TypeError:
-                finite = False
-            except OverflowError:
-                raise DomainError("ry angle is an integer too large for a float") from None
-            if not finite:
-                raise DomainError(f"ry needs a finite angle, got {num(self.angle)}")
-            if angle is not self.angle:
-                object.__setattr__(self, "angle", angle)
-        elif self.angle is not None:
-            raise DomainError("x takes no angle")
+        if controls is not self.controls:
+            object.__setattr__(self, "controls", controls)
+        if angle is not self.angle:
+            object.__setattr__(self, "angle", angle)
 
     @property
     def max_index(self) -> int:
@@ -108,38 +138,180 @@ def x(target: int, controls: Iterable[int] = ()) -> Gate:
     return Gate(X, target, tuple(controls))
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    gates: tuple[Gate, ...] = ()
+def _doc_fields(gd: object) -> tuple:
+    """kind, target, controls and angle of one gate entry of circuit JSON,
+    refused with ``FormatError`` where the entry does not have the schema's
+    keys and types; the gate rule then judges the values."""
+    if not isinstance(gd, dict) or "kind" not in gd or "target" not in gd:
+        raise FormatError(f"malformed gate entry {gd!r}")
+    target = gd["target"]
+    controls = gd.get("controls", [])
+    if not isinstance(controls, list):
+        raise FormatError(f"malformed gate entry {gd!r}")
+    # the integer rule, for the types JSON has: true/false parse as bool
+    if type(target) is not int or not _INTS.issuperset(map(type, controls)):
+        raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
+    angle = gd.get("angle")
+    if angle is not None and type(angle) is not float:
+        (angle,) = json_reals((angle,), "gate angles")
+    return gd["kind"], target, controls, angle
 
-    def __post_init__(self) -> None:
+
+def _frozen(kinds: bytearray, targets: array, masks: array, angles: array) -> tuple:
+    """The four typed buffers as read-only NumPy arrays over their memory."""
+    columns = tuple(map(np.frombuffer, (kinds, targets, masks, angles), _DTYPES))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _read_rows(n: int, docs: list) -> tuple:
+    """The columns of the gate entries docs of a circuit on n <= 64 qubits.
+
+    Refusals are those of the ``Gate`` path, in its order: each entry's
+    first refused field, entry by entry, and only once every entry has
+    passed, the first gate that touches a qubit past the register.  No
+    index is shifted into a mask before it is known to be below n.
+    """
+    isfinite = math.isfinite
+    kinds, targets, masks, angles = bytearray(), array("i"), array("Q"), array("d")
+    bit = {q: 1 << q for q in range(n)}
+    past = None  # the highest qubit of the first gate past the register
+    for gd in docs:
+        # An entry as to_json writes it, inside the register, costs a few
+        # dict lookups and C-level scans: a missing key or a negative or
+        # too large index fails a lookup, a repeated control or the target
+        # among the controls the bit count.  Every other entry, and every
+        # refused one, takes the rules below.
+        kind = None
         try:
-            (n,) = integers((self.n_qubits,))
+            target, controls, angle = gd["target"], gd["controls"], gd.get("angle")
+            if (
+                type(target) is int
+                and type(controls) is list
+                and _INTS.issuperset(map(type, controls))
+            ):
+                mask = sum(map(bit.__getitem__, controls))
+                if not mask & bit[target] and mask.bit_count() == len(controls):
+                    if gd["kind"] == RY and type(angle) is float and isfinite(angle):
+                        kind = 0
+                    elif gd["kind"] == X and angle is None:
+                        kind = 1
+        except (KeyError, TypeError):
+            pass
+        if kind is None:
+            target, controls, angle = _gate_rule(*_doc_fields(gd))
+            top = max(controls[-1], target) if controls else target
+            if top >= n:
+                past = top if past is None else past
+                continue
+            mask = sum(map(bit.__getitem__, controls))
+            kind = 0 if angle is not None else 1
+        kinds.append(kind)
+        targets.append(target)
+        masks.append(mask)
+        angles.append(0.0 if kind else angle)
+    if past is not None:
+        raise IndexOutOfRange(f"gate touches qubit {num(past)} but the circuit has {n} qubits")
+    return _frozen(kinds, targets, masks, angles)
+
+
+class Circuit:
+    """A circuit on ``n_qubits`` qubits: its ``gates``, in order.
+
+    It behaves as a frozen dataclass over ``n_qubits`` and ``gates``: no
+    attribute can be set or deleted, and ``==``, ``hash``, ``repr`` and
+    pickling go by the two fields.  A circuit of at most 64
+    qubits also has ``columns``, the four arrays that ``run_gates`` reads.
+    One read from JSON holds only its columns and builds ``gates`` on first
+    read; one built from gates packs its columns on first read.
+    """
+
+    n_qubits: int
+
+    def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
+        try:
+            (n,) = integers((n_qubits,))
         except TypeError:
             n = 0
         if n < 1:
-            raise DomainError(f"n_qubits must be a positive integer, got {num(self.n_qubits)}")
+            raise DomainError(f"n_qubits must be a positive integer, got {num(n_qubits)}")
         try:
-            gates = tuple(self.gates)
+            gates = tuple(gates)
         except TypeError:
-            raise DomainError(f"gates must be an iterable of Gate, got {num(self.gates)}") from None
+            raise DomainError(f"gates must be an iterable of Gate, got {num(gates)}") from None
         # one C-level type test, so that the bound check below reads only Gates
         if not all(map(isinstance, gates, repeat(Gate))):
             bad = next(g for g in gates if not isinstance(g, Gate))
             raise DomainError(f"gates must be Gate values, got {num(bad)}")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "gates", gates)
         for gate in gates:
             if gate.max_index >= n:
                 raise IndexOutOfRange(
                     f"gate touches qubit {num(gate.max_index)} but the circuit has "
                     f"{n} qubits"
                 )
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "gates", gates)
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        kind, target, mask, angle = self.columns
+        qubits = range(self.n_qubits)
+        controls = {m: tuple(q for q in qubits if m >> q & 1) for m in set(mask.tolist())}
+        rows = zip(kind.tolist(), target.tolist(), map(controls.get, mask.tolist()), angle.tolist())
+        return tuple(Gate(X, t, c) if k else Gate(RY, t, c, a) for k, t, c, a in rows)
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The gates as ``run_gates`` reads them, one row per gate: kind
+        (uint8, 0 for Ry, 1 for X), target (int32), control bit mask
+        (uint64) and angle (float64, 0.0 for X), read-only and C-contiguous.
+
+        Raises ``DomainError`` for more than 64 qubits, which a mask cannot
+        hold.
+        """
+        if self.n_qubits > _MASK_BITS:
+            raise DomainError(
+                f"a circuit of {num(self.n_qubits)} qubits has no columns: a control "
+                f"mask holds {_MASK_BITS}"
+            )
+        gates = self.gates
+        return _frozen(
+            bytearray(g.kind == X for g in gates),
+            array("i", [g.target for g in gates]),
+            array("Q", [sum(map(_BITS.__getitem__, g.controls)) for g in gates]),
+            array("d", [0.0 if g.angle is None else g.angle for g in gates]),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.n_qubits != other.n_qubits:
+            return False
+        if "gates" in self.__dict__ and "gates" in other.__dict__:
+            return self.gates == other.gates
+        # one of the two was read from JSON, so both fit the columns
+        return all(map(np.array_equal, self.columns, other.columns))
+
+    def __hash__(self) -> int:
+        return hash((self.n_qubits, self.gates))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n_qubits={self.n_qubits!r}, gates={self.gates!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n_qubits, self.gates)
 
     @property
     def gate_count(self) -> int:
-        return len(self.gates)
+        gates = self.__dict__.get("gates")
+        return len(self.columns[0]) if gates is None else len(gates)
 
     def append(self, gate: Gate) -> "Circuit":
         """New circuit with the gate added at the end."""
@@ -169,21 +341,16 @@ class Circuit:
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
         n_qubits, gate_docs = header(parse(text, "circuit JSON"), "circuit JSON", "gates")
+        if 1 <= n_qubits <= _MASK_BITS:
+            circuit = object.__new__(cls)
+            object.__setattr__(circuit, "columns", _read_rows(n_qubits, gate_docs))
+            object.__setattr__(circuit, "n_qubits", n_qubits)
+            return circuit
+        # Only Gates hold indices past a mask's width.  The constructor
+        # refuses an n_qubits below 1, after every gate has passed.
         gates = []
         for i, gd in enumerate(gate_docs):
-            if not isinstance(gd, dict) or "kind" not in gd or "target" not in gd:
-                raise FormatError(f"malformed gate entry {gd!r}")
-            target = gd["target"]
-            controls = gd.get("controls", [])
-            if not isinstance(controls, list):
-                raise FormatError(f"malformed gate entry {gd!r}")
-            # the integer rule, for the types JSON has: true/false parse as bool
-            if type(target) is not int or not _INTS.issuperset(map(type, controls)):
-                raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
-            angle = gd.get("angle")
-            if angle is not None and type(angle) is not float:
-                (angle,) = json_reals((angle,), "gate angles")
-            gates.append(Gate(gd["kind"], target, controls, angle))
+            gates.append(Gate(*_doc_fields(gd)))
             # hold each gate as a dict or as a Gate, never both
             gate_docs[i] = None
         return cls(n_qubits, tuple(gates))

@@ -1,8 +1,9 @@
 """References for gate validation and the two circuit text formats, written
 the plain way: every qubit index passes ``_qubit_index`` one by one, circuit
-JSON goes through ``json.dumps`` of one dict per gate, and each QASM operand
-is formatted on its own.  ``ryprep.circuits`` and ``ryprep.qasm`` must agree
-with them byte for byte and exception for exception.
+JSON goes through ``json.dumps`` of one dict per gate and is read back one
+gate at a time, and each QASM operand is formatted on its own.
+``ryprep.circuits`` and ``ryprep.qasm`` must agree with them byte for byte
+and exception for exception.
 """
 
 import json
@@ -10,8 +11,15 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ryprep.circuits import RY, X
-from ryprep.errors import ControlCollision, ControlEqualsTarget, DomainError, IndexOutOfRange
+from ryprep._values import header, json_reals, parse
+from ryprep.circuits import RY, X, Circuit, Gate
+from ryprep.errors import (
+    ControlCollision,
+    ControlEqualsTarget,
+    DomainError,
+    FormatError,
+    IndexOutOfRange,
+)
 
 
 def _qubit_index(value):
@@ -72,6 +80,30 @@ def to_json(circuit):
         doc["controls"] = list(g.controls)
         gates.append(doc)
     return json.dumps({"n_qubits": circuit.n_qubits, "gates": gates})
+
+
+def from_json(text):
+    """Circuit JSON read one gate at a time: each entry's keys and JSON
+    types are checked and a ``ReferenceGate`` is built from it, in entry
+    order, and only then does ``Circuit`` check n_qubits and the register
+    bound, over the gates."""
+    n_qubits, gate_docs = header(parse(text, "circuit JSON"), "circuit JSON", "gates")
+    gates = []
+    for gd in gate_docs:
+        if not isinstance(gd, dict) or "kind" not in gd or "target" not in gd:
+            raise FormatError(f"malformed gate entry {gd!r}")
+        target = gd["target"]
+        controls = gd.get("controls", [])
+        if not isinstance(controls, list):
+            raise FormatError(f"malformed gate entry {gd!r}")
+        if type(target) is not int or not all(type(c) is int for c in controls):
+            raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
+        angle = gd.get("angle")
+        if angle is not None and type(angle) is not float:
+            (angle,) = json_reals((angle,), "gate angles")
+        gate = ReferenceGate(gd["kind"], target, controls, angle)
+        gates.append(Gate(gate.kind, gate.target, gate.controls, gate.angle))
+    return Circuit(n_qubits, tuple(gates))
 
 
 def export_qasm(circuit):

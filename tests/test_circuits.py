@@ -1,7 +1,9 @@
 """Gate and circuit value semantics, validation, and JSON round-trips."""
 
 import math
+import pickle
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_circuits
 from reference_circuits import ReferenceGate
-from ryprep import Circuit, Gate, export_qasm, ry, x
+from ryprep import Circuit, Gate, export_qasm, normalize, ry, synth, x
 from ryprep.errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -348,3 +350,166 @@ def test_to_json_matches_json_dumps(circuit):
 @pytest.mark.parametrize("circuit", TEXT_CIRCUITS)
 def test_export_qasm_matches_reference(circuit):
     assert export_qasm(circuit) == reference_circuits.export_qasm(circuit)
+
+
+def _read(parse, text):
+    """The circuit that parse reads from text, or its exception's class and
+    message."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_reads_as_reference(text):
+    """``Circuit.from_json`` gives the circuit that the gate-by-gate
+    reference gives, equal to it in every way a value is compared, or the
+    same refusal."""
+    expect = _read(reference_circuits.from_json, text)
+    got = _read(Circuit.from_json, text)
+    if type(expect) is tuple:
+        assert got == expect
+        return
+    assert type(got) is Circuit
+    # before either one's gates are read, so that a circuit read into
+    # columns is compared by its columns
+    assert got == expect and expect == got and got.gate_count == expect.gate_count
+    assert hash(got) == hash(expect) and repr(got) == repr(expect)
+    assert got.gates == expect.gates
+    again = pickle.loads(pickle.dumps(got))
+    assert again == got == expect and repr(again) == repr(expect)
+
+
+def _gate(target, controls="[]", kind="x", angle=None):
+    extra = "" if angle is None else f'"angle": {angle}, '
+    return f'{{"kind": "{kind}", {extra}"target": {target}, "controls": {controls}}}'
+
+
+def _doc(n_qubits, *gates):
+    return f'{{"n_qubits": {n_qubits}, "gates": [{", ".join(gates)}]}}'
+
+
+BIG = 10**12
+PARITY_DOCS = [
+    # registers at and past the width of a control mask
+    _doc(64, _gate(63, "[0, 62]"), _gate(0, "[63, 1]", "ry", 0.5), _gate(63)),
+    _doc(64, _gate(0, "[64]")),
+    _doc(64, _gate(64)),
+    _doc(65, _gate(64, "[0, 63]"), _gate(3, "[64]", "ry", -1.5)),
+    _doc(65, _gate(0, "[65]")),
+    _doc(BIG, _gate(3, "[0]"), _gate(BIG - 1, f"[{BIG - 2}, 5]", "ry", 2.5)),
+    _doc(BIG, _gate(BIG)),
+    # indices of the document past a small register
+    _doc(3, _gate(0, f"[{BIG}]")),
+    _doc(3, _gate(BIG)),
+    _doc(3, _gate(0, f"[{BIG}, {BIG}]")),
+    _doc(3, _gate(BIG, f"[{BIG}]")),
+    # controls unsorted, repeated, negative or on the target
+    _doc(4, _gate(0, "[3, 1, 2]"), _gate(3, "[2, 0]", "ry", 1.0)),
+    _doc(4, _gate(0, "[1, 1]")),
+    _doc(4, _gate(0, "[2, 1, 2]", "ry", 1.0)),
+    _doc(4, _gate(1, "[1]")),
+    _doc(4, _gate(1, "[0, 1]", "ry", 0.25)),
+    _doc(4, _gate(-1)),
+    _doc(4, _gate(0, "[-1]")),
+    _doc(4, _gate(0, "[2, -3]")),
+    _doc(4, _gate(-1, "[1, 1]")),
+    # angles: ints, the non-finite names, other JSON values
+    _doc(2, _gate(0, "[]", "ry", 2), _gate(1, "[0]", "ry", 0), _gate(0, "[1]", "ry", -0)),
+    _doc(2, _gate(0, "[]", "ry", "-0.0"), _gate(1, "[]", "ry", 5e-324)),
+    _doc(2, _gate(0, "[]", "ry", "Infinity")),
+    _doc(2, _gate(0, "[]", "ry", "-Infinity")),
+    _doc(2, _gate(0, "[]", "ry", "NaN")),
+    _doc(2, _gate(0, "[]", "ry", "1" + "0" * 400)),
+    _doc(2, _gate(0, "[]", "ry", "true")),
+    _doc(2, _gate(0, "[]", "ry", '"1.0"')),
+    _doc(2, _gate(0, "[]", "ry", "null")),
+    _doc(2, _gate(0, "[]", "ry")),
+    _doc(2, _gate(0, "[]", "ry", "[1.0]")),
+    # bool indices
+    _doc(2, _gate("true")),
+    _doc(2, _gate(0, "[false]")),
+    _doc(2, _gate(1, "[true]", "ry", 1.0)),
+    # an x with an angle, or with a null one
+    _doc(2, _gate(0, "[]", "x", 1.0)),
+    _doc(2, _gate(0, "[]", "x", 0)),
+    _doc(2, _gate(0, "[]", "x", "Infinity")),
+    _doc(2, _gate(0, "[1]", "x", "null")),
+    # kinds and entries outside the schema
+    _doc(2, _gate(0, "[]", "rz", 1.0)),
+    _doc(2, _gate(0, "[]", "RY", 1.0)),
+    _doc(2, '{"kind": null, "target": 0}'),
+    _doc(2, '{"kind": ["ry"], "angle": 1.0, "target": 0, "controls": []}'),
+    _doc(2, '{"kind": "x", "target": 1}', '{"target": 0, "kind": "x", "extra": [1]}'),
+    _doc(2, '{"kind": "x", "target": 1, "controls": 0}'),
+    _doc(2, '{"kind": "x", "target": 1, "controls": {"0": 1}}'),
+    _doc(2, '{"kind": "x", "controls": []}'),
+    _doc(2, '{"target": 0}'),
+    _doc(2, "1"),
+    _doc(2, '"x"'),
+    _doc(2, "null"),
+    _doc(2, "[]"),
+    _doc(2, _gate(1.0)),
+    _doc(2, _gate(0, "[0.0]")),
+    # the bound is checked only once every gate has passed
+    _doc(2, _gate(5), "7"),
+    _doc(2, _gate(5), _gate(0, "[0]")),
+    _doc(2, _gate(0, "[9]"), _gate(0, "[]", "ry")),
+    _doc(2, _gate(5), _gate(7)),
+    _doc(2, _gate(0), _gate(1, "[4, 3]"), _gate(6), _gate(1, "[0]")),
+    _doc(0, _gate(0)),
+    _doc(0, _gate(0, "[0]")),
+    _doc(-1, _gate(0), "{}"),
+    _doc(0),
+    _doc(1),
+    _doc(64),
+    _doc(65),
+    _doc("1.0", _gate(0)),
+    _doc("true"),
+    '{"n_qubits": 2, "gates": {}}',
+    '{"n_qubits": 2}',
+]
+
+
+@pytest.mark.parametrize("text", PARITY_DOCS)
+def test_from_json_reads_as_reference(text):
+    assert_reads_as_reference(text)
+
+
+@pytest.mark.parametrize("circuit", TEXT_CIRCUITS)
+def test_from_json_reads_text_circuits_as_reference(circuit):
+    assert_reads_as_reference(circuit.to_json())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_from_json_reads_synthesized_circuits_as_reference(n):
+    rng = np.random.default_rng(700 + n)
+    vec = rng.normal(size=1 << n)
+    vec[rng.random(size=vec.size) < 0.3] = 0.0
+    vec[0] = 1.0
+    state = normalize(vec.tolist())
+    for prune in (False, True):
+        assert_reads_as_reference(synth(state, prune=prune)[0].to_json())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _doc(3, _gate(0, f"[{BIG}]")),
+        _doc(3, _gate(BIG, f"[1, {BIG - 1}]", "ry", 1.0)),
+        _doc(BIG, _gate(BIG - 1, f"[{BIG - 2}]")),
+    ],
+)
+def test_no_document_index_sizes_an_allocation(text):
+    """An index of 10**12 is compared, never shifted into a mask: reading
+    the document, and asking its circuit for columns, stays within 1 MiB."""
+    tracemalloc.start()
+    try:
+        circuit = _read(Circuit.from_json, text)
+        if type(circuit) is Circuit:
+            with pytest.raises(DomainError, match="has no columns"):
+                circuit.columns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -4,7 +4,8 @@ and through ``cli.main``; and of the values given to the library's
 constructors in code.
 
 Only ``RyprepError`` may leave the library, and the CLI returns 0, 1 or 2
-without raising.  Generated states hold at most 2**6 amplitudes, so nothing
+without raising.  Every circuit document is also read as the gate-by-gate
+reference reads it.  Generated states hold at most 2**6 amplitudes, so nothing
 large is simulated.  Examples are derandomized, which keeps tier-1
 deterministic.
 """
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from ryprep import AngleList, Circuit, Gate, GrayImage, RealState, normalize
 from ryprep.cli import main
 from ryprep.errors import RyprepError
+from test_circuits import assert_reads_as_reference
 
 FUZZ = settings(
     max_examples=80,
@@ -181,6 +183,7 @@ def test_circuit_json_through_cli(files, doc, n):
     path.write_text(json.dumps(doc))
     run_cli(["stats", str(path)])
     run_cli(["verify", states[n], str(path)])
+    assert_reads_as_reference(json.dumps(doc))
 
 
 @FUZZ
@@ -191,6 +194,7 @@ def test_from_json_raises_only_package_errors(text):
             parser(text)
         except RyprepError:
             pass
+    assert_reads_as_reference(text)
 
 
 # integers too long for str(), which error messages must still name

@@ -19,21 +19,25 @@ from dense_oracle import run_pairs
 from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
 from ryprep import simulator
 from ryprep.errors import DomainError
-from ryprep.simulator import MAX_QUBITS, _apply_inplace, _columns
+from ryprep.simulator import MAX_QUBITS, _run_gates_numpy
 from test_state_json import _streamed
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _one_row(amps: np.ndarray, gate) -> tuple:
+    """The gate's columns, as ``apply_gate`` hands them to a kernel."""
+    return Circuit(amps.size.bit_length() - 1, (gate,)).columns
+
+
 @pytest.fixture(params=["python", "c"])
 def apply(request):
     """One gate applied in place: ``python`` is the NumPy kernel that runs
-    when the extension is absent; ``c`` is the compiled kernel, fed the
-    columns ``run`` packs."""
-    if request.param == "python":
-        return _apply_inplace
-    run_gates = request.getfixturevalue("simkernel").run_gates
-    return lambda amps, gate: run_gates(amps, *_columns((gate,)))
+    when the extension is absent; ``c`` is the compiled kernel."""
+    run_gates = _run_gates_numpy
+    if request.param == "c":
+        run_gates = request.getfixturevalue("simkernel").run_gates
+    return lambda amps, gate: run_gates(amps, *_one_row(amps, gate))
 
 
 def test_uncontrolled_ry_on_basis(apply):
@@ -99,7 +103,7 @@ def _synthesized_circuit(rng, n: int, prune: bool) -> Circuit:
 @pytest.fixture(params=["python", "c"])
 def kernel(request, monkeypatch):
     """The kernel ``run`` and ``apply_gate`` dispatch to in this test."""
-    run_gates = None
+    run_gates = _run_gates_numpy
     if request.param == "c":
         run_gates = request.getfixturevalue("simkernel").run_gates
     monkeypatch.setattr(simulator, "_run_gates", run_gates)
@@ -109,7 +113,7 @@ def _numpy_run(circuit: Circuit) -> np.ndarray:
     amps = np.zeros(1 << circuit.n_qubits)
     amps[0] = 1.0
     for gate in circuit.gates:
-        _apply_inplace(amps, gate)
+        _run_gates_numpy(amps, *_one_row(amps, gate))
     return amps
 
 
@@ -137,7 +141,7 @@ def test_dispatch_fallback_is_bit_identical(simkernel, monkeypatch):
     """``run`` and ``apply_gate`` give the same states through either kernel."""
     circuit = _random_circuit(np.random.default_rng(577), 6, 80)
     states = []
-    for run_gates in (simkernel.run_gates, None):
+    for run_gates in (simkernel.run_gates, _run_gates_numpy):
         monkeypatch.setattr(simulator, "_run_gates", run_gates)
         steps = [run(circuit)]
         for gate in circuit.gates[:20]:
@@ -147,7 +151,7 @@ def test_dispatch_fallback_is_bit_identical(simkernel, monkeypatch):
 
 
 def test_kernel_backend_names_the_dispatched_kernel():
-    if simulator._run_gates is None:
+    if simulator._run_gates is _run_gates_numpy:
         assert ryprep.KERNEL_BACKEND == "numpy"
     else:
         assert ryprep.KERNEL_BACKEND == "c"
@@ -200,7 +204,7 @@ def test_valid_columns_are_accepted(simkernel):
     simkernel.run_gates(amps, *_columns3())
     expected = np.array([0.1, 0.2, 0.3, 0.4])
     for gate in (x(0), ry(0.7, 1, (0,)), x(0, (1,))):
-        _apply_inplace(expected, gate)
+        _run_gates_numpy(expected, *_one_row(expected, gate))
     np.testing.assert_array_equal(amps, expected)
 
 
@@ -305,7 +309,8 @@ import ryprep
 from ryprep import Circuit, encode, load_pgm, run, ry, simulator, states, x
 state = run(Circuit(3, (ry(0.3, 0), x(1, (0,)), ry(1.1, 2, (0, 1)))))
 fallback = states._state_json is states._state_json_numpy
-print(ryprep.KERNEL_BACKEND, simulator._run_gates is None, fallback, end=" ")
+on_numpy = simulator._run_gates is simulator._run_gates_numpy
+print(ryprep.KERNEL_BACKEND, on_numpy, fallback, end=" ")
 print(repr(state.amplitudes), state.to_json())
 rng = np.random.default_rng(16)
 for maxval, depth, rows, cols in (
@@ -459,7 +464,7 @@ SANITIZED_CORPUS = [
         "test_index_changed_during_a_write",
         "test_refused",
         "test_refused_n_qubits",
-        # the races, with fewer calls: each document is parsed in Python
+        # the races, with fewer calls: each document is checked in Python
         "test_index_changed_by_another_thread:3",
         "test_index_made_out_of_range_by_another_thread:20",
         "test_values_made_non_finite_by_another_thread:60",

@@ -286,7 +286,11 @@ class TestBuildOnce:
             post_init(self)
 
         monkeypatch.setattr(Gate, "__post_init__", counting)
-        assert Circuit.from_json(text) == circuit
+        # the document is read into columns; the gates are built on first read
+        read = Circuit.from_json(text)
+        assert read == circuit and read.gate_count == circuit.gate_count
+        assert built == []
+        assert read.gates == circuit.gates and read.gates == circuit.gates
         assert len(built) == circuit.gate_count == EXPECTED_COUNTS[8]
 
 
