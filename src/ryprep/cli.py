@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import KERNEL_BACKEND, __version__
 from ._values import json_reals, parse
-from .circuits import _MASK_BITS, RY, Circuit
+from .circuits import RY, Circuit
 from .encoding import encode, load_pgm, looks_like_pgm
 from .errors import DimensionMismatch, DomainError, FormatError
 from .qasm import export_qasm
@@ -127,18 +127,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     circuit = Circuit.from_json(_read_text(args.circuit))
-    if circuit.n_qubits <= _MASK_BITS:
-        kind, _, mask, _ = circuit.columns
-        x_count = int(kind.sum())
-        arities = map(int.bit_count, mask.tolist())
-    else:  # only gates hold a register this wide
-        x_count = sum(1 for g in circuit.gates if g.kind != RY)
-        arities = (len(g.controls) for g in circuit.gates)
     stats = {
         "gate_count": circuit.gate_count,
-        "ry": circuit.gate_count - x_count,
-        "x": x_count,
-        "max_controls": max(arities, default=0),
+        "ry": sum(1 for g in circuit.gates if g.kind == RY),
+        "x": sum(1 for g in circuit.gates if g.kind != RY),
+        "max_controls": max((len(g.controls) for g in circuit.gates), default=0),
     }
     print(json.dumps(stats, separators=(",", ":")))
     return EXIT_OK
