@@ -21,7 +21,7 @@
    runs over the submasks of free = (2**n - 1) & ~cmask & ~2**target with
    the step sub = (sub - free) & free, and i0 = sub | cmask.  The Ry update
    uses the same floating-point operations, in the same order, as the NumPy
-   kernel (simulator._apply_inplace), so the two agree bit for bit as long
+   kernel (simulator._run_gates_numpy), so the two agree bit for bit as long
    as the compiler contracts no multiply-add into an FMA: build with
    -ffp-contract=off.
 

@@ -7,9 +7,10 @@ Circuits are value objects; every operation returns a new circuit.
 A circuit of at most 64 qubits can also be held as the four columns that
 ``ryprep._simkernel.run_gates`` reads: kind (0 for Ry, 1 for X), target,
 control bit mask and angle (0.0 for X).  ``Circuit.from_json`` reads a
-document into them without building a ``Gate``, and ``Circuit.gates`` is
-then built on first read; a circuit built from gates packs its columns
-when something first reads them.
+document as ``to_json`` writes it into them without building a ``Gate``, and
+``Circuit.gates`` is then built on first read; any other document is read
+gate by gate, and a circuit built from gates packs its columns when
+something first reads them.
 """
 
 from __future__ import annotations
@@ -46,61 +47,6 @@ _BITS = tuple(1 << q for q in range(_MASK_BITS))
 _DTYPES = (np.uint8, np.int32, np.uint64, np.float64)
 
 
-def _gate_rule(
-    kind: object, target: object, controls: object, angle: object
-) -> tuple[int, tuple[int, ...], float | None]:
-    """A gate's target, controls and angle as a ``Gate`` holds them: indices
-    under the integer rule, controls sorted, a Ry angle under the real rule.
-    The first refused field raises, in this order: the kind, the integer
-    rule, a negative index, a duplicate control, the target among the
-    controls, the angle.  Controls already a sorted tuple of ints, and
-    fields already of their stored type, come back as the same objects."""
-    if kind not in (RY, X):
-        raise DomainError(f"unknown gate kind {num(kind)}")
-    given_target, given_controls, given_angle = target, controls, angle
-    # Qubit indices select array axes.  Plain ints in a tuple or list, the
-    # common case, skip the integer rule; other containers take it, since
-    # the type test would use up a generator.
-    if not (
-        type(target) is int
-        and type(controls) in _SEQUENCES
-        and _INTS.issuperset(map(type, controls))
-    ):
-        try:
-            target, *controls = integers((target, *controls))
-        except TypeError:
-            raise IndexOutOfRange(
-                f"qubit indices must be integers, got target {num(given_target)} "
-                f"and controls {num(given_controls)}"
-            ) from None
-    ordered = tuple(sorted(controls))
-    if target < 0:
-        raise IndexOutOfRange(f"target must be nonnegative, got {num(target)}")
-    if ordered and ordered[0] < 0:
-        raise IndexOutOfRange(f"controls must be nonnegative, got {num(ordered)}")
-    if len(set(ordered)) != len(ordered):
-        raise ControlCollision(f"duplicate control in {num(ordered)}")
-    if target in ordered:
-        raise ControlEqualsTarget(f"qubit {num(target)} is both target and control")
-    # a list, as callers and the integer rule give, never equals the tuple
-    if ordered == controls:
-        ordered = controls
-    if kind == RY:
-        try:
-            if type(angle) is not float:
-                (angle,) = reals((angle,))
-            finite = math.isfinite(angle)
-        except TypeError:
-            finite = False
-        except OverflowError:
-            raise DomainError("ry angle is an integer too large for a float") from None
-        if not finite:
-            raise DomainError(f"ry needs a finite angle, got {num(given_angle)}")
-    elif angle is not None:
-        raise DomainError("x takes no angle")
-    return target, ordered, angle
-
-
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -109,13 +55,54 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        target, controls, angle = _gate_rule(self.kind, self.target, self.controls, self.angle)
-        if target is not self.target:
+        if self.kind not in (RY, X):
+            raise DomainError(f"unknown gate kind {num(self.kind)}")
+        target = self.target
+        controls = self.controls
+        # Qubit indices select array axes.  Plain ints in a tuple or list, the
+        # common case, skip the integer rule; other containers take it, since
+        # the type test would use up a generator.
+        if not (
+            type(target) is int
+            and type(controls) in _SEQUENCES
+            and _INTS.issuperset(map(type, controls))
+        ):
+            try:
+                target, *controls = integers((target, *controls))
+            except TypeError:
+                raise IndexOutOfRange(
+                    f"qubit indices must be integers, got target {num(self.target)} "
+                    f"and controls {num(self.controls)}"
+                ) from None
             object.__setattr__(self, "target", target)
-        if controls is not self.controls:
-            object.__setattr__(self, "controls", controls)
-        if angle is not self.angle:
-            object.__setattr__(self, "angle", angle)
+        ordered = tuple(sorted(controls))
+        if target < 0:
+            raise IndexOutOfRange(f"target must be nonnegative, got {num(target)}")
+        if ordered and ordered[0] < 0:
+            raise IndexOutOfRange(f"controls must be nonnegative, got {num(ordered)}")
+        if len(set(ordered)) != len(ordered):
+            raise ControlCollision(f"duplicate control in {num(ordered)}")
+        if target in ordered:
+            raise ControlEqualsTarget(f"qubit {num(target)} is both target and control")
+        # a list, as callers and the rule's path give, never equals the tuple
+        if ordered != controls:
+            object.__setattr__(self, "controls", ordered)
+        if self.kind == RY:
+            angle = self.angle
+            try:
+                if type(angle) is not float:
+                    (angle,) = reals((angle,))
+                finite = math.isfinite(angle)
+            except TypeError:
+                finite = False
+            except OverflowError:
+                raise DomainError("ry angle is an integer too large for a float") from None
+            if not finite:
+                raise DomainError(f"ry needs a finite angle, got {num(self.angle)}")
+            if angle is not self.angle:
+                object.__setattr__(self, "angle", angle)
+        elif self.angle is not None:
+            raise DomainError("x takes no angle")
 
     @property
     def max_index(self) -> int:
@@ -138,25 +125,6 @@ def x(target: int, controls: Iterable[int] = ()) -> Gate:
     return Gate(X, target, tuple(controls))
 
 
-def _doc_fields(gd: object) -> tuple:
-    """kind, target, controls and angle of one gate entry of circuit JSON,
-    refused with ``FormatError`` where the entry does not have the schema's
-    keys and types; the gate rule then judges the values."""
-    if not isinstance(gd, dict) or "kind" not in gd or "target" not in gd:
-        raise FormatError(f"malformed gate entry {gd!r}")
-    target = gd["target"]
-    controls = gd.get("controls", [])
-    if not isinstance(controls, list):
-        raise FormatError(f"malformed gate entry {gd!r}")
-    # the integer rule, for the types JSON has: true/false parse as bool
-    if type(target) is not int or not _INTS.issuperset(map(type, controls)):
-        raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
-    angle = gd.get("angle")
-    if angle is not None and type(angle) is not float:
-        (angle,) = json_reals((angle,), "gate angles")
-    return gd["kind"], target, controls, angle
-
-
 def _frozen(kinds: bytearray, targets: array, masks: array, angles: array) -> tuple:
     """The four typed buffers as read-only NumPy arrays over their memory."""
     columns = tuple(map(np.frombuffer, (kinds, targets, masks, angles), _DTYPES))
@@ -165,59 +133,47 @@ def _frozen(kinds: bytearray, targets: array, masks: array, angles: array) -> tu
     return columns
 
 
-def _read_rows(n: int, docs: list) -> tuple:
-    """The columns of the gate entries docs of a circuit on n <= 64 qubits.
+def _read_rows(n: int, docs: list) -> tuple | None:
+    """The columns of docs, the gate entries of a circuit on n <= 64 qubits,
+    if every entry is one that ``to_json`` writes for a gate inside the
+    register; otherwise None, at the first entry that is not.
 
-    Refusals are those of the ``Gate`` path, in its order: each entry's
-    first refused field, entry by entry, and only once every entry has
-    passed, the first gate that touches a qubit past the register.  No
-    index is shifted into a mask before it is known to be below n.
+    An entry costs a few dict lookups and C-level scans: a missing key or a
+    negative or too large index fails a lookup, a repeated control or the
+    target among the controls the bit count, so no index is shifted into a
+    mask before it is known to be below n.  This accepts only what ``Gate``
+    and the register bound accept, and is kept for speed alone: with it
+    ``from_json`` took 13-14 ms per ``thumbs`` cycle and 75-82 ms per
+    ``photo14`` image (perfbench seed 5, GC off), against 25-28 and 142-146
+    ms gate by gate.
     """
     isfinite = math.isfinite
     kinds, targets, masks, angles = bytearray(), array("i"), array("Q"), array("d")
     bit = {q: 1 << q for q in range(n)}
-    past = None  # the highest qubit of the first gate past the register
-    for gd in docs:
-        # An entry as to_json writes it, inside the register, costs a few
-        # dict lookups and C-level scans: a missing key or a negative or
-        # too large index fails a lookup, a repeated control or the target
-        # among the controls the bit count.  Every other entry, and every
-        # refused one, takes the rules below.  This accepts only what
-        # _gate_rule accepts, and is kept for speed alone: with every
-        # entry through _doc_fields and _gate_rule the loop took 2.4-2.9 us
-        # per gate against 1.0 (photo14, n = 14: 81 against 30 ms per
-        # image), and four 30 s thumbs runs gained 2-7% images/s over the
-        # gate-by-gate parse instead of 16-25%.
-        kind = None
-        try:
+    try:
+        for gd in docs:
             target, controls, angle = gd["target"], gd["controls"], gd.get("angle")
-            if (
+            if not (
                 type(target) is int
                 and type(controls) is list
                 and _INTS.issuperset(map(type, controls))
             ):
-                mask = sum(map(bit.__getitem__, controls))
-                if not mask & bit[target] and mask.bit_count() == len(controls):
-                    if gd["kind"] == RY and type(angle) is float and isfinite(angle):
-                        kind = 0
-                    elif gd["kind"] == X and angle is None:
-                        kind = 1
-        except (KeyError, TypeError):
-            pass
-        if kind is None:
-            target, controls, angle = _gate_rule(*_doc_fields(gd))
-            top = max(controls[-1], target) if controls else target
-            if top >= n:
-                past = top if past is None else past
-                continue
+                return None
             mask = sum(map(bit.__getitem__, controls))
-            kind = 0 if angle is not None else 1
-        kinds.append(kind)
-        targets.append(target)
-        masks.append(mask)
-        angles.append(0.0 if kind else angle)
-    if past is not None:
-        raise IndexOutOfRange(f"gate touches qubit {num(past)} but the circuit has {n} qubits")
+            if mask & bit[target] or mask.bit_count() != len(controls):
+                return None
+            if gd["kind"] == RY and type(angle) is float and isfinite(angle):
+                kinds.append(0)
+                angles.append(angle)
+            elif gd["kind"] == X and angle is None:
+                kinds.append(1)
+                angles.append(0.0)
+            else:
+                return None
+            targets.append(target)
+            masks.append(mask)
+    except (KeyError, TypeError):
+        return None
     return _frozen(kinds, targets, masks, angles)
 
 
@@ -228,8 +184,9 @@ class Circuit:
     attribute can be set or deleted, and ``==``, ``hash``, ``repr`` and
     pickling go by the two fields.  A circuit of at most 64
     qubits also has ``columns``, the four arrays that ``run_gates`` reads.
-    One read from JSON holds only its columns and builds ``gates`` on first
-    read; one built from gates packs its columns on first read.
+    One read from a document as ``to_json`` writes it holds only its columns
+    and builds ``gates`` on first read; one built from gates packs its
+    columns on first read.
     """
 
     n_qubits: int
@@ -341,15 +298,30 @@ class Circuit:
     def from_json(cls, text: str) -> "Circuit":
         n_qubits, gate_docs = header(parse(text, "circuit JSON"), "circuit JSON", "gates")
         if 1 <= n_qubits <= _MASK_BITS:
-            circuit = object.__new__(cls)
-            object.__setattr__(circuit, "columns", _read_rows(n_qubits, gate_docs))
-            object.__setattr__(circuit, "n_qubits", n_qubits)
-            return circuit
-        # Only Gates hold indices past a mask's width.  The constructor
-        # refuses an n_qubits below 1, after every gate has passed.
+            columns = _read_rows(n_qubits, gate_docs)
+            if columns is not None:
+                circuit = object.__new__(cls)
+                object.__setattr__(circuit, "columns", columns)
+                object.__setattr__(circuit, "n_qubits", n_qubits)
+                return circuit
+        # Any other document is read gate by gate.  The constructor refuses
+        # an n_qubits below 1, or a gate past the register, after every gate
+        # has passed.
         gates = []
         for i, gd in enumerate(gate_docs):
-            gates.append(Gate(*_doc_fields(gd)))
+            if not isinstance(gd, dict) or "kind" not in gd or "target" not in gd:
+                raise FormatError(f"malformed gate entry {gd!r}")
+            target = gd["target"]
+            controls = gd.get("controls", [])
+            if not isinstance(controls, list):
+                raise FormatError(f"malformed gate entry {gd!r}")
+            # the integer rule, for the types JSON has: true/false parse as bool
+            if type(target) is not int or not _INTS.issuperset(map(type, controls)):
+                raise FormatError(f"gate qubit indices must be integers, got {gd!r}")
+            angle = gd.get("angle")
+            if angle is not None and type(angle) is not float:
+                (angle,) = json_reals((angle,), "gate angles")
+            gates.append(Gate(gd["kind"], target, controls, angle))
             # hold each gate as a dict or as a Gate, never both
             gate_docs[i] = None
         return cls(n_qubits, tuple(gates))

@@ -8,20 +8,20 @@ double and identical circuits always yield identical text.
 
 from __future__ import annotations
 
+import functools
+
 from .circuits import RY, Circuit
 
 __all__ = ["export_qasm"]
 
 
 def export_qasm(circuit: Circuit) -> str:
-    gates = circuit.gates
-    # one operand string per qubit the gates touch, which may be far fewer
-    # than the register declares
-    names = [f"q[{q}]" for q in range(1 + max((g.max_index for g in gates), default=-1))]
+    # operands formatted on first use, for only the qubits the gates touch
+    names = functools.cache("q[{}]".format)
     lines = ["OPENQASM 3.0;", 'include "stdgates.inc";', f"qubit[{circuit.n_qubits}] q;"]
-    for gate in gates:
+    for gate in circuit.gates:
         controls = gate.controls
         call = f"ry({gate.angle!r})" if gate.kind == RY else "x"
-        operands = ", ".join(map(names.__getitem__, (*controls, gate.target)))
+        operands = ", ".join(map(names, (*controls, gate.target)))
         lines.append(f"{'ctrl @ ' * len(controls)}{call} {operands};")
     return "\n".join(lines) + "\n"

@@ -352,6 +352,20 @@ def test_export_qasm_matches_reference(circuit):
     assert export_qasm(circuit) == reference_circuits.export_qasm(circuit)
 
 
+def test_export_qasm_names_only_the_qubits_the_gates_touch():
+    """A gate on qubit 10**6 costs one operand name, not one for every
+    qubit below it: the export stays within 1 MiB of traced allocation."""
+    circuit = Circuit(10**6 + 1, (x(10**6), ry(0.5, 3, (10**6,))))
+    tracemalloc.start()
+    try:
+        text = export_qasm(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_circuits.export_qasm(circuit)
+    assert peak < 1 << 20
+
+
 def _read(parse, text):
     """The circuit that parse reads from text, or its exception's class and
     message."""
@@ -380,6 +394,22 @@ def assert_reads_as_reference(text):
     assert got.gates == expect.gates
     again = pickle.loads(pickle.dumps(got))
     assert again == got == expect and repr(again) == repr(expect)
+
+
+def assert_reads_into_columns(monkeypatch, text):
+    """``Circuit.from_json`` reads text, which ``to_json`` wrote for at most
+    64 qubits, into columns: it builds no ``Gate``."""
+    built = []
+    post_init = Gate.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Gate, "__post_init__", counting)
+        Circuit.from_json(text)
+    assert built == []
 
 
 def _gate(target, controls="[]", kind="x", angle=None):
@@ -453,6 +483,18 @@ PARITY_DOCS = [
     _doc(2, "[]"),
     _doc(2, _gate(1.0)),
     _doc(2, _gate(0, "[0.0]")),
+    # canonical entries, then a valid one that is not: the whole document is
+    # read again gate by gate
+    _doc(3, _gate(2, "[0, 1]"), _gate(0, "[2]", "ry", 0.5), '{"kind": "x", "target": 1}'),
+    _doc(3, _gate(2, "[0, 1]"), _gate(0, "[2]", "ry", 0.5), _gate(1, "[0]", "ry", 2)),
+    _doc(3, _gate(2, "[0, 1]"), _gate(0, "[2]", "ry", 0.5), _gate(1, "[]", "ry", "-0")),
+    _doc(3, _gate(2, "[0, 1]"), '{"kind": "x", "target": 1}', _gate(0, "[2]", "ry", 0.5)),
+    # canonical entries, a gate past the register, then a malformed or refused entry
+    _doc(3, _gate(2, "[0, 1]"), _gate(0, "[2]", "ry", 0.5), _gate(3), "{}"),
+    _doc(3, _gate(2, "[0, 1]"), _gate(0, "[2]", "ry", 0.5), _gate(0, "[7]"), _gate(1, "[1]")),
+    # canonical entries before an index of 64
+    _doc(64, _gate(63, "[0, 62]"), _gate(0, "[63]", "ry", 0.5), _gate(1, "[64]")),
+    _doc(64, _gate(63, "[0, 62]"), _gate(0, "[63]", "ry", 0.5), _gate(64, "[0]", "ry", 1.5)),
     # the bound is checked only once every gate has passed
     _doc(2, _gate(5), "7"),
     _doc(2, _gate(5), _gate(0, "[0]")),
@@ -479,19 +521,24 @@ def test_from_json_reads_as_reference(text):
 
 
 @pytest.mark.parametrize("circuit", TEXT_CIRCUITS)
-def test_from_json_reads_text_circuits_as_reference(circuit):
-    assert_reads_as_reference(circuit.to_json())
+def test_from_json_reads_text_circuits_as_reference(circuit, monkeypatch):
+    text = circuit.to_json()
+    assert_reads_as_reference(text)
+    if circuit.n_qubits <= 64:
+        assert_reads_into_columns(monkeypatch, text)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_from_json_reads_synthesized_circuits_as_reference(n):
+def test_from_json_reads_synthesized_circuits_as_reference(n, monkeypatch):
     rng = np.random.default_rng(700 + n)
     vec = rng.normal(size=1 << n)
     vec[rng.random(size=vec.size) < 0.3] = 0.0
     vec[0] = 1.0
     state = normalize(vec.tolist())
     for prune in (False, True):
-        assert_reads_as_reference(synth(state, prune=prune)[0].to_json())
+        text = synth(state, prune=prune)[0].to_json()
+        assert_reads_as_reference(text)
+        assert_reads_into_columns(monkeypatch, text)
 
 
 @pytest.mark.parametrize(
