@@ -1,4 +1,5 @@
-"""The two rules for the values that enter ryprep, and the reading of JSON.
+"""The two rules for the values that enter ryprep, the base of the value
+types, and the reading of JSON.
 
 ryprep takes in integers (image sizes, pixels, qubit indices) and reals
 (amplitudes and angles).  An integer is anything ``operator.index`` accepts
@@ -8,6 +9,8 @@ bool, stored as a ``float``.  A rule raises ``TypeError`` for a refused value
 turns into its own ``DomainError``, or ``FormatError`` for a value read from
 JSON.  Values that already have the stored type cost one C-level type scan.
 ``num`` names a value in an error message, however many digits it has.
+``Value`` gives ``GrayImage``, ``RealState`` and ``Circuit`` the behaviour of
+a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -15,9 +18,65 @@ from __future__ import annotations
 import json
 import numbers
 import operator
+from dataclasses import FrozenInstanceError
 from typing import Iterable
 
+import numpy as np
+
 from .errors import FormatError
+
+
+class Value:
+    """An immutable value of the fields ``_FIELDS``, in order.
+
+    It behaves as a frozen dataclass over them does: no attribute can be
+    set or deleted, and ``==``, ``hash``, ``repr`` and pickling go by the
+    fields.  The field named by ``_SEQUENCE``, if any, is held in ``array``,
+    a read-only NumPy array, and read as a tuple built on first use; the
+    array stands in for it in ``==`` and in pickling, so only ``hash`` and
+    ``repr`` build the tuple.
+    """
+
+    _FIELDS: tuple[str, ...]
+    _SEQUENCE: str | None = None
+    array: np.ndarray
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # the fields but the sequence, read by one C call
+        cls._scalars = operator.attrgetter(*(n for n in cls._FIELDS if n != cls._SEQUENCE))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a tuple compares its items by identity first, so that two circuits
+        # sharing one gate tuple compare without reading their gates
+        if self._scalars(self) != other._scalars(other):
+            return False
+        return self._SEQUENCE is None or np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._FIELDS))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor, so that a copy is checked and read-only too
+        args = (getattr(self, "array" if name == self._SEQUENCE else name) for name in self._FIELDS)
+        return type(self), tuple(args)
+
+
+def is_vector(values: object) -> bool:
+    """Whether values is a plain one-dimensional NumPy array."""
+    return type(values) is np.ndarray and values.ndim == 1
 
 
 def integers(values: Iterable) -> tuple[int, ...]:

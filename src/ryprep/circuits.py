@@ -18,13 +18,13 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
-from ._values import header, integers, json_reals, num, parse, reals
+from ._values import Value, header, integers, json_reals, num, parse, reals
 from .errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -177,18 +177,17 @@ def _read_rows(n: int, docs: list) -> tuple | None:
     return _frozen(kinds, targets, masks, angles)
 
 
-class Circuit:
+class Circuit(Value):
     """A circuit on ``n_qubits`` qubits: its ``gates``, in order.
 
-    It behaves as a frozen dataclass over ``n_qubits`` and ``gates``: no
-    attribute can be set or deleted, and ``==``, ``hash``, ``repr`` and
-    pickling go by the two fields.  A circuit of at most 64
-    qubits also has ``columns``, the four arrays that ``run_gates`` reads.
+    It is a ``Value`` of those two fields.  A circuit of at most 64 qubits
+    also has ``columns``, the four arrays that ``run_gates`` reads.
     One read from a document as ``to_json`` writes it holds only its columns
     and builds ``gates`` on first read; one built from gates packs its
     columns on first read.
     """
 
+    _FIELDS = ("n_qubits", "gates")
     n_qubits: int
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
@@ -244,26 +243,6 @@ class Circuit:
             array("Q", [sum(map(_BITS.__getitem__, g.controls)) for g in gates]),
             array("d", [0.0 if g.angle is None else g.angle for g in gates]),
         )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n_qubits, self.gates) == (other.n_qubits, other.gates)
-
-    def __hash__(self) -> int:
-        return hash((self.n_qubits, self.gates))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n_qubits={self.n_qubits!r}, gates={self.gates!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.n_qubits, self.gates)
 
     @property
     def gate_count(self) -> int:

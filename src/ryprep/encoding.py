@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._values import integers, num
+from ._values import Value, integers, is_vector, num
 from .errors import (
     AllZeroImage,
     BadMagic,
@@ -24,7 +24,7 @@ from .errors import (
     PixelExceedsMaxval,
     TruncatedData,
 )
-from .states import RealState, _ArrayValue, _is_vector
+from .states import RealState
 
 __all__ = ["GrayImage", "load_pgm", "unfold", "pad_pow2", "encode"]
 
@@ -48,7 +48,7 @@ def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
         raise DomainError(f"{what} must be integers: {exc}") from None
 
 
-class GrayImage(_ArrayValue):
+class GrayImage(Value):
     """Row-major grayscale pixels with the bit depth declared by maxval.
 
     The pixels are held in ``array``, a read-only uint16 array, and
@@ -65,7 +65,7 @@ class GrayImage(_ArrayValue):
 
     def __init__(self, rows: int, cols: int, pixels: Iterable[int], maxval: int = 255) -> None:
         rows, cols, maxval = _exact_ints((rows, cols, maxval), "rows, cols, maxval")
-        if _is_vector(pixels) and pixels.dtype.kind in "iu":
+        if is_vector(pixels) and pixels.dtype.kind in "iu":
             values = pixels
         else:
             values = _exact_ints(pixels, "pixels")

@@ -12,12 +12,12 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
-from ._values import header, integers, json_reals, num, parse, reals
+from ._values import Value, header, integers, is_vector, json_reals, num, parse, reals
 from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
 
@@ -44,51 +44,6 @@ def _fsum(squares: Iterable[float]) -> float:
         return math.fsum(squares)
     except OverflowError:
         return math.inf
-
-
-class _ArrayValue:
-    """An immutable value whose sequence field ``_SEQUENCE`` is held in
-    ``array``, a read-only NumPy array, and read as a tuple built on first use.
-
-    It behaves as a frozen dataclass over ``_FIELDS`` does: no attribute can
-    be set or deleted, and ``==``, ``hash`` and ``repr`` go by the fields in
-    order.  Only ``hash`` and ``repr`` build the tuple.
-    """
-
-    _FIELDS: tuple[str, ...]
-    _SEQUENCE: str
-    array: np.ndarray
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _scalars(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS if name != self._SEQUENCE)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._scalars() == other._scalars() and np.array_equal(self.array, other.array)
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self._FIELDS))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        # rebuilt by the constructor, so that a copy is checked and read-only too
-        args = (getattr(self, "array" if name == self._SEQUENCE else name) for name in self._FIELDS)
-        return type(self), tuple(args)
-
-
-def _is_vector(values: object) -> bool:
-    """Whether values is a plain one-dimensional NumPy array."""
-    return type(values) is np.ndarray and values.ndim == 1
 
 
 # A sum of n nonnegative floats, added in any order, lies within n * eps of
@@ -162,7 +117,7 @@ except ImportError:
     _state_json = _state_json_numpy
 
 
-class RealState(_ArrayValue):
+class RealState(Value):
     """Unit-norm real amplitudes; bit k of the index is qubit k (little-endian).
 
     The amplitudes are held in ``array``, a read-only float64 array, and
@@ -182,7 +137,7 @@ class RealState(_ArrayValue):
     _palette: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, n_qubits: int, amplitudes: Iterable[float]) -> None:
-        if _is_vector(amplitudes) and amplitudes.dtype == np.float64:
+        if is_vector(amplitudes) and amplitudes.dtype == np.float64:
             amps = amplitudes.copy()
         else:
             amps = np.array(_floats(amplitudes, "amplitudes"), np.float64)

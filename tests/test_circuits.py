@@ -1,9 +1,11 @@
 """Gate and circuit value semantics, validation, and JSON round-trips."""
 
+import copy
 import math
 import pickle
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
@@ -209,6 +211,42 @@ class TestCircuit:
             Circuit(2).add_control(2)
         with pytest.raises(IndexOutOfRange):
             Circuit(2).add_control(-1)
+
+    GATES = (ry(0.5, 0), x(2, (0, 1)))
+    REPR = (
+        "Circuit(n_qubits=3, gates=(Gate(kind='ry', target=0, controls=(), angle=0.5), "
+        "Gate(kind='x', target=2, controls=(0, 1), angle=None)))"
+    )
+    # a circuit built from gates, and one read from JSON into columns alone
+    FORMS = {
+        "gates": lambda: Circuit(3, TestCircuit.GATES),
+        "columns": lambda: Circuit.from_json(Circuit(3, TestCircuit.GATES).to_json()),
+    }
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_fields_cannot_be_set_or_deleted(self, form):
+        circuit = self.FORMS[form]()
+        assert ("columns" in vars(circuit)) is (form == "columns")
+        for name in ("n_qubits", "gates", "columns"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(circuit, name, None)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(circuit, name)
+        assert circuit.n_qubits == 3 and circuit.gates == self.GATES
+        assert all(map(np.array_equal, circuit.columns, Circuit(3, self.GATES).columns))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("form", FORMS)
+    def test_copies_are_equal(self, form, clone):
+        circuit = self.FORMS[form]()
+        again = clone(circuit)
+        assert type(again) is Circuit and again == circuit and circuit == again
+        assert hash(again) == hash(circuit) == hash((3, self.GATES))
+        assert repr(again) == repr(circuit) == self.REPR
 
 
 class TestCircuitJson:

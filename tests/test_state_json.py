@@ -580,7 +580,7 @@ def test_refused(simkernel, values, index, error, match):
         _streamed(simkernel.state_json)(1, values, index)
 
 
-def _race(simkernel, values, index, buffer, mask, refusal=None, calls=120):
+def _race(simkernel, values, index, buffer, mask, refusal=None, calls=120, expect=None):
     """Back-to-back calls of the writer, calls times streaming its document
     to a BytesIO, while another thread xors every entry of buffer with mask
     in a loop.  NumPy ufuncs run without the GIL, so they can change values
@@ -588,11 +588,12 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=120):
     which is swept front to back and is long enough that the tail changes
     late in a sweep, while a call is under way.  Each call
     gives a document or, where refusal is a pattern, raises a ValueError
-    whose message matches it.  Each document is checked on its text as it
-    comes and then dropped: the head and tail the writer puts around the
-    values, and between them one entry per index entry, each the repr of a
-    value of the palette.  Whether a change overlaps a call at all is up to
-    the scheduler, so this can miss a fault but not invent one."""
+    whose message matches it.  Each document is checked as it comes and
+    then dropped: it is expect, where that is given, or else it has the
+    head and tail the writer puts around the values, and between them one
+    entry per index entry, each the repr of a value of the palette.
+    Whether a change overlaps a call at all is up to the scheduler, so this
+    can miss a fault but not invent one."""
     interval = sys.getswitchinterval()
     n_qubits = len(index).bit_length() - 1
     texts = set(map(repr, values.tolist()))
@@ -609,6 +610,9 @@ def _race(simkernel, values, index, buffer, mask, refusal=None, calls=120):
         except ValueError as exc:
             if refusal is None or not re.fullmatch(refusal, str(exc)):
                 raise
+            return
+        if expect is not None:
+            _assert_same(doc, expect)
             return
         assert doc.startswith(head) and doc.endswith("]}")
         entries = doc[len(head) : -2].split(", ")
@@ -668,7 +672,9 @@ def test_index_made_out_of_range_by_another_thread(simkernel, calls=120):
 
 def _values_race(simkernel, count, calls):
     """_race on count values at the end of a buffer of 2**20, each used only
-    at the end of an index of 2**18 entries but the first."""
+    at the end of an index of 2**18 entries but the first.  Only the values
+    change, each to a non-finite value, which is refused, and back, so a
+    whole document is the one of the values as they were."""
     # all in [1, 2), so that flipping the top exponent bit makes each
     # non-finite and flipping it again restores it
     buffer = np.ones(1 << 20)
@@ -678,7 +684,8 @@ def _values_race(simkernel, count, calls):
     index[-count:] = np.arange(count)
     mask = np.uint64(0x400 << 52)
     refusal = r"state_json: values\[\d+\] is not finite"
-    _race(simkernel, values, index, buffer.view(np.uint64), mask, refusal, calls=calls)
+    expect = _dumps(18, values[index])
+    _race(simkernel, values, index, buffer.view(np.uint64), mask, refusal, calls, expect)
 
 
 def test_values_made_non_finite_by_another_thread(simkernel, calls=12000):
