@@ -86,6 +86,64 @@ class TestBaseCases:
         assert max_abs_diff(run(circuit), target) <= 1e-12
 
 
+# A bad angle is refused as the rotation it becomes: synth_2q negates its
+# second angle and adds pi to its third first, so a value with no negation
+# or no sum fails there, with Python's own TypeError or OverflowError.
+_FINITE = "ry needs a finite angle, got "
+_TOO_LARGE = "ry angle is an integer too large for a float"
+BAD_ANGLES = [
+    ((math.nan,), DomainError, _FINITE + "nan"),
+    ((math.inf,), DomainError, _FINITE + "inf"),
+    ((-math.inf,), DomainError, _FINITE + "-inf"),
+    ((1j,), DomainError, _FINITE + "1j"),
+    (("a",), DomainError, _FINITE + "'a'"),
+    ((None,), DomainError, _FINITE + "None"),
+    ((True,), DomainError, _FINITE + "True"),
+    ((2**1100,), DomainError, _TOO_LARGE),
+    ((math.nan, 0.2, 0.3), DomainError, _FINITE + "nan"),
+    ((0.1, math.nan, 0.3), DomainError, _FINITE + "nan"),
+    ((0.1, 0.2, math.nan), DomainError, _FINITE + "nan"),
+    ((math.inf, 0.2, 0.3), DomainError, _FINITE + "inf"),
+    ((0.1, math.inf, 0.3), DomainError, _FINITE + "-inf"),
+    ((0.1, -math.inf, 0.3), DomainError, _FINITE + "inf"),
+    ((0.1, 0.2, math.inf), DomainError, _FINITE + "inf"),
+    ((0.1, 0.2, -math.inf), DomainError, _FINITE + "-inf"),
+    ((1j, 0.2, 0.3), DomainError, _FINITE + "1j"),
+    ((0.1, 1j, 0.3), DomainError, _FINITE + "(-0-1j)"),
+    ((0.1, 0.2, 1j), DomainError, _FINITE + "(3.141592653589793+1j)"),
+    (("a", 0.2, 0.3), DomainError, _FINITE + "'a'"),
+    ((0.1, "a", 0.3), TypeError, "bad operand type for unary -: 'str'"),
+    ((0.1, 0.2, "a"), TypeError, "unsupported operand type(s) for +: 'float' and 'str'"),
+    ((None, 0.2, 0.3), DomainError, _FINITE + "None"),
+    ((0.1, None, 0.3), TypeError, "bad operand type for unary -: 'NoneType'"),
+    ((0.1, 0.2, None), TypeError, "unsupported operand type(s) for +: 'float' and 'NoneType'"),
+    ((True, 0.2, 0.3), DomainError, _FINITE + "True"),
+    ((2**1100, 0.2, 0.3), DomainError, _TOO_LARGE),
+    ((0.1, 2**1100, 0.3), DomainError, _TOO_LARGE),
+    ((0.1, 0.2, 2**1100), OverflowError, "int too large to convert to float"),
+    # the first bad rotation in gate order is named
+    ((math.inf, math.nan, 0.3), DomainError, _FINITE + "inf"),
+    ((0.1, math.nan, math.inf), DomainError, _FINITE + "nan"),
+    ((math.nan, "a", 0.3), TypeError, "bad operand type for unary -: 'str'"),
+]
+
+
+@pytest.mark.parametrize("angles, error, message", BAD_ANGLES)
+def test_bad_angle_refused(angles, error, message):
+    call = synth_1q if len(angles) == 1 else synth_2q
+    with pytest.raises(error) as info:
+        call(*angles)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_real_angles_become_the_rotations_they_name():
+    """A bool or an int where the rule negates it or adds pi to it is a
+    number there, as ``-True`` and ``math.pi + 1`` are."""
+    assert [g.angle for g in synth_2q(0.1, True, 2).gates] == [0.1, -1.0, PI + 2]
+    assert [g.angle for g in synth_2q(np.float64(0.5), 1, 0).gates] == [0.5, -1.0, PI]
+    assert type(synth_1q(np.float64(0.25)).gates[0].angle) is float
+
+
 class TestRecursion:
     def test_three_qubit_gate_sequence(self):
         angles = to_angles(normalize(range(1, 9)))
