@@ -4,7 +4,7 @@ dense statevector simulator for verification."""
 
 from .circuits import RY, X, Circuit, Gate, ry, x
 from .encoding import GrayImage, encode, load_pgm, pad_pow2, unfold
-from .qasm import export_qasm
+from .qasm import export_qasm, write_qasm
 from .simulator import KERNEL_BACKEND, apply_gate, max_abs_diff, run
 from .states import AngleList, RealState, from_angles, normalize, to_angles
 from .synthesis import (
@@ -33,6 +33,7 @@ __all__ = [
     "pad_pow2",
     "unfold",
     "export_qasm",
+    "write_qasm",
     "apply_gate",
     "max_abs_diff",
     "run",

@@ -1,5 +1,5 @@
 /* Compiled helpers for ryprep: the control-subspace simulator kernel, the
-   P2 raster decoder and the state-JSON writer.  Each has a NumPy fallback
+   P2 raster decoder, the state-JSON writer and the circuit writers.  Each has a NumPy fallback
    in the package, used when this module cannot be imported, which is also
    its reference in the tests.
 
@@ -74,6 +74,25 @@
    the call, such as a NumPy ufunc running without the GIL or a write call,
    cannot make the document inconsistent: it holds each entry as the
    emitting pass read it and each value as the values pass read it.
+
+   circuit_json(n_qubits, kind, target, cmask, angle, write) writes the
+   circuit document {"n_qubits": N, "gates": [...]} of the gates in the four
+   columns that run_gates takes, byte for byte what json.dumps writes for
+   one {"kind", "angle" (Ry only), "target", "controls"} dict per gate
+   (circuits._circuit_json_numpy is the fallback).  circuit_qasm, with the
+   same arguments, writes the OpenQASM 3 text: the three header lines, then
+   one line per gate, a "ctrl @ " per control, "ry(angle)" or "x", and the
+   operands q[c], ..., q[target] (qasm._circuit_qasm_numpy is the
+   fallback).  The controls are the set bits of the row's mask, written in
+   ascending order, and each Ry angle is formatted as float.__repr__ formats
+   it, by short_repr or else PyOS_double_to_string.  Both check the columns
+   as run_gates does, for a register of n_qubits, 1..64 qubits, and every
+   Ry angle for being finite, before write is first called; write gets the
+   text in pieces of at most CHUNK bytes, as state_json hands them.  A row
+   is formatted straight into the chunk, which is flushed first where it
+   has less room than the longest row takes.  Circuit.write_json and
+   qasm.write_qasm stream a circuit to a file this way, and Circuit.to_json
+   and export_qasm join the pieces.
 
    short_repr writes the text of most amplitudes itself, in exact 128-bit
    integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
@@ -189,29 +208,80 @@ apply_gates(double *amps, uint64_t dim, Py_ssize_t count, const uint8_t *kind,
     }
 }
 
-/* Every gate fits an n-qubit register: a known kind, 0 <= target < n, and
-   controls below 2**n that leave the target bit clear. */
-static int
-check_gates(int n, Py_ssize_t count, const uint8_t *kind, const int32_t *target,
-            const uint64_t *cmask)
+/* The four gate columns, in argument order. */
+enum { GATE_COLUMNS = 4 };
+static const char *const column_names[GATE_COLUMNS] = {"kind", "target", "cmask", "angle"};
+static const char *const column_formats[GATE_COLUMNS] = {"B", "i", "QL", "d"};
+static const Py_ssize_t column_itemsizes[GATE_COLUMNS] = {1, 4, 8, 8};
+
+/* Gets the gate columns objs into views, each checked by get_column, and
+   checks that they have one length, which it returns; returns -1 with an
+   exception set and no view held. */
+static Py_ssize_t
+get_gate_columns(PyObject *const *objs, Py_buffer *views, const char *func)
 {
-    const uint64_t dim = (uint64_t)1 << n;
+    int held = 0;
+    for (; held < GATE_COLUMNS; held++) {
+        if (get_column(objs[held], &views[held], func, column_names[held], column_formats[held],
+                       column_itemsizes[held], 0) < 0) {
+            goto fail;
+        }
+    }
+    const Py_ssize_t count = views[0].shape[0];
+    for (int k = 1; k < GATE_COLUMNS; k++) {
+        if (views[k].shape[0] != count) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s: the gate columns differ in length (kind %zd, %s %zd)", func, count,
+                         column_names[k], views[k].shape[0]);
+            goto fail;
+        }
+    }
+    return count;
+
+fail:
+    while (held > 0) {
+        PyBuffer_Release(&views[--held]);
+    }
+    return -1;
+}
+
+static void
+release_gate_columns(Py_buffer *views)
+{
+    for (int k = 0; k < GATE_COLUMNS; k++) {
+        PyBuffer_Release(&views[k]);
+    }
+}
+
+/* Every gate fits an n-qubit register, 1 <= n <= 64: a known kind,
+   0 <= target < n, and controls below 2**n that leave the target bit
+   clear; and, where angle is not NULL, every Ry angle is finite. */
+static int
+check_gates(const char *func, int n, Py_ssize_t count, const uint8_t *kind,
+            const int32_t *target, const uint64_t *cmask, const double *angle)
+{
+    const uint64_t outside = n < 64 ? ~(((uint64_t)1 << n) - 1) : 0;
     for (Py_ssize_t g = 0; g < count; g++) {
         if (kind[g] != KIND_RY && kind[g] != KIND_X) {
-            PyErr_Format(PyExc_ValueError, "run_gates: gate %zd has unknown kind %d", g,
+            PyErr_Format(PyExc_ValueError, "%s: gate %zd has unknown kind %d", func, g,
                          (int)kind[g]);
             return -1;
         }
         if (target[g] < 0 || target[g] >= n) {
-            PyErr_Format(PyExc_ValueError, "run_gates: gate %zd targets qubit %d of %d", g,
+            PyErr_Format(PyExc_ValueError, "%s: gate %zd targets qubit %d of %d", func, g,
                          (int)target[g], n);
             return -1;
         }
-        if (cmask[g] >= dim || (cmask[g] >> target[g]) & 1) {
+        if ((cmask[g] & outside) != 0 || (cmask[g] >> target[g]) & 1) {
             PyErr_Format(PyExc_ValueError,
-                         "run_gates: gate %zd has control mask %llu, which does not fit %d "
+                         "%s: gate %zd has control mask %llu, which does not fit %d "
                          "qubits without qubit %d",
-                         g, (unsigned long long)cmask[g], n, (int)target[g]);
+                         func, g, (unsigned long long)cmask[g], n, (int)target[g]);
+            return -1;
+        }
+        if (angle != NULL && kind[g] == KIND_RY && !isfinite(angle[g])) {
+            PyErr_Format(PyExc_ValueError, "%s: gate %zd has an angle that is not finite", func,
+                         g);
             return -1;
         }
     }
@@ -221,39 +291,30 @@ check_gates(int n, Py_ssize_t count, const uint8_t *kind, const int32_t *target,
 static PyObject *
 run_gates(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *objs[5];
-    if (!PyArg_UnpackTuple(args, "run_gates", 5, 5, &objs[0], &objs[1], &objs[2], &objs[3],
-                           &objs[4])) {
+    PyObject *amps_obj, *objs[GATE_COLUMNS];
+    if (!PyArg_UnpackTuple(args, "run_gates", 5, 5, &amps_obj, &objs[0], &objs[1], &objs[2],
+                           &objs[3])) {
         return NULL;
     }
-    static const char *const names[5] = {"amps", "kind", "target", "cmask", "angle"};
-    static const char *const formats[5] = {"d", "B", "i", "QL", "d"};
-    static const Py_ssize_t itemsizes[5] = {8, 1, 4, 8, 8};
-    Py_buffer views[5];
-    int held = 0;
-    PyObject *result = NULL;
-
-    for (; held < 5; held++) {
-        if (get_column(objs[held], &views[held], "run_gates", names[held], formats[held],
-                       itemsizes[held], held == 0) < 0) {
-            goto done;
-        }
+    Py_buffer amps, views[GATE_COLUMNS];
+    if (get_column(amps_obj, &amps, "run_gates", "amps", "d", 8, 1) < 0) {
+        return NULL;
     }
-    const Py_ssize_t size = views[0].shape[0];
-    const Py_ssize_t count = views[1].shape[0];
-    const char *amps_lo = views[0].buf, *amps_hi = amps_lo + views[0].len;
-    for (int k = 1; k < 5; k++) {
-        if (views[k].shape[0] != count) {
-            PyErr_Format(PyExc_ValueError,
-                         "run_gates: the gate columns differ in length (kind %zd, %s %zd)",
-                         count, names[k], views[k].shape[0]);
-            goto done;
-        }
+    const Py_ssize_t count = get_gate_columns(objs, views, "run_gates");
+    if (count < 0) {
+        PyBuffer_Release(&amps);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    const Py_ssize_t size = amps.shape[0];
+    const char *amps_lo = amps.buf, *amps_hi = amps_lo + amps.len;
+    for (int k = 0; k < GATE_COLUMNS; k++) {
         /* a column that shares memory with amps could change under the loop
            after it was checked */
         const char *lo = views[k].buf, *hi = lo + views[k].len;
         if (lo < amps_hi && amps_lo < hi) {
-            PyErr_Format(PyExc_ValueError, "run_gates: %s shares memory with amps", names[k]);
+            PyErr_Format(PyExc_ValueError, "run_gates: %s shares memory with amps",
+                         column_names[k]);
             goto done;
         }
     }
@@ -267,21 +328,20 @@ run_gates(PyObject *Py_UNUSED(self), PyObject *args)
                      MAX_QUBITS);
         goto done;
     }
-    const uint8_t *kind = views[1].buf;
-    const int32_t *target = views[2].buf;
-    const uint64_t *cmask = views[3].buf;
-    if (check_gates(n, count, kind, target, cmask) < 0) {
+    const uint8_t *kind = views[0].buf;
+    const int32_t *target = views[1].buf;
+    const uint64_t *cmask = views[2].buf;
+    if (check_gates("run_gates", n, count, kind, target, cmask, NULL) < 0) {
         goto done;
     }
     Py_BEGIN_ALLOW_THREADS
-    apply_gates(views[0].buf, (uint64_t)size, count, kind, target, cmask, views[4].buf);
+    apply_gates(amps.buf, (uint64_t)size, count, kind, target, cmask, views[3].buf);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 
 done:
-    while (held > 0) {
-        PyBuffer_Release(&views[--held]);
-    }
+    release_gate_columns(views);
+    PyBuffer_Release(&amps);
     return result;
 }
 
@@ -341,6 +401,11 @@ p2_samples(PyObject *Py_UNUSED(self), PyObject *args)
     return PyBool_FromLong(ok);
 }
 
+/* "00", "01", ..., "99" */
+static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233"
+                            "34353637383940414243444546474849505152535455565758596061626364656667"
+                            "6869707172737475767778798081828384858687888990919293949596979899";
+
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
@@ -394,11 +459,6 @@ try_round(uint64_t q, u128 r, int t, uint64_t unit, u128 five_s, uint64_t hq, ui
     }
     return round_to(q, r, t, unit, five_s, rounded);
 }
-
-/* "00", "01", ..., "99" */
-static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233"
-                            "34353637383940414243444546474849505152535455565758596061626364656667"
-                            "6869707172737475767778798081828384858687888990919293949596979899";
 
 /* Writes h < 10**8 as eight digits, two at a time. */
 static inline void
@@ -575,23 +635,37 @@ init_short_repr(void)
 #define SPLIT_AT PY_SSIZE_T_MAX
 #endif
 
+/* Writes float.__repr__(x) to out, which has room for 30 bytes, and
+   returns the end of the text: short_repr's, or else the text of
+   PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the call
+   float.__repr__ makes; NULL with an exception set. */
+static char *
+put_repr(char *out, double x)
+{
+    int len = short_repr(x, out);
+    if (len == 0) {
+        char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        if (text == NULL) {
+            return NULL;
+        }
+        len = (int)strlen(text);
+        memcpy(out, text, (size_t)len);
+        PyMem_Free(text);
+    }
+    return out + len;
+}
+
 /* Formats x into record; returns -1 with an exception set. */
 static int
 format_record(char *record, double x)
 {
     record[0] = ',';
     record[1] = ' ';
-    size_t len = (size_t)short_repr(x, record + 2);
-    if (len == 0) {
-        char *text = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
-        if (text == NULL) {
-            return -1;
-        }
-        len = strlen(text);
-        memcpy(record + 2, text, len);
-        PyMem_Free(text);
+    const char *end = put_repr(record + 2, x);
+    if (end == NULL) {
+        return -1;
     }
-    record[RECORD - 1] = (char)(2 + len);
+    record[RECORD - 1] = (char)(end - record);
     return 0;
 }
 
@@ -696,12 +770,34 @@ read_all_values(char *records, const unsigned char *used, const double *values,
     return lower.bad >= 0 ? lower.bad : upper.bad;
 }
 
-/* Where the document goes: the bytes start..end of a bytearray chunk,
-   handed to write, through view, when it is full. */
+/* Where a document goes: the bytes start..end of chunk, a bytearray of
+   CHUNK bytes, handed to write, through view, when it is full. */
 typedef struct {
     char *start, *out, *end;
-    PyObject *write, *view;
+    PyObject *write, *chunk, *view;
 } Sink;
+
+/* Makes the sink's chunk, empty; returns -1 with an exception set.  Every
+   sink, made or not, is released by close_sink. */
+static int
+open_sink(Sink *sink, PyObject *write)
+{
+    *sink = (Sink){NULL, NULL, NULL, write, NULL, NULL};
+    sink->chunk = PyByteArray_FromStringAndSize(NULL, CHUNK);
+    if (sink->chunk == NULL || (sink->view = PyMemoryView_FromObject(sink->chunk)) == NULL) {
+        return -1;
+    }
+    sink->start = sink->out = PyByteArray_AS_STRING(sink->chunk);
+    sink->end = sink->start + CHUNK;
+    return 0;
+}
+
+static void
+close_sink(Sink *sink)
+{
+    Py_XDECREF(sink->view);
+    Py_XDECREF(sink->chunk);
+}
 
 /* Hands the bytes written to the chunk to write, as one memoryview, and
    empties the chunk; returns -1 with an exception set.  write takes the
@@ -728,6 +824,14 @@ flush(Sink *sink)
     Py_DECREF(res);
     sink->out = sink->start;
     return 0;
+}
+
+/* Flushes the sink unless it has room for len more bytes; returns -1 with
+   an exception set. */
+static int
+make_room(Sink *sink, Py_ssize_t len)
+{
+    return sink->end - sink->out < len ? flush(sink) : 0;
 }
 
 /* The record of entry i of index, formatted now if the hint pass missed its
@@ -798,7 +902,7 @@ emit(Sink *sink, char *records, Py_ssize_t count, const uint32_t *index, Py_ssiz
         }
         const Py_ssize_t skip = i == 0 ? 2 : 0;
         const Py_ssize_t len = (unsigned char)record[RECORD - 1] - skip;
-        if (sink->end - sink->out < len + 2 && flush(sink) < 0) {
+        if (make_room(sink, len + 2) < 0) {
             return -1;
         }
         memcpy(sink->out, record + skip, (size_t)len);
@@ -829,8 +933,8 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
         PyBuffer_Release(&values);
         return NULL;
     }
-    PyObject *result = NULL, *chunk = NULL;
-    Sink sink = {NULL, NULL, NULL, write, NULL};
+    PyObject *result = NULL;
+    Sink sink = {NULL, NULL, NULL, NULL, NULL, NULL};
     char *records = NULL;
     unsigned char *used = NULL;
     const Py_ssize_t count = values.shape[0], size = index.shape[0];
@@ -855,14 +959,10 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_Format(PyExc_ValueError, "state_json: values[%zd] is not finite", bad);
         goto done;
     }
-    chunk = PyByteArray_FromStringAndSize(NULL, CHUNK);
-    if (chunk == NULL || (sink.view = PyMemoryView_FromObject(chunk)) == NULL) {
+    if (open_sink(&sink, write) < 0) {
         goto done;
     }
-    sink.start = PyByteArray_AS_STRING(chunk);
-    sink.end = sink.start + CHUNK;
-    sink.out = sink.start + PyOS_snprintf(sink.start, CHUNK,
-                                          "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
+    sink.out += PyOS_snprintf(sink.out, CHUNK, "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
     if (emit(&sink, records, count, index.buf, size) < 0) {
         goto done;
     }
@@ -874,13 +974,185 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
     }
 
 done:
-    Py_XDECREF(sink.view);
-    Py_XDECREF(chunk);
+    close_sink(&sink);
     PyMem_Free(used);
     PyMem_Free(records);
     PyBuffer_Release(&index);
     PyBuffer_Release(&values);
     return result;
+}
+
+/* The circuit writers.  A row's text, with the bytes that put_repr may
+   touch past its end, is at most ROW_MAX bytes: the longest is a QASM Ry
+   line with 63 controls, 14 bytes for each ("ctrl @ " and "q[62], "), and
+   3 + 30 + 2 + 7 for "ry(", the angle, ") " and the target. */
+#define ROW_MAX 1024
+
+/* The index of the lowest set bit of m, which is not 0. */
+static inline int
+lowest_bit(uint64_t m)
+{
+#if defined(__GNUC__)
+    return __builtin_ctzll(m);
+#else
+    int q = 0;
+    while (!(m & 1)) {
+        m >>= 1;
+        q++;
+    }
+    return q;
+#endif
+}
+
+/* Writes the qubit q < 100 in decimal. */
+static inline char *
+put_qubit(char *o, int q)
+{
+    if (q < 10) {
+        *o = (char)('0' + q);
+        return o + 1;
+    }
+    memcpy(o, pairs + 2 * q, 2);
+    return o + 2;
+}
+
+#define PUT(o, literal) (memcpy((o), (literal), sizeof(literal) - 1), (o) + sizeof(literal) - 1)
+
+/* Writes one row's text, in circuit_json's or circuit_qasm's layout, and
+   returns its end; NULL with an exception set. */
+typedef char *(*PutRow)(char *o, Py_ssize_t g, uint8_t kind, int target, uint64_t cmask,
+                        double angle);
+
+static char *
+put_json_row(char *o, Py_ssize_t g, uint8_t kind, int target, uint64_t cmask, double angle)
+{
+    if (g > 0) {
+        o = PUT(o, ", ");
+    }
+    if (kind == KIND_RY) {
+        o = PUT(o, "{\"kind\": \"ry\", \"angle\": ");
+        if ((o = put_repr(o, angle)) == NULL) {
+            return NULL;
+        }
+        o = PUT(o, ", \"target\": ");
+    }
+    else {
+        o = PUT(o, "{\"kind\": \"x\", \"target\": ");
+    }
+    o = put_qubit(o, target);
+    o = PUT(o, ", \"controls\": [");
+    for (uint64_t m = cmask; m != 0; m &= m - 1) {
+        if (m != cmask) {
+            o = PUT(o, ", ");
+        }
+        o = put_qubit(o, lowest_bit(m));
+    }
+    return PUT(o, "]}");
+}
+
+static char *
+put_qasm_row(char *o, Py_ssize_t Py_UNUSED(g), uint8_t kind, int target, uint64_t cmask,
+             double angle)
+{
+    for (uint64_t m = cmask; m != 0; m &= m - 1) {
+        o = PUT(o, "ctrl @ ");
+    }
+    if (kind == KIND_RY) {
+        o = PUT(o, "ry(");
+        if ((o = put_repr(o, angle)) == NULL) {
+            return NULL;
+        }
+        o = PUT(o, ") ");
+    }
+    else {
+        o = PUT(o, "x ");
+    }
+    for (uint64_t m = cmask; m != 0; m &= m - 1) {
+        o = PUT(o, "q[");
+        o = put_qubit(o, lowest_bit(m));
+        o = PUT(o, "], ");
+    }
+    o = PUT(o, "q[");
+    o = put_qubit(o, target);
+    return PUT(o, "];\n");
+}
+
+/* circuit_json and circuit_qasm: parses (n_qubits, kind, target, cmask,
+   angle, write) by format, checks the columns as run_gates does, and hands
+   write the header, with n_qubits put in by head, each row by put_row, and
+   tail. */
+static PyObject *
+write_circuit(PyObject *args, const char *format, const char *func, const char *head,
+              PutRow put_row, const char *tail)
+{
+    Py_ssize_t n_qubits;
+    PyObject *objs[GATE_COLUMNS], *write;
+    if (!PyArg_ParseTuple(args, format, &n_qubits, &objs[0], &objs[1], &objs[2], &objs[3],
+                          &write)) {
+        return NULL;
+    }
+    if (!PyCallable_Check(write)) {
+        PyErr_Format(PyExc_TypeError, "%s: write must be callable, not %.100s", func,
+                     Py_TYPE(write)->tp_name);
+        return NULL;
+    }
+    if (n_qubits < 1 || n_qubits > 64) {
+        PyErr_Format(PyExc_ValueError, "%s: n_qubits is %zd, not in 1..64", func, n_qubits);
+        return NULL;
+    }
+    Py_buffer views[GATE_COLUMNS];
+    const Py_ssize_t count = get_gate_columns(objs, views, func);
+    if (count < 0) {
+        return NULL;
+    }
+    const uint8_t *kind = views[0].buf;
+    const int32_t *target = views[1].buf;
+    const uint64_t *cmask = views[2].buf;
+    const double *angle = views[3].buf;
+    PyObject *result = NULL;
+    Sink sink = {NULL, NULL, NULL, NULL, NULL, NULL};
+    if (check_gates(func, (int)n_qubits, count, kind, target, cmask, angle) < 0 ||
+        open_sink(&sink, write) < 0) {
+        goto done;
+    }
+    sink.out += PyOS_snprintf(sink.out, CHUNK, head, n_qubits);
+    for (Py_ssize_t g = 0; g < count; g++) {
+        if (make_room(&sink, ROW_MAX) < 0) {
+            goto done;
+        }
+        sink.out = put_row(sink.out, g, kind[g], target[g], cmask[g], angle[g]);
+        if (sink.out == NULL) {
+            goto done;
+        }
+    }
+    const size_t tail_len = strlen(tail);
+    if (make_room(&sink, (Py_ssize_t)tail_len) == 0) {
+        memcpy(sink.out, tail, tail_len);
+        sink.out += tail_len;
+        if (flush(&sink) == 0) {
+            result = Py_NewRef(Py_None);
+        }
+    }
+
+done:
+    close_sink(&sink);
+    release_gate_columns(views);
+    return result;
+}
+
+static PyObject *
+circuit_json(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return write_circuit(args, "nOOOOO:circuit_json", "circuit_json",
+                         "{\"n_qubits\": %zd, \"gates\": [", put_json_row, "]}");
+}
+
+static PyObject *
+circuit_qasm(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return write_circuit(args, "nOOOOO:circuit_qasm", "circuit_qasm",
+                         "OPENQASM 3.0;\ninclude \"stdgates.inc\";\nqubit[%zd] q;\n", put_qasm_row,
+                         "");
 }
 
 static PyObject *
@@ -921,6 +1193,21 @@ static PyMethodDef methods[] = {
      "float64 buffer of finite values, or index not a C-contiguous\n"
      "one-dimensional uint32 buffer of fewer than 2**32 entries, each below\n"
      "len(values); and whatever write raises."},
+    {"circuit_json", circuit_json, METH_VARARGS,
+     "circuit_json(n_qubits, kind, target, cmask, angle, write)\n--\n\n"
+     "Hand the circuit document {\"n_qubits\": n_qubits, \"gates\": [...]} of\n"
+     "the gates in the four columns that run_gates takes, byte for byte what\n"
+     "json.dumps writes for one dict per gate, to write in pieces of at most\n"
+     "64 KiB, each a memoryview released when write returns, and return None.\n"
+     "Raises TypeError when write is not callable, ValueError when n_qubits\n"
+     "is not in 1..64 or a column or a gate does not fit, as run_gates checks\n"
+     "them, or a Ry angle is not finite, before write is first called; and\n"
+     "whatever write raises."},
+    {"circuit_qasm", circuit_qasm, METH_VARARGS,
+     "circuit_qasm(n_qubits, kind, target, cmask, angle, write)\n--\n\n"
+     "circuit_json for the OpenQASM 3 text of the circuit: a header, then one\n"
+     "line per gate, with a ctrl @ modifier per control and the controls in\n"
+     "ascending order before the target among the operands."},
     {"p2_samples", p2_samples, METH_VARARGS,
      "p2_samples(rest, out)\n--\n\n"
      "Fill the C-contiguous writable int32 buffer out with the first len(out)\n"
@@ -940,7 +1227,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "ryprep._simkernel",
-    .m_doc = "Compiled simulator kernel, P2 raster decoder and state-JSON writer for ryprep.",
+    .m_doc = "Compiled simulator kernel, P2 raster decoder and state and circuit writers for "
+             "ryprep.",
     .m_size = 0,
     .m_methods = methods,
 };

@@ -10,7 +10,7 @@ turns into its own ``DomainError``, or ``FormatError`` for a value read from
 JSON.  Values that already have the stored type cost one C-level type scan.
 ``num`` names a value in an error message, however many digits it has.
 ``Value`` gives ``GrayImage``, ``RealState`` and ``Circuit`` the behaviour of
-a frozen dataclass.
+a frozen dataclass, and ``joined`` gathers a streamed document into a str.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import numbers
 import operator
 from dataclasses import FrozenInstanceError
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,6 +72,15 @@ class Value:
         # rebuilt by the constructor, so that a copy is checked and read-only too
         args = (getattr(self, "array" if name == self._SEQUENCE else name) for name in self._FIELDS)
         return type(self), tuple(args)
+
+
+def joined(text: Callable[[Callable[[memoryview], object]], None]) -> str:
+    """The ASCII pieces that text hands to its write argument, as one str."""
+    # one str per piece and one join, which copy the document twice, where
+    # a BytesIO's growth and getvalue copy it more often
+    parts: list[str] = []
+    text(lambda piece: parts.append(str(piece, "ascii")))
+    return "".join(parts)
 
 
 def is_vector(values: object) -> bool:

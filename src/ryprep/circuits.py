@@ -6,11 +6,17 @@ Circuits are value objects; every operation returns a new circuit.
 
 A circuit of at most 64 qubits can also be held as the four columns that
 ``ryprep._simkernel.run_gates`` reads: kind (0 for Ry, 1 for X), target,
-control bit mask and angle (0.0 for X).  ``Circuit.from_json`` reads a
-document as ``to_json`` writes it into them without building a ``Gate``, and
-``Circuit.gates`` is then built on first read; any other document is read
-gate by gate, and a circuit built from gates packs its columns when
-something first reads them.
+control bit mask and angle (0.0 for X).  A synthesized circuit holds only
+its columns, and so does one that ``Circuit.from_json`` reads from a
+document as ``to_json`` writes it; either builds ``Circuit.gates`` on first
+read.  Any other document is read gate by gate, and a circuit built from
+gates packs its columns when something first reads them.
+
+The circuit's text is written from its columns: ``to_json`` and
+``write_json`` by ``_simkernel.circuit_json``, or by its NumPy twin
+``_circuit_json_numpy`` where the extension is absent, and the QASM of
+``ryprep.qasm`` likewise.  A circuit of more than 64 qubits has no columns;
+the twin writes it from rows taken from its gates.
 """
 
 from __future__ import annotations
@@ -20,11 +26,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
-from ._values import Value, header, integers, json_reals, num, parse, reals
+from ._values import Value, header, integers, joined, json_reals, num, parse, reals
 from .errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -44,7 +50,26 @@ _INTS = frozenset((int,))
 # has columns.
 _MASK_BITS = 64
 _BITS = tuple(1 << q for q in range(_MASK_BITS))
+# the start of a row of circuit JSON, by kind
+_JSON_HEADS = np.array(['{"kind": "ry", "angle": ', '{"kind": "x"'], object)
 _DTYPES = (np.uint8, np.int32, np.uint64, np.float64)
+
+
+def checked_angle(angle: object) -> float:
+    """An Ry angle under the real rule, as a float, which must be finite;
+    a refused angle raises ``DomainError``."""
+    value = angle
+    try:
+        if type(value) is not float:
+            (value,) = reals((value,))
+        finite = math.isfinite(value)
+    except TypeError:
+        finite = False
+    except OverflowError:
+        raise DomainError("ry angle is an integer too large for a float") from None
+    if not finite:
+        raise DomainError(f"ry needs a finite angle, got {num(angle)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -88,17 +113,7 @@ class Gate:
         if ordered != controls:
             object.__setattr__(self, "controls", ordered)
         if self.kind == RY:
-            angle = self.angle
-            try:
-                if type(angle) is not float:
-                    (angle,) = reals((angle,))
-                finite = math.isfinite(angle)
-            except TypeError:
-                finite = False
-            except OverflowError:
-                raise DomainError("ry angle is an integer too large for a float") from None
-            if not finite:
-                raise DomainError(f"ry needs a finite angle, got {num(self.angle)}")
+            angle = checked_angle(self.angle)
             if angle is not self.angle:
                 object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
@@ -177,6 +192,93 @@ def _read_rows(n: int, docs: list) -> tuple | None:
     return _frozen(kinds, targets, masks, angles)
 
 
+@functools.cache
+def _byte_texts(form: str) -> tuple[np.ndarray, ...]:
+    """For each byte position p of a mask, the text of each byte value: its
+    set bits q, qubits 8p + q, in ascending order, each formatted by form."""
+    return tuple(
+        np.array(
+            ["".join(form.format(8 * p + q) for q in range(8) if b >> q & 1) for b in range(256)],
+            object,
+        )
+        for p in range(_MASK_BITS // 8)
+    )
+
+
+def control_texts(mask: np.ndarray, form: str, skip: int = 0) -> np.ndarray:
+    """Per row, the text of its controls in ascending order, each formatted
+    by form, without the first skip characters: from a uint64 mask column,
+    per distinct mask and a byte at a time, or from an object column of
+    control tuples, as a circuit of more than 64 qubits gives its rows."""
+    if mask.dtype == object:
+        texts = ["".join(map(form.format, qubits))[skip:] for qubits in mask.tolist()]
+        return np.array(texts, object)
+    distinct, row = np.unique(mask, return_inverse=True)
+    if not len(distinct):
+        return np.empty(0, object)
+    tables = _byte_texts(form)
+    texts = tables[0][distinct & 255]
+    for p in range(1, (int(distinct[-1]).bit_length() + 7) // 8):
+        texts = texts + tables[p][distinct >> (8 * p) & 255]
+    if skip:
+        texts = np.array([text[skip:] for text in texts.tolist()], object)
+    return texts[row]
+
+
+def joined_rows(rows: int, *pieces: object) -> str:
+    """The concatenated texts of the rows, each the concatenation of the
+    pieces in order: a str, the same in every row, or an object array of
+    one str per row."""
+    table = np.empty((rows, len(pieces)), object)
+    for k, piece in enumerate(pieces):
+        table[:, k] = piece
+    return "".join(table.ravel().tolist())
+
+
+def ry_texts(kind: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Per row, ``repr`` of an Ry row's angle, and "" for an X row."""
+    texts = np.full(len(kind), "", object)
+    ry_rows = kind == 0
+    texts[ry_rows] = list(map(float.__repr__, angle[ry_rows].tolist()))
+    return texts
+
+
+def _circuit_json_numpy(
+    n_qubits: int,
+    kind: np.ndarray,
+    target: np.ndarray,
+    mask: np.ndarray,
+    angle: np.ndarray,
+    write: Callable[[bytes], object],
+) -> None:
+    """Hand write, in one call, the ASCII bytes of the circuit document of
+    the rows in the four columns, which ``Circuit`` has checked:
+    ``_simkernel.circuit_json`` in NumPy, its fallback and its reference.
+    Each piece of the text is made for all rows at once."""
+    rows = len(kind)
+    separators = np.full(rows, ", ", object)
+    separators[:1] = ""
+    body = joined_rows(
+        rows,
+        separators,
+        _JSON_HEADS[kind],
+        ry_texts(kind, angle),
+        ', "target": ',
+        np.array(list(map(str, target.tolist())), object),
+        ', "controls": [',
+        control_texts(mask, ", {}", 2),
+        "]}",
+    )
+    write(f'{{"n_qubits": {n_qubits}, "gates": [{body}]}}'.encode("ascii"))
+
+
+# The compiled circuit-JSON writer, from the same extension as the simulator
+# kernel, or else its NumPy fallback, which takes the same arguments.
+try:
+    from ._simkernel import circuit_json as _circuit_json
+except ImportError:
+    _circuit_json = _circuit_json_numpy
+
 class Circuit(Value):
     """A circuit on ``n_qubits`` qubits: its ``gates``, in order.
 
@@ -189,6 +291,16 @@ class Circuit(Value):
 
     _FIELDS = ("n_qubits", "gates")
     n_qubits: int
+
+    @classmethod
+    def _of_columns(cls, n_qubits: int, columns: tuple) -> "Circuit":
+        """The circuit of the checked, read-only columns of a register of
+        n_qubits <= 64 qubits, taken as they are; its gates are built on
+        first read."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "columns", columns)
+        object.__setattr__(circuit, "n_qubits", n_qubits)
+        return circuit
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
         try:
@@ -246,7 +358,8 @@ class Circuit(Value):
 
     @property
     def gate_count(self) -> int:
-        return len(self.gates)
+        built = vars(self).get("gates")
+        return len(self.columns[0] if built is None else built)
 
     def append(self, gate: Gate) -> "Circuit":
         """New circuit with the gate added at the end."""
@@ -258,20 +371,38 @@ class Circuit(Value):
             raise IndexOutOfRange(f"control {num(control)} outside 0..{self.n_qubits - 1}")
         return Circuit(self.n_qubits, tuple(g.with_control(control) for g in self.gates))
 
+    def _write_rows(self, writer: Callable, twin: Callable, write: Callable) -> None:
+        """Hand the circuit's rows to a text writer with ``circuit_json``'s
+        arguments: writer, from the columns, or twin, the writer's NumPy
+        fallback, for more than 64 qubits, from rows of the gates that hold
+        each gate's controls as a tuple, since a mask of qubit 10**12 would
+        take 125 GB."""
+        if self.n_qubits <= _MASK_BITS:
+            writer(self.n_qubits, *self.columns, write)
+            return
+        gates = self.gates
+        rows = (
+            np.fromiter((g.kind == X for g in gates), np.uint8, len(gates)),
+            np.fromiter((g.target for g in gates), object, len(gates)),
+            np.fromiter((g.controls for g in gates), object, len(gates)),
+            np.fromiter((0.0 if g.angle is None else g.angle for g in gates), float, len(gates)),
+        )
+        twin(self.n_qubits, *rows, write)
+
     def to_json(self) -> str:
         """The circuit as JSON text, byte for byte what ``json.dumps`` writes for
-        the schema's dicts: json prints the finite angles and exact ints by ``__repr__``."""
-        docs = []
-        for g in self.gates:
-            controls = ", ".join(map(str, g.controls))
-            if g.kind == RY:
-                docs.append(
-                    f'{{"kind": "ry", "angle": {g.angle!r}, "target": {g.target}, '
-                    f'"controls": [{controls}]}}'
-                )
-            else:
-                docs.append(f'{{"kind": "x", "target": {g.target}, "controls": [{controls}]}}')
-        return f'{{"n_qubits": {self.n_qubits}, "gates": [{", ".join(docs)}]}}'
+        the schema's dicts: json prints the finite angles and exact ints by
+        ``__repr__``.  The text that ``write_json`` writes, gathered piece by
+        piece."""
+        return joined(lambda write: self._write_rows(_circuit_json, _circuit_json_numpy, write))
+
+    def write_json(self, fh: BinaryIO) -> None:
+        """Write ``to_json()``'s text as ASCII bytes to the buffered binary
+        file fh, such as ``open(path, "wb")``: by the compiled writer in
+        pieces of at most 64 KiB, by its NumPy fallback in one.  What
+        ``fh.write`` raises propagates, leaving part of the document
+        written."""
+        self._write_rows(_circuit_json, _circuit_json_numpy, fh.write)
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
@@ -279,10 +410,7 @@ class Circuit(Value):
         if 1 <= n_qubits <= _MASK_BITS:
             columns = _read_rows(n_qubits, gate_docs)
             if columns is not None:
-                circuit = object.__new__(cls)
-                object.__setattr__(circuit, "columns", columns)
-                object.__setattr__(circuit, "n_qubits", n_qubits)
-                return circuit
+                return cls._of_columns(n_qubits, columns)
         # Any other document is read gate by gate.  The constructor refuses
         # an n_qubits below 1, or a gate past the register, after every gate
         # has passed.

@@ -19,7 +19,7 @@ from ._values import json_reals, parse
 from .circuits import RY, Circuit
 from .encoding import encode, load_pgm, looks_like_pgm
 from .errors import DimensionMismatch, DomainError, FormatError
-from .qasm import export_qasm
+from .qasm import write_qasm
 from .simulator import max_abs_diff, run
 from .states import RealState, normalize
 from .synthesis import synth
@@ -53,12 +53,9 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text") from exc
 
 
-def _write_text(path: str, *texts: str) -> None:
-    """Write texts to path one after another, so that no caller has to join
-    a multi-megabyte document to its newline first."""
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for text in texts:
-            fh.write(text)
+        fh.write(text)
 
 
 def _load_state(path: str) -> RealState:
@@ -91,14 +88,16 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
     circuit, report = synth(state, prune=args.prune, prune_tol=args.prune_tol)
-    doc = circuit.to_json()
     if args.out:
-        _write_text(args.out, doc, "\n")
+        with open(args.out, "wb") as fh:
+            circuit.write_json(fh)
+            fh.write(b"\n")
     else:
-        sys.stdout.write(doc)
+        sys.stdout.write(circuit.to_json())
         sys.stdout.write("\n")
     if args.qasm:
-        _write_text(args.qasm, export_qasm(circuit))
+        with open(args.qasm, "wb") as fh:
+            write_qasm(circuit, fh)
     if args.report:
         _write_text(args.report, report.to_json() + "\n")
     _say(

@@ -17,7 +17,7 @@ from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
-from ._values import Value, header, integers, is_vector, json_reals, num, parse, reals
+from ._values import Value, header, integers, is_vector, joined, json_reals, num, parse, reals
 from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
 
@@ -197,12 +197,8 @@ class RealState(Value):
     def to_json(self) -> str:
         """``json.dumps({"n_qubits": ..., "amplitudes": [...]})``, byte for byte:
         the text that ``write_json`` writes, gathered piece by piece."""
-        # one str per piece and one join, which copy the document twice, where
-        # a BytesIO's growth and getvalue copy it more often
-        parts = []
         values, index = self._values_and_index()
-        _state_json(self.n_qubits, values, index, lambda piece: parts.append(str(piece, "ascii")))
-        return "".join(parts)
+        return joined(lambda write: _state_json(self.n_qubits, values, index, write))
 
     def write_json(self, fh: BinaryIO) -> None:
         """Write the state document, ``to_json()``'s text, as ASCII bytes to

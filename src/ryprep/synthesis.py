@@ -8,20 +8,36 @@ qubits: prepare the first 2**(n-1) - 1 angles on the low n - 1 qubits,
 rotate the residual amplitude onto the top qubit with one (n-1)-controlled
 Ry, relocate it from index 2**n - 1 down to index 2**(n-1) with n - 1
 CNOTs off the top qubit, then recurse on the remaining angles with every
-emitted gate controlled by the top qubit.
+gate controlled by the top qubit.
 
-Controls are passed down the recursion as a prefix: each level hands its
-top qubit, together with the controls it received, to the second
-recursion, so every gate is built once with its full control set.
+So the gate list for n qubits has the same shape for every state, and
+only its angles change.  ``_template(n)`` builds that shape once per n as
+columns, one row per unpruned gate: kind, target, control mask, the index
+of the angle the gate takes, the rule that turns the angle into the gate's
+(itself, negated, or pi plus it), and the slice of the angle list of the
+recursion level that emits the gate, its block.  T(1) and T(2) are the base
+cases; T(n) is T(n-1), the hinge Ry and the n - 1 X rows, then T(n-1) again
+with the top qubit added to every mask and 2**(n-1) to every angle index
+and block.  Synthesis is one gather over the template: the angles by
+index, the rules by negation, and with pruning a row mask.  Pruning drops a
+block whose angles are all within the tolerance of zero, being the identity
+on the |0...0> input it receives, and an Ry whose own angle is; an
+enclosing block holds the angles of every block inside it, so a row needs
+only its own block tested, read from a cumulative count of nonzero angles.
+The circuit holds the four columns that the simulator and the text writers
+read, and builds no ``Gate`` until its ``gates`` are read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 
-from .circuits import RY, Circuit, Gate, ry, x
+import numpy as np
+
+from .circuits import RY, Circuit, checked_angle
 from .errors import DomainError
 from .simulator import MAX_QUBITS
 from .states import AngleList, RealState, to_angles
@@ -38,6 +54,10 @@ __all__ = [
 ]
 
 _PI = math.pi
+# the rule that turns a row's angle into its gate's
+_SAME, _NEGATED, _PI_PLUS = 0, 1, 2
+# the set bits of each byte value
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 @dataclass(frozen=True)
@@ -65,44 +85,88 @@ def unpruned_gate_count(n_qubits: int) -> int:
 
 def synth_1q(theta: float) -> Circuit:
     """Single Ry taking |0> to [cos(theta/2), sin(theta/2)]."""
-    return Circuit(1, tuple(_emit((theta,), 1, None)))
+    return _gather(1, _as_given((theta,)), None)
 
 
 def synth_2q(theta1: float, theta2: float, theta3: float) -> Circuit:
     """Three gates taking |00> to the nested cos/sin product of the angles."""
-    return Circuit(2, tuple(_emit((theta1, theta2, theta3), 2, None)))
+    return _gather(2, _as_given((theta1, theta2, theta3)), None)
 
 
-def _emit(
-    angles: tuple[float, ...], n: int, tol: float | None, controls: tuple[int, ...] = ()
-) -> list[Gate]:
-    """Gate list preparing the state with the given 2**n - 1 angles on
-    qubits 0..n-1, every gate also conditioned on ``controls`` (qubits n
-    and above, added by the enclosing recursion levels).
+def _as_given(values: tuple) -> np.ndarray:
+    """values in an object array, so that the rules negate each and add pi
+    to it by its own type's arithmetic, as ``-t`` and ``math.pi + t`` do,
+    and ``checked_angle`` then refuses what ``Gate`` would."""
+    column = np.empty(len(values), object)
+    for k, value in enumerate(values):
+        column[k] = value
+    return column
 
-    With tol set, Ry gates whose angle is within tol of zero are dropped,
-    and a block whose angle slice is entirely zero is elided outright: such
-    a block is the identity on the |0...0> input it receives here, because
-    every rotation is trivial and every control sits on an unexcited qubit.
-    """
-    if tol is not None and all(abs(a) <= tol for a in angles):
-        return []
+
+# kind, target, control mask, angle index, rule, block start and stop
+_ROW_TYPES = (np.uint8, np.int32, np.uint64, np.int32, np.uint8, np.int32, np.int32)
+
+
+def _rows(*columns) -> tuple[np.ndarray, ...]:
+    """The template columns, of their types and read-only."""
+    rows = tuple(map(np.asarray, columns, _ROW_TYPES))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+@functools.cache
+def _template(n: int) -> tuple[np.ndarray, ...]:
+    """The rows of the unpruned n-qubit circuit: kind, target, control
+    mask, angle index (0 for X), rule, and block start and stop."""
     if n == 1:
-        return [ry(angles[0], 0, controls)]
+        return _rows([0], [0], [0], [0], [_SAME], [0], [1])
     if n == 2:
-        t1, t2, t3 = angles
-        rules = ((t1, 0, controls), (-t2, 1, (0,) + controls), (_PI + t3, 0, (1,) + controls))
-        return [ry(a, t, c) for a, t, c in rules if tol is None or abs(a) > tol]
-    half = 1 << (n - 1)
-    top = n - 1
-    gates = _emit(angles[: half - 1], n - 1, tol, controls)
-    hinge = angles[half - 1]
-    if tol is None or abs(hinge) > tol:
-        gates.append(ry(hinge, top, tuple(range(top)) + controls))
-    lifted = (top,) + controls
-    gates.extend(x(q, lifted) for q in range(top))
-    gates.extend(_emit(angles[half:], n - 1, tol, lifted))
-    return gates
+        # Ry(t1) on qubit 0, Ry(-t2) on 1 controlled by 0, Ry(pi + t3) on 0
+        # controlled by 1
+        rule = [_SAME, _NEGATED, _PI_PLUS]
+        return _rows([0, 0, 0], [0, 1, 0], [0, 1, 2], [0, 1, 2], rule, [0, 0, 0], [3, 3, 3])
+    low = _template(n - 1)
+    half, top = 1 << (n - 1), n - 1
+    # the hinge Ry, controlled on every lower qubit, and the X rows
+    # controlled on the top one, all in the n-qubit block
+    middle = _rows(
+        [0] + [1] * top,
+        [top, *range(top)],
+        [half - 1] + [half] * top,
+        [half - 1] + [0] * top,
+        [_SAME] * n,
+        [0] * n,
+        [2 * half - 1] * n,
+    )
+    kind, target, mask, index, rule, start, stop = low
+    high = (kind, target, mask | half, index + half, rule, start + half, stop + half)
+    return _rows(*map(np.concatenate, zip(low, middle, high)))
+
+
+def _gather(n: int, angles: np.ndarray, tol: float | None) -> Circuit:
+    """The circuit of the 2**n - 1 angles, float64 or, from ``_as_given``,
+    objects that are checked here; pruned with tol set.  A row is kept
+    where its block holds an angle past tol and, for an Ry, its own angle
+    is past tol."""
+    kind, target, mask, index, rule, start, stop = _template(n)
+    angle = angles[index]
+    negated, pi_plus = rule == _NEGATED, rule == _PI_PLUS
+    # negated as -t is: a product with -1.0 plus an offset of 0.0 would
+    # turn -0.0 into 0.0
+    angle[negated] = -angle[negated]
+    angle[pi_plus] = _PI + angle[pi_plus]
+    if angle.dtype == object:
+        angle = np.array(list(map(checked_angle, angle.tolist())), np.float64)
+    angle[kind == 1] = 0.0
+    columns = (kind.view(), target.view(), mask.view(), angle)
+    if tol is not None:
+        nonzero = np.concatenate(([0], np.cumsum(np.abs(angles) > tol)))
+        keep = (nonzero[stop] > nonzero[start]) & ((kind == 1) | (np.abs(angle) > tol))
+        columns = tuple(column[keep] for column in columns)
+    for column in columns:
+        column.flags.writeable = False
+    return Circuit._of_columns(n, columns)
 
 
 def _check_qubits(n_qubits: int) -> None:
@@ -124,8 +188,7 @@ def synth_angles(
     check_tol(prune_tol, "prune_tol")
     n = angles.n_qubits
     _check_qubits(n)
-    gates = _emit(angles.angles, n, prune_tol if prune else None)
-    return Circuit(n, tuple(gates))
+    return _gather(n, np.array(angles.angles, np.float64), prune_tol if prune else None)
 
 
 def synth(
@@ -149,10 +212,16 @@ def synth(
         n_qubits=n,
         gate_count=circuit.gate_count,
         pruned_count=total - circuit.gate_count,
-        max_control_arity=max((len(g.controls) for g in circuit.gates), default=0),
+        max_control_arity=_max_controls(circuit.columns[2]),
         recursion_depth=max(0, n - 2),
     )
     return circuit, report
+
+
+def _max_controls(mask: np.ndarray) -> int:
+    """The largest number of set bits in a uint64 mask column, 0 for none,
+    counted byte by byte (NumPy 1.24 has no ``bitwise_count``)."""
+    return int(_BYTE_BITS[mask.view(np.uint8)].reshape(-1, 8).sum(axis=1).max(initial=0))
 
 
 def prune(circuit: Circuit, tol: float) -> tuple[Circuit, int]:

@@ -1,12 +1,13 @@
 """The CLI's output bytes on the corpus of ``byte_corpus``, on the NumPy
-build and on the compiled one, against the committed digests."""
+build and on the compiled one, against the committed digests; and the
+``Gate`` objects that its ``synth`` and ``verify`` runs build: none."""
 
 import json
 
 import pytest
 
 import byte_corpus
-from ryprep import encoding, simulator, states
+from ryprep import Gate, circuits, encoding, qasm, simulator, states
 
 
 @pytest.fixture(params=["numpy", "c"])
@@ -18,6 +19,8 @@ def build(request, monkeypatch):
             (simulator, "_run_gates"): simulator._run_gates_numpy,
             (states, "_state_json"): states._state_json_numpy,
             (encoding, "_p2_decode"): encoding._p2_samples,
+            (circuits, "_circuit_json"): circuits._circuit_json_numpy,
+            (qasm, "_circuit_qasm"): qasm._circuit_qasm_numpy,
         }
     else:
         kernel = request.getfixturevalue("simkernel")
@@ -25,6 +28,8 @@ def build(request, monkeypatch):
             (simulator, "_run_gates"): kernel.run_gates,
             (states, "_state_json"): kernel.state_json,
             (encoding, "_p2_decode"): kernel.p2_samples,
+            (circuits, "_circuit_json"): kernel.circuit_json,
+            (qasm, "_circuit_qasm"): kernel.circuit_qasm,
         }
     for (module, name), helper in helpers.items():
         monkeypatch.setattr(module, name, helper)
@@ -36,3 +41,21 @@ def test_outputs_match_the_digests(build, tmp_path):
     got = byte_corpus.record(tmp_path)
     assert sorted(got) == sorted(expect)
     assert [key for key in sorted(got) if got[key] != expect[key]] == []
+
+
+def test_synth_and_verify_build_no_gate(build, tmp_path, monkeypatch):
+    """``synth`` writes its circuit from the synthesized columns, and
+    ``verify`` reads the document into columns and runs them."""
+    built = []
+    post_init = Gate.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    runs = byte_corpus.record(tmp_path, only=("synth", "verify"))
+    labels = {key.split()[1] for key in runs}
+    synths = {"synth-stdout", "synth--prune", "synth--no-prune"}
+    assert labels == synths | {"verify--prune", "verify--no-prune", "verify-tol"}
+    assert built == []

@@ -392,22 +392,29 @@ def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
 
 
 # The sanitized build's corpus: tests of this suite that take the compiled
-# module as simkernel (or patch it in through the kernel or p2_decoders
-# fixture), each called with the sanitized module over all its parametrized
+# module as simkernel (or patch it in through the kernel, writers or
+# p2_decoders fixture), each called with the sanitized module over all its parametrized
 # cases, and with calls set where the name ends in :calls; and test_value_sets
 # on the named value sets.
 _SANITIZED = """
 import importlib.util, inspect, itertools, sys
-from ryprep import encoding, simulator
-import test_encoding, test_kernels, test_state_json
+from ryprep import circuits, encoding, qasm, simulator
+import test_circuit_writers, test_encoding, test_kernels, test_state_json
 
 spec = importlib.util.spec_from_file_location("ryprep._simkernel", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
 simulator._run_gates = kernel.run_gates
 encoding._p2_decode = kernel.p2_samples
+circuits._circuit_json = kernel.circuit_json
+qasm._circuit_qasm = kernel.circuit_qasm
 writer = test_state_json._streamed(kernel.state_json)
-fixtures = {"simkernel": kernel, "kernel": None, "p2_decoders": lambda: iter(["c"])}
+fixtures = {
+    "simkernel": kernel,
+    "kernel": None,
+    "writers": None,
+    "p2_decoders": lambda: iter(["c"]),
+}
 
 
 def run(test, **given):
@@ -471,6 +478,16 @@ SANITIZED_CORPUS = [
         "test_values_made_non_finite_during_a_split_pass:60",
     ]
 ] + [
+    f"test_circuit_writers::{name}"
+    for name in [
+        "test_compiled_writers_match_the_references",
+        "test_files_and_strs_hold_the_reference_text",
+        "test_pieces_are_memoryviews_of_at_most_64_kib",
+        "test_write_error_propagates",
+        "test_refused_columns",
+        "test_refused_arguments",
+    ]
+] + [
     f"value_set::{name}"
     for name in ["log-uniform", "bit-patterns", "powers-of-two", "exact-ties", "edges"]
 ] + [
@@ -500,7 +517,9 @@ def test_sanitized_build_runs_the_corpus_clean(tmp_path):
     since the interpreter is not built with them, and PyMem blocks taken
     from malloc, so that the sanitizer sees them: a bad read or write, or
     undefined behaviour, in any of its entry points or in the second thread
-    of the state writer's values pass ends the run with a report."""
+    of the state writer's values pass ends the run with a report.  The
+    circuit writers are bound in the package too, so that ``to_json`` and
+    ``export_qasm`` run them."""
     runtimes = [_runtime("libasan.so"), _runtime("libubsan.so")] if shutil.which("gcc") else []
     if not runtimes or None in runtimes:
         pytest.skip("no gcc with AddressSanitizer and UndefinedBehaviorSanitizer runtimes")

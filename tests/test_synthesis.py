@@ -320,6 +320,10 @@ class TestBuildOnce:
         assert synth_angles(random).gates == tuple(emit_lifted(random.angles, n))
 
     def test_each_gate_is_built_once(self, monkeypatch):
+        """Synthesis builds no ``Gate``: the circuit holds its columns, and
+        its gates are built once, on first read."""
+        angles = random_angles(np.random.default_rng(29), 10)
+        expect = tuple(emit_lifted(angles.angles, 10))
         built = []
         post_init = Gate.__post_init__
 
@@ -328,14 +332,17 @@ class TestBuildOnce:
             post_init(self)
 
         monkeypatch.setattr(Gate, "__post_init__", counting)
-        angles = random_angles(np.random.default_rng(29), 10)
         circuit = synth_angles(angles)
         assert circuit.gate_count == EXPECTED_COUNTS[10] == 1780
+        assert built == []
+        assert circuit.gates == circuit.gates == expect
         assert len(built) == 1780
 
     def test_from_json_builds_each_gate_once(self, monkeypatch):
         circuit = synth_angles(random_angles(np.random.default_rng(31), 8))
         text = circuit.to_json()
+        # the synthesized circuit's own gates, built before the count
+        circuit.gates
         built = []
         post_init = Gate.__post_init__
 
@@ -365,12 +372,12 @@ class TestQubitCap:
         assert synthesis.MAX_QUBITS == simulator.MAX_QUBITS == 26
 
     def test_synth_angles_refuses_before_building(self, monkeypatch):
-        def emit(*args):
-            raise AssertionError("a gate was built")
+        def template(n):
+            raise AssertionError("a template was built")
 
         angles = random_angles(np.random.default_rng(3), 4)
         monkeypatch.setattr(synthesis, "MAX_QUBITS", 3)
-        monkeypatch.setattr(synthesis, "_emit", emit)
+        monkeypatch.setattr(synthesis, "_template", template)
         message = "^cannot synthesize 4 qubits; the simulator holds at most 3$"
         with pytest.raises(DomainError, match=message):
             synth_angles(angles)
