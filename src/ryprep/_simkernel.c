@@ -1,7 +1,7 @@
 /* Compiled helpers for ryprep: the control-subspace simulator kernel, the
-   P2 raster decoder, the state-JSON writer and the circuit writers.  Each has a NumPy fallback
-   in the package, used when this module cannot be imported, which is also
-   its reference in the tests.
+   P2 raster decoder, the state-JSON writer and the circuit writers.  Each
+   has a NumPy fallback in the package, used when this module cannot be
+   imported, which is also its reference in the tests.
 
    run_gates(amps, kind, target, cmask, angle) applies a whole circuit, given
    as four equal-length columns, to a float64 statevector in place:
@@ -90,7 +90,10 @@
    Ry angle for being finite, before write is first called; write gets the
    text in pieces of at most CHUNK bytes, as state_json hands them.  A row
    is formatted straight into the chunk, which is flushed first where it
-   has less room than the longest row takes.  Circuit.write_json and
+   has less room than the longest row takes.  Each row is read once more
+   as it is written, and checked again, so that a write call or another
+   thread that changes the columns meanwhile cannot make the writer read
+   past its tables.  Circuit.write_json and
    qasm.write_qasm stream a circuit to a file this way, and Circuit.to_json
    and export_qasm join the pieces.
 
@@ -253,35 +256,46 @@ release_gate_columns(Py_buffer *views)
     }
 }
 
-/* Every gate fits an n-qubit register, 1 <= n <= 64: a known kind,
+/* Gate g fits an n-qubit register, 1 <= n <= 64: a known kind,
    0 <= target < n, and controls below 2**n that leave the target bit
-   clear; and, where angle is not NULL, every Ry angle is finite. */
+   clear; and, where angle is not NULL, an Ry angle is finite.  Returns -1
+   with an exception set. */
+static int
+check_gate(const char *func, int n, Py_ssize_t g, uint8_t kind, int32_t target, uint64_t cmask,
+           const double *angle)
+{
+    const uint64_t outside = n < 64 ? ~(((uint64_t)1 << n) - 1) : 0;
+    if (kind != KIND_RY && kind != KIND_X) {
+        PyErr_Format(PyExc_ValueError, "%s: gate %zd has unknown kind %d", func, g, (int)kind);
+        return -1;
+    }
+    if (target < 0 || target >= n) {
+        PyErr_Format(PyExc_ValueError, "%s: gate %zd targets qubit %d of %d", func, g,
+                     (int)target, n);
+        return -1;
+    }
+    if ((cmask & outside) != 0 || (cmask >> target) & 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s: gate %zd has control mask %llu, which does not fit %d qubits without "
+                     "qubit %d",
+                     func, g, (unsigned long long)cmask, n, (int)target);
+        return -1;
+    }
+    if (angle != NULL && kind == KIND_RY && !isfinite(*angle)) {
+        PyErr_Format(PyExc_ValueError, "%s: gate %zd has an angle that is not finite", func, g);
+        return -1;
+    }
+    return 0;
+}
+
+/* check_gate for every gate, and every Ry angle where angle is not NULL. */
 static int
 check_gates(const char *func, int n, Py_ssize_t count, const uint8_t *kind,
             const int32_t *target, const uint64_t *cmask, const double *angle)
 {
-    const uint64_t outside = n < 64 ? ~(((uint64_t)1 << n) - 1) : 0;
     for (Py_ssize_t g = 0; g < count; g++) {
-        if (kind[g] != KIND_RY && kind[g] != KIND_X) {
-            PyErr_Format(PyExc_ValueError, "%s: gate %zd has unknown kind %d", func, g,
-                         (int)kind[g]);
-            return -1;
-        }
-        if (target[g] < 0 || target[g] >= n) {
-            PyErr_Format(PyExc_ValueError, "%s: gate %zd targets qubit %d of %d", func, g,
-                         (int)target[g], n);
-            return -1;
-        }
-        if ((cmask[g] & outside) != 0 || (cmask[g] >> target[g]) & 1) {
-            PyErr_Format(PyExc_ValueError,
-                         "%s: gate %zd has control mask %llu, which does not fit %d "
-                         "qubits without qubit %d",
-                         func, g, (unsigned long long)cmask[g], n, (int)target[g]);
-            return -1;
-        }
-        if (angle != NULL && kind[g] == KIND_RY && !isfinite(angle[g])) {
-            PyErr_Format(PyExc_ValueError, "%s: gate %zd has an angle that is not finite", func,
-                         g);
+        if (check_gate(func, n, g, kind[g], target[g], cmask[g],
+                       angle == NULL ? NULL : &angle[g]) < 0) {
             return -1;
         }
     }
@@ -1117,10 +1131,17 @@ write_circuit(PyObject *args, const char *format, const char *func, const char *
     }
     sink.out += PyOS_snprintf(sink.out, CHUNK, head, n_qubits);
     for (Py_ssize_t g = 0; g < count; g++) {
-        if (make_room(&sink, ROW_MAX) < 0) {
+        /* each row is read once and checked again: a write call, or a thread
+           running without the GIL, may have changed it since the first pass */
+        const uint8_t k = kind[g];
+        const int32_t t = target[g];
+        const uint64_t m = cmask[g];
+        const double a = angle[g];
+        if (check_gate(func, (int)n_qubits, g, k, t, m, &a) < 0 ||
+            make_room(&sink, ROW_MAX) < 0) {
             goto done;
         }
-        sink.out = put_row(sink.out, g, kind[g], target[g], cmask[g], angle[g]);
+        sink.out = put_row(sink.out, g, k, t, m, a);
         if (sink.out == NULL) {
             goto done;
         }

@@ -279,14 +279,15 @@ try:
 except ImportError:
     _circuit_json = _circuit_json_numpy
 
+
 class Circuit(Value):
     """A circuit on ``n_qubits`` qubits: its ``gates``, in order.
 
     It is a ``Value`` of those two fields.  A circuit of at most 64 qubits
-    also has ``columns``, the four arrays that ``run_gates`` reads.
-    One read from a document as ``to_json`` writes it holds only its columns
-    and builds ``gates`` on first read; one built from gates packs its
-    columns on first read.
+    also has ``columns``, the four arrays that ``run_gates`` reads.  A
+    synthesized one, and one read from a document as ``to_json`` writes it,
+    holds only its columns and builds ``gates`` on first read; one built
+    from gates packs its columns on first read.
     """
 
     _FIELDS = ("n_qubits", "gates")

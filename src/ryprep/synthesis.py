@@ -15,16 +15,18 @@ only its angles change.  ``_template(n)`` builds that shape once per n as
 columns, one row per unpruned gate: kind, target, control mask, the index
 of the angle the gate takes, the rule that turns the angle into the gate's
 (itself, negated, or pi plus it), and the slice of the angle list of the
-recursion level that emits the gate, its block.  T(1) and T(2) are the base
-cases; T(n) is T(n-1), the hinge Ry and the n - 1 X rows, then T(n-1) again
-with the top qubit added to every mask and 2**(n-1) to every angle index
-and block.  Synthesis is one gather over the template: the angles by
-index, the rules by negation, and with pruning a row mask.  Pruning drops a
-block whose angles are all within the tolerance of zero, being the identity
-on the |0...0> input it receives, and an Ry whose own angle is; an
-enclosing block holds the angles of every block inside it, so a row needs
-only its own block tested, read from a cumulative count of nonzero angles.
-The circuit holds the four columns that the simulator and the text writers
+recursion level that emits the gate, its block.  T(1) and T(2) are the
+base cases; T(n) is T(n-1), the hinge Ry and the n - 1 X rows, then T(n-1)
+again with the top qubit added to every mask and 2**(n-1) to every angle
+index and block, built bottom up by ``np.concatenate``.
+
+Synthesis is one gather over the template: the angles by index, the rules
+by negation, and with pruning a row mask.  Pruning drops a block whose
+angles are all within the tolerance of zero, being the identity on the
+|0...0> input it receives, and an Ry whose own angle is; an enclosing
+block holds the angles of every block inside it, so a row needs only its
+own block tested, read from a cumulative count of nonzero angles.  The
+circuit holds the four columns that the simulator and the text writers
 read, and builds no ``Gate`` until its ``gates`` are read.
 """
 
@@ -118,30 +120,31 @@ def _rows(*columns) -> tuple[np.ndarray, ...]:
 @functools.cache
 def _template(n: int) -> tuple[np.ndarray, ...]:
     """The rows of the unpruned n-qubit circuit: kind, target, control
-    mask, angle index (0 for X), rule, and block start and stop."""
+    mask, angle index (0 for X), rule, and block start and stop.  The
+    smaller templates it is built from are not kept."""
     if n == 1:
         return _rows([0], [0], [0], [0], [_SAME], [0], [1])
-    if n == 2:
-        # Ry(t1) on qubit 0, Ry(-t2) on 1 controlled by 0, Ry(pi + t3) on 0
-        # controlled by 1
-        rule = [_SAME, _NEGATED, _PI_PLUS]
-        return _rows([0, 0, 0], [0, 1, 0], [0, 1, 2], [0, 1, 2], rule, [0, 0, 0], [3, 3, 3])
-    low = _template(n - 1)
-    half, top = 1 << (n - 1), n - 1
-    # the hinge Ry, controlled on every lower qubit, and the X rows
-    # controlled on the top one, all in the n-qubit block
-    middle = _rows(
-        [0] + [1] * top,
-        [top, *range(top)],
-        [half - 1] + [half] * top,
-        [half - 1] + [0] * top,
-        [_SAME] * n,
-        [0] * n,
-        [2 * half - 1] * n,
-    )
-    kind, target, mask, index, rule, start, stop = low
-    high = (kind, target, mask | half, index + half, rule, start + half, stop + half)
-    return _rows(*map(np.concatenate, zip(low, middle, high)))
+    # Ry(t1) on qubit 0, Ry(-t2) on 1 controlled by 0, Ry(pi + t3) on 0
+    # controlled by 1
+    rule = [_SAME, _NEGATED, _PI_PLUS]
+    rows = _rows([0, 0, 0], [0, 1, 0], [0, 1, 2], [0, 1, 2], rule, [0, 0, 0], [3, 3, 3])
+    for m in range(3, n + 1):
+        half, top = 1 << (m - 1), m - 1
+        # the hinge Ry, controlled on every lower qubit, and the X rows
+        # controlled on the top one, all in the m-qubit block
+        middle = _rows(
+            [0] + [1] * top,
+            [top, *range(top)],
+            [half - 1] + [half] * top,
+            [half - 1] + [0] * top,
+            [_SAME] * m,
+            [0] * m,
+            [2 * half - 1] * m,
+        )
+        kind, target, mask, index, rule, start, stop = rows
+        high = (kind, target, mask | half, index + half, rule, start + half, stop + half)
+        rows = _rows(*map(np.concatenate, zip(rows, middle, high)))
+    return rows
 
 
 def _gather(n: int, angles: np.ndarray, tol: float | None) -> Circuit:

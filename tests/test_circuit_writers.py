@@ -148,6 +148,24 @@ def test_write_error_propagates(simkernel, name):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_columns_changed_during_a_write(simkernel, name):
+    """A write that changes the columns after the first piece makes the
+    call refuse the changed row when it comes to it, as the first pass
+    would have, rather than write what does not fit."""
+    func = WRITERS[name][1]
+    columns = [column.copy() for column in _wide_circuit(900).columns]
+    calls = []
+
+    def write(piece):
+        calls.append(len(piece))
+        columns[1][-1] = 100
+
+    with pytest.raises(ValueError, match=f"^{func}: gate 899 targets qubit 100 of 64$"):
+        getattr(simkernel, func)(64, *columns, write)
+    assert len(calls) > 1
+
+
 def _columns():
     """Three valid gates on two qubits."""
     return [

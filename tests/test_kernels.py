@@ -484,6 +484,7 @@ SANITIZED_CORPUS = [
         "test_files_and_strs_hold_the_reference_text",
         "test_pieces_are_memoryviews_of_at_most_64_kib",
         "test_write_error_propagates",
+        "test_columns_changed_during_a_write",
         "test_refused_columns",
         "test_refused_arguments",
     ]
