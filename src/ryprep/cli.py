@@ -53,11 +53,6 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _load_state(path: str) -> RealState:
     """Load a state from a PGM image, a state JSON object, or a bare JSON
     array of reals (normalized on the way in)."""
@@ -99,7 +94,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         with open(args.qasm, "wb") as fh:
             write_qasm(circuit, fh)
     if args.report:
-        _write_text(args.report, report.to_json() + "\n")
+        with open(args.report, "wb") as fh:
+            fh.write(f"{report.to_json()}\n".encode("ascii"))
     _say(
         "info",
         f"synthesized {report.gate_count} gates on {report.n_qubits} qubits "

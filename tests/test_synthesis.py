@@ -185,6 +185,14 @@ class TestRecursion:
         assert max(len(g.controls) for g in circuit.gates) == n - 1
         assert report.max_control_arity == n - 1
 
+    def test_max_controls_counts_every_bit(self):
+        rng = np.random.default_rng(64)
+        masks = rng.integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
+        masks[:4] = [0, 1, 2**63, 2**64 - 1]
+        for mask in (masks, masks[4:], masks[:1], masks[:0]):
+            expect = max((bin(m).count("1") for m in mask.tolist()), default=0)
+            assert synthesis._max_controls(mask) == expect
+
     def test_recursion_depth(self):
         for n, depth in [(1, 0), (2, 0), (3, 1), (4, 2), (7, 5)]:
             state = RealState(n, (1.0,) + (0.0,) * ((1 << n) - 1))
