@@ -123,8 +123,8 @@ def _rows(*columns) -> tuple[np.ndarray, ...]:
 @functools.cache
 def _template(n: int) -> tuple[np.ndarray, ...]:
     """The rows of the unpruned n-qubit circuit: kind, target, control
-    mask, angle index (0 for X), rule, and block start and stop.  The
-    smaller templates it is built from are not kept."""
+    mask, angle index (not read for X), rule, and block start and stop.
+    The smaller templates it is built from are not kept."""
     if n == 1:
         return _rows([0], [0], [0], [0], [_SAME], [0], [1])
     # Ry(t1) on qubit 0, Ry(-t2) on 1 controlled by 0, Ry(pi + t3) on 0
@@ -158,8 +158,9 @@ def _gather(n: int, angles: np.ndarray, tol: float | None) -> Circuit:
     kind, target, mask, index, rule, start, stop = _template(n)
     angle = angles[index]
     negated, pi_plus = rule == _NEGATED, rule == _PI_PLUS
-    # negated as -t is: a product with -1.0 plus an offset of 0.0 would
-    # turn -0.0 into 0.0
+    # negated as -t is, since a product with -1.0 plus an offset of 0.0
+    # would turn -0.0 into 0.0; and each rule only on its own rows, which
+    # np.where would not do for the objects of _as_given
     angle[negated] = -angle[negated]
     angle[pi_plus] = _PI + angle[pi_plus]
     if angle.dtype == object:
