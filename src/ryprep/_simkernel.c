@@ -1,7 +1,8 @@
 /* Compiled helpers for ryprep: the control-subspace simulator kernel, the
    P2 raster decoder, the state-JSON writer and the circuit writers.  Each
    has a NumPy fallback in the package, used when this module cannot be
-   imported, which is also its reference in the tests.
+   imported or lacks one of the helpers (ryprep._kernel binds them all or
+   none), which is also its reference in the tests.
 
    run_gates(amps, kind, target, cmask, angle) applies a whole circuit, given
    as four equal-length columns, to a float64 statevector in place:

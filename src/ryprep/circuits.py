@@ -14,9 +14,9 @@ gates packs its columns when something first reads them.
 
 The circuit's text is written from its columns: ``to_json`` and
 ``write_json`` by ``_simkernel.circuit_json``, or by its NumPy twin
-``_circuit_json_numpy`` where the extension is absent, and the QASM of
-``ryprep.qasm`` likewise.  A circuit of more than 64 qubits has no columns;
-the twin writes it from rows taken from its gates.
+``_circuit_json_numpy`` where the extension is absent or stale, and the
+QASM of ``ryprep.qasm`` likewise.  A circuit of more than 64 qubits has
+no columns; the twin writes it from rows taken from its gates.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
+from ._kernel import compiled
 from ._values import Value, header, integers, joined, json_reals, num, parse, reals
 from .errors import (
     ControlCollision,
@@ -272,12 +273,7 @@ def _circuit_json_numpy(
     write(f'{{"n_qubits": {n_qubits}, "gates": [{body}]}}'.encode("ascii"))
 
 
-# The compiled circuit-JSON writer, from the same extension as the simulator
-# kernel, or else its NumPy fallback, which takes the same arguments.
-try:
-    from ._simkernel import circuit_json as _circuit_json
-except ImportError:
-    _circuit_json = _circuit_json_numpy
+_circuit_json = _circuit_json_numpy if compiled is None else compiled.circuit_json
 
 
 class Circuit(Value):

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kernel import compiled
 from ._values import Value, integers, is_vector, num
 from .errors import (
     AllZeroImage,
@@ -166,12 +167,7 @@ def _p2_samples(rest: bytes, out: np.ndarray) -> bool:
     return True
 
 
-# The compiled P2 raster decoder, from the same extension as the simulator
-# kernel, or else its NumPy fallback, which takes the same arguments.
-try:
-    from ._simkernel import p2_samples as _p2_decode
-except ImportError:
-    _p2_decode = _p2_samples
+_p2_decode = _p2_samples if compiled is None else compiled.p2_samples
 
 
 def looks_like_pgm(data: bytes) -> bool:

@@ -7,7 +7,8 @@ double and identical circuits always yield identical text.
 
 The text is written from the circuit's columns by
 ``_simkernel.circuit_qasm``, or by its NumPy twin ``_circuit_qasm_numpy``
-where the extension is absent, as ``Circuit.to_json`` writes its JSON.
+where the extension is absent or stale, as ``Circuit.to_json`` writes its
+JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
+from ._kernel import compiled
 from ._values import joined
 from .circuits import Circuit, control_texts, joined_rows, ry_texts
 
@@ -52,12 +54,7 @@ def _circuit_qasm_numpy(
     write(f'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[{n_qubits}] q;\n{body}'.encode("ascii"))
 
 
-# The compiled QASM writer, from the same extension as the simulator kernel,
-# or else its NumPy fallback, which takes the same arguments.
-try:
-    from ._simkernel import circuit_qasm as _circuit_qasm
-except ImportError:
-    _circuit_qasm = _circuit_qasm_numpy
+_circuit_qasm = _circuit_qasm_numpy if compiled is None else compiled.circuit_qasm
 
 
 def write_qasm(circuit: Circuit, fh: BinaryIO) -> None:

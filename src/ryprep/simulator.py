@@ -9,8 +9,8 @@ Two kernels implement the update, with the same floating-point operations
 in the same order, so they agree bit for bit.  Both take a whole circuit as
 its four columns (``Circuit.columns``: kind, target, control mask, angle)
 in one call.  ``ryprep._simkernel.run_gates``, a C extension, enumerates
-each gate's control subspace as submasks.  When it cannot be imported (no
-compiler at install time), ``_run_gates_numpy`` runs in its place: the
+each gate's control subspace as submasks.  Where ``ryprep._kernel`` finds
+no extension, or a stale one, ``_run_gates_numpy`` runs in its place: the
 statevector is viewed as a tensor of shape (2,) * n, where qubit q is axis
 n - 1 - q, each control axis is fixed to 1, and the target axis is fixed to
 0 for one strided view and to 1 for the other.  It is also the reference
@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from ._kernel import KERNEL_BACKEND, compiled
 from .circuits import Circuit, Gate
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange
 from .states import RealState
@@ -67,13 +68,7 @@ def _run_gates_numpy(
             v1[...] = a0
 
 
-try:
-    from ._simkernel import run_gates as _run_gates
-except ImportError:
-    _run_gates = _run_gates_numpy
-
-# The kernel that ``run`` and ``apply_gate`` use: "c" or "numpy".
-KERNEL_BACKEND = "numpy" if _run_gates is _run_gates_numpy else "c"
+_run_gates = _run_gates_numpy if compiled is None else compiled.run_gates
 
 
 def _check_qubits(n_qubits: int) -> None:

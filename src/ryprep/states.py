@@ -17,6 +17,7 @@ from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
+from ._kernel import compiled
 from ._values import Value, header, integers, is_vector, joined, json_reals, num, parse, reals
 from .errors import AllZeroInput, DomainError, NotPowerOfTwo
 from .tolerances import NORM_ATOL
@@ -109,12 +110,7 @@ def _state_json_numpy(
     write(f'{{"n_qubits": {n_qubits}, "amplitudes": [{body}]}}'.encode("ascii"))
 
 
-# The compiled state-JSON writer, from the same extension as the simulator
-# kernel, or else its NumPy fallback, which takes the same arguments.
-try:
-    from ._simkernel import state_json as _state_json
-except ImportError:
-    _state_json = _state_json_numpy
+_state_json = _state_json_numpy if compiled is None else compiled.state_json
 
 
 class RealState(Value):

@@ -1,5 +1,6 @@
 """Shared pytest wiring: per-criterion verdict lines in the terminal summary,
-and the compiled simulator kernel built from source for the tests."""
+the compiled simulator kernel built from source for the tests, and the
+build fixture that binds all its helpers, or all their NumPy twins."""
 
 import importlib.util
 import os
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+
+from ryprep import circuits, encoding, qasm, simulator, states
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -77,3 +80,24 @@ def import_built(lib: pathlib.Path, res: subprocess.CompletedProcess):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# Each helper of the extension as the package binds it: the module and the
+# name it is bound to, its NumPy twin and its name in the extension.
+BINDINGS = (
+    (simulator, "_run_gates", simulator._run_gates_numpy, "run_gates"),
+    (states, "_state_json", states._state_json_numpy, "state_json"),
+    (encoding, "_p2_decode", encoding._p2_samples, "p2_samples"),
+    (circuits, "_circuit_json", circuits._circuit_json_numpy, "circuit_json"),
+    (qasm, "_circuit_qasm", qasm._circuit_qasm_numpy, "circuit_qasm"),
+)
+
+
+@pytest.fixture(params=["numpy", "c"])
+def build(request, monkeypatch):
+    """Patches in every helper that the extension provides: its NumPy twin
+    (the extension absent) or the compiled one built from source."""
+    kernel = request.getfixturevalue("simkernel") if request.param == "c" else None
+    for module, name, twin, helper in BINDINGS:
+        monkeypatch.setattr(module, name, twin if kernel is None else getattr(kernel, helper))
+    return request.param

@@ -4,36 +4,8 @@ build and on the compiled one, against the committed digests; and the
 
 import json
 
-import pytest
-
 import byte_corpus
-from ryprep import Gate, circuits, encoding, qasm, simulator, states
-
-
-@pytest.fixture(params=["numpy", "c"])
-def build(request, monkeypatch):
-    """Patches in every helper that the extension provides: its NumPy
-    fallback (the extension absent) or the compiled one built from source."""
-    if request.param == "numpy":
-        helpers = {
-            (simulator, "_run_gates"): simulator._run_gates_numpy,
-            (states, "_state_json"): states._state_json_numpy,
-            (encoding, "_p2_decode"): encoding._p2_samples,
-            (circuits, "_circuit_json"): circuits._circuit_json_numpy,
-            (qasm, "_circuit_qasm"): qasm._circuit_qasm_numpy,
-        }
-    else:
-        kernel = request.getfixturevalue("simkernel")
-        helpers = {
-            (simulator, "_run_gates"): kernel.run_gates,
-            (states, "_state_json"): kernel.state_json,
-            (encoding, "_p2_decode"): kernel.p2_samples,
-            (circuits, "_circuit_json"): kernel.circuit_json,
-            (qasm, "_circuit_qasm"): kernel.circuit_qasm,
-        }
-    for (module, name), helper in helpers.items():
-        monkeypatch.setattr(module, name, helper)
-    return request.param
+from ryprep import Gate
 
 
 def test_outputs_match_the_digests(build, tmp_path):

@@ -9,15 +9,16 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import ryprep
-from conftest import build_ext, built_path, import_built
+from conftest import BINDINGS, build_ext, built_path, import_built
 from dense_oracle import run_pairs
 from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
-from ryprep import simulator
+from ryprep import _kernel, simulator
 from ryprep.errors import DomainError
 from ryprep.simulator import MAX_QUBITS, _run_gates_numpy
 from test_state_json import _streamed
@@ -299,18 +300,22 @@ def _package_copy(dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
-# The loop encodes 8-bit and 16-bit PGMs, in both of encode's forms: 5x7
-# images give states of their amplitudes, and the larger ones, with more
-# amplitudes than maxval + 1, states that hand the writer their palette and
-# pixel index.
-_PROBE = """
+# The probe's first line is the backend and, for each binding of BINDINGS,
+# "numpy" where its twin is bound, or else the module of what is bound.  Then
+# come the texts: a run state, then 8-bit and 16-bit PGMs encoded, in both
+# of encode's forms: 5x7 images give states of their amplitudes, and the
+# larger ones, with more amplitudes than maxval + 1, states that hand the
+# writer their palette and pixel index; then a synthesized circuit's JSON
+# and QASM.
+_BOUND = ", ".join(f"{m.__name__}.{a}" for m, a, _, _ in BINDINGS)
+_TWINS = ", ".join(f"{m.__name__}.{t.__name__}" for m, _, t, _ in BINDINGS)
+_PROBE = f"""
 import numpy as np
 import ryprep
-from ryprep import Circuit, encode, load_pgm, run, ry, simulator, states, x
+from ryprep import Circuit, encode, export_qasm, load_pgm, run, ry, synth, x
+bound = zip([{_BOUND}], [{_TWINS}])
+print(ryprep.KERNEL_BACKEND, *["numpy" if b is t else b.__module__ for b, t in bound])
 state = run(Circuit(3, (ry(0.3, 0), x(1, (0,)), ry(1.1, 2, (0, 1)))))
-fallback = states._state_json is states._state_json_numpy
-on_numpy = simulator._run_gates is simulator._run_gates_numpy
-print(ryprep.KERNEL_BACKEND, on_numpy, fallback, end=" ")
 print(repr(state.amplitudes), state.to_json())
 rng = np.random.default_rng(16)
 for maxval, depth, rows, cols in (
@@ -319,10 +324,16 @@ for maxval, depth, rows, cols in (
     pixels = rng.integers(0, maxval + 1, (rows, cols)).astype(depth).tobytes()
     state = encode(load_pgm(b"P5 %d %d %d\\n" % (cols, rows, maxval) + pixels))
     print(state._palette is not None, state.to_json())
+rows = " ".join(map(str, rng.integers(0, 100, 1024).tolist()))
+circuit = synth(encode(load_pgm(b"P2 32 32 99 " + rows.encode())))[0]
+print(circuit.to_json())
+print(export_qasm(circuit), end="")
 """
 
 
-def _probe(lib: pathlib.Path) -> list[str]:
+def _probe(lib: pathlib.Path) -> tuple[list[str], str, str]:
+    """The probe's first line, split into its words, the rest of its output,
+    and the package's ``--version`` line, run on the package copy lib."""
     env = {**os.environ, "PYTHONPATH": str(lib)}
     out = subprocess.run(
         [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, cwd=lib, check=True
@@ -335,7 +346,12 @@ def _probe(lib: pathlib.Path) -> list[str]:
         cwd=lib,
         check=True,
     )
-    return out.stdout.split(" ", 3) + [version.stdout]
+    sources, texts = out.stdout.split("\n", 1)
+    return sources.split(), texts, version.stdout
+
+
+_COMPILED = ["c"] + ["ryprep._simkernel"] * len(BINDINGS)
+_TWINNED = ["numpy"] * (1 + len(BINDINGS))
 
 
 def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
@@ -344,15 +360,55 @@ def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
     with_c = _probe(lib)
     (lib / "ryprep" / pathlib.Path(simkernel.__file__).name).unlink()
     without = _probe(lib)
-    assert with_c[:3] == ["c", "False", "False"]
-    assert with_c[4] == f"ryprep {ryprep.__version__} (kernel: c)\n"
-    assert without[:3] == ["numpy", "True", "True"]
-    assert without[4] == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
-    # the run state's document and the four image states', of both forms
-    assert with_c[3].count('"amplitudes"') == 5
-    forms = [line.split(" ", 1)[0] for line in with_c[3].splitlines()[1:]]
-    assert forms == ["False", "False", "True", "True"]
-    assert with_c[3] == without[3]
+    assert with_c[0] == _COMPILED
+    assert with_c[2] == f"ryprep {ryprep.__version__} (kernel: c)\n"
+    assert without[0] == _TWINNED
+    assert without[2] == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
+    # the run state's document and the four image states', of both forms,
+    # then the circuit's JSON document and its QASM text
+    lines = with_c[1].splitlines()
+    assert with_c[1].count('"amplitudes"') == 5
+    assert [line.split(" ", 1)[0] for line in lines[1:5]] == ["False", "False", "True", "True"]
+    assert lines[5].startswith('{"n_qubits": 10, "gates": [{"kind": "ry"')
+    assert lines[6] == "OPENQASM 3.0;" and len(lines) > 100
+    assert with_c[1] == without[1]
+
+
+# A stand-in for an extension built from older source: the helpers of the
+# one built here that came before the circuit writers, and no others.  The
+# built module is loaded under a top-level name, since loading it puts it
+# in sys.modules under that name, where it would replace the stand-in.
+_STALE = """
+import importlib.util
+
+spec = importlib.util.spec_from_file_location("_simkernel", {built!r})
+_built = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(_built)
+run_gates, state_json, p2_samples = _built.run_gates, _built.state_json, _built.p2_samples
+"""
+
+
+def test_stale_extension_runs_wholly_on_numpy(simkernel, tmp_path):
+    """An extension that lacks one of the helpers is not used at all: every
+    twin is bound, ``--version`` reports numpy, and the texts are those of
+    the full build."""
+    full = _package_copy(tmp_path / "full")
+    shutil.copy(simkernel.__file__, full / "ryprep")
+    stale = _package_copy(tmp_path / "stale")
+    (stale / "ryprep" / "_simkernel.py").write_text(_STALE.format(built=simkernel.__file__))
+    sources, texts, version = _probe(stale)
+    assert sources == _TWINNED
+    assert version == f"ryprep {ryprep.__version__} (kernel: numpy)\n"
+    assert texts == _probe(full)[1]
+
+
+def test_helpers_match_the_extension_methods(simkernel):
+    """``_kernel._HELPERS`` names the extension's public functions, all its
+    methods but the ``_short_repr`` hook for tests, and each one is bound in
+    BINDINGS: a helper added on one side only fails here."""
+    functions = {k for k, v in vars(simkernel).items() if isinstance(v, types.BuiltinFunctionType)}
+    assert sorted(_kernel._HELPERS) == sorted(functions - {"_short_repr"})
+    assert sorted(_kernel._HELPERS) == sorted(helper for *_, helper in BINDINGS)
 
 
 def test_build_without_compiler_succeeds_on_numpy(tmp_path):
@@ -362,8 +418,8 @@ def test_build_without_compiler_succeeds_on_numpy(tmp_path):
     res = build_ext(lib, tmp_path / "temp", CC="false")
     assert res.returncode == 0, res.stdout + res.stderr
     assert not list((lib / "ryprep").glob("_simkernel*"))
-    kernel, fallback, json_fallback, _, version = _probe(lib)
-    assert (kernel, fallback, json_fallback) == ("numpy", "True", "True")
+    sources, _, version = _probe(lib)
+    assert sources == _TWINNED
     assert version.endswith("(kernel: numpy)\n")
 
 
@@ -398,16 +454,14 @@ def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
 # on the named value sets.
 _SANITIZED = """
 import importlib.util, inspect, itertools, sys
-from ryprep import circuits, encoding, qasm, simulator
+from conftest import BINDINGS
 import test_circuit_writers, test_encoding, test_kernels, test_state_json
 
 spec = importlib.util.spec_from_file_location("ryprep._simkernel", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
-simulator._run_gates = kernel.run_gates
-encoding._p2_decode = kernel.p2_samples
-circuits._circuit_json = kernel.circuit_json
-qasm._circuit_qasm = kernel.circuit_qasm
+for module, name, _, helper in BINDINGS:
+    setattr(module, name, getattr(kernel, helper))
 writer = test_state_json._streamed(kernel.state_json)
 fixtures = {
     "simkernel": kernel,
@@ -518,9 +572,9 @@ def test_sanitized_build_runs_the_corpus_clean(tmp_path):
     since the interpreter is not built with them, and PyMem blocks taken
     from malloc, so that the sanitizer sees them: a bad read or write, or
     undefined behaviour, in any of its entry points or in the second thread
-    of the state writer's values pass ends the run with a report.  The
-    circuit writers are bound in the package too, so that ``to_json`` and
-    ``export_qasm`` run them."""
+    of the state writer's values pass ends the run with a report.  Every
+    helper is bound in the package too, as conftest's BINDINGS lists them,
+    so that ``to_json``, ``export_qasm`` and the rest run them."""
     runtimes = [_runtime("libasan.so"), _runtime("libubsan.so")] if shutil.which("gcc") else []
     if not runtimes or None in runtimes:
         pytest.skip("no gcc with AddressSanitizer and UndefinedBehaviorSanitizer runtimes")
