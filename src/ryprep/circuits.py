@@ -12,11 +12,13 @@ document as ``to_json`` writes it; either builds ``Circuit.gates`` on first
 read.  Any other document is read gate by gate, and a circuit built from
 gates packs its columns when something first reads them.
 
-The circuit's text is written from its columns: ``to_json`` and
-``write_json`` by ``_simkernel.circuit_json``, or by its NumPy twin
-``_circuit_json_numpy`` where the extension is absent or stale, and the
-QASM of ``ryprep.qasm`` likewise.  A circuit of more than 64 qubits has
-no columns; the twin writes it from rows taken from its gates.
+This is the one module that knows how controls are held: a ``uint64``
+mask per gate up to 64 qubits, a tuple per gate past 64, where a circuit
+has no columns.  ``Circuit._rows`` gives either.  The counts that ``ryprep
+stats`` and the synthesis report print are read from them
+(``Circuit._counts``), and so is the text: ``to_json``, ``write_json`` and
+the QASM of ``ryprep.qasm``, by ``_simkernel``'s writers, or by their NumPy
+twins where the extension is absent or stale or the controls are tuples.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ _BITS = tuple(1 << q for q in range(_MASK_BITS))
 # the start of a row of circuit JSON, by kind
 _JSON_HEADS = np.array(['{"kind": "ry", "angle": ', '{"kind": "x"'], object)
 _DTYPES = (np.uint8, np.int32, np.uint64, np.float64)
+# the uint64 shifts and masks of _max_controls's popcount
+_SHIFTS = tuple(map(np.uint64, (1, 2, 4, 56)))
+_SPANS = tuple(map(np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F)))
+_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def checked_angle(angle: object) -> float:
@@ -226,6 +232,22 @@ def control_texts(mask: np.ndarray, form: str, skip: int = 0) -> np.ndarray:
     return texts[row]
 
 
+def _max_controls(mask: np.ndarray) -> int:
+    """The largest number of controls in a row, 0 for no rows: of an object
+    column of control tuples, or of set bits in a uint64 mask column.
+    NumPy 1.24 has no ``bitwise_count``, so each mask's bits are summed in
+    pairs, nibbles and bytes, and the bytes by one multiplication into the
+    top byte (a uint64 product wraps)."""
+    if mask.dtype == object:
+        return max(map(len, mask.tolist()), default=0)
+    one, two, four, top = _SHIFTS
+    bits, pairs, nibbles = _SPANS
+    m = mask - (mask >> one & bits)
+    m = (m & pairs) + (m >> two & pairs)
+    m = m + (m >> four) & nibbles
+    return int((m * _BYTE_SUM >> top).max(initial=0))
+
+
 def joined_rows(rows: int, *pieces: object) -> str:
     """The concatenated texts of the rows, each the concatenation of the
     pieces in order: a str, the same in every row, or an object array of
@@ -368,23 +390,32 @@ class Circuit(Value):
             raise IndexOutOfRange(f"control {num(control)} outside 0..{self.n_qubits - 1}")
         return Circuit(self.n_qubits, tuple(g.with_control(control) for g in self.gates))
 
-    def _write_rows(self, writer: Callable, twin: Callable, write: Callable) -> None:
-        """Hand the circuit's rows to a text writer with ``circuit_json``'s
-        arguments: writer, from the columns, or twin, the writer's NumPy
-        fallback, for more than 64 qubits, from rows of the gates that hold
-        each gate's controls as a tuple, since a mask of qubit 10**12 would
-        take 125 GB."""
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Its columns, or for more than 64 qubits rows of its gates with
+        targets as ints and controls as tuples in object columns, since a
+        mask of qubit 10**12 would take 125 GB."""
         if self.n_qubits <= _MASK_BITS:
-            writer(self.n_qubits, *self.columns, write)
-            return
+            return self.columns
         gates = self.gates
-        rows = (
+        return (
             np.fromiter((g.kind == X for g in gates), np.uint8, len(gates)),
             np.fromiter((g.target for g in gates), object, len(gates)),
             np.fromiter((g.controls for g in gates), object, len(gates)),
             np.fromiter((0.0 if g.angle is None else g.angle for g in gates), float, len(gates)),
         )
-        twin(self.n_qubits, *rows, write)
+
+    def _counts(self) -> tuple[int, int, int]:
+        """The number of Ry gates, of X gates, and the most controls on one
+        gate (0 for no gates), as ints."""
+        kind, _, controls, _ = self._rows()
+        x_count = int(np.count_nonzero(kind))
+        return len(kind) - x_count, x_count, _max_controls(controls)
+
+    def _write_rows(self, writer: Callable, twin: Callable, write: Callable) -> None:
+        """Hand the circuit's rows to a text writer with ``circuit_json``'s
+        arguments: writer, or twin, the writer's NumPy fallback, for more
+        than 64 qubits, whose rows hold tuples of controls."""
+        (writer if self.n_qubits <= _MASK_BITS else twin)(self.n_qubits, *self._rows(), write)
 
     def to_json(self) -> str:
         """The circuit as JSON text, byte for byte what ``json.dumps`` writes for

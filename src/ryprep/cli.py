@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import KERNEL_BACKEND, __version__
 from ._values import json_reals, parse
-from .circuits import RY, Circuit
+from .circuits import Circuit
 from .encoding import encode, load_pgm, looks_like_pgm
 from .errors import DimensionMismatch, DomainError, FormatError
 from .qasm import write_qasm
@@ -122,12 +122,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     circuit = Circuit.from_json(_read_text(args.circuit))
-    stats = {
-        "gate_count": circuit.gate_count,
-        "ry": sum(1 for g in circuit.gates if g.kind == RY),
-        "x": sum(1 for g in circuit.gates if g.kind != RY),
-        "max_controls": max((len(g.controls) for g in circuit.gates), default=0),
-    }
+    ry, x, max_controls = circuit._counts()
+    stats = {"gate_count": ry + x, "ry": ry, "x": x, "max_controls": max_controls}
     print(json.dumps(stats, separators=(",", ":")))
     return EXIT_OK
 

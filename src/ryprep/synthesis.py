@@ -58,11 +58,6 @@ __all__ = [
 _PI = math.pi
 # the rule that turns a row's angle into its gate's
 _SAME, _NEGATED, _PI_PLUS = 0, 1, 2
-# uint64 scalars for _max_controls: the shifts, and the masks of every
-# other bit, pair and nibble and the sum of the bytes
-_SHIFTS = tuple(map(np.uint64, (1, 2, 4, 56)))
-_SPANS = tuple(map(np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F)))
-_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 @dataclass(frozen=True)
@@ -219,23 +214,10 @@ def synth(
         n_qubits=n,
         gate_count=circuit.gate_count,
         pruned_count=total - circuit.gate_count,
-        max_control_arity=_max_controls(circuit.columns[2]),
+        max_control_arity=circuit._counts()[2],
         recursion_depth=max(0, n - 2),
     )
     return circuit, report
-
-
-def _max_controls(mask: np.ndarray) -> int:
-    """The largest number of set bits in a uint64 mask column, 0 for none.
-    NumPy 1.24 has no ``bitwise_count``, so each mask's bits are summed in
-    pairs, nibbles and bytes, and the bytes by one multiplication into the
-    top byte (a uint64 product wraps)."""
-    one, two, four, top = _SHIFTS
-    bits, pairs, nibbles = _SPANS
-    m = mask - (mask >> one & bits)
-    m = (m & pairs) + (m >> two & pairs)
-    m = m + (m >> four) & nibbles
-    return int((m * _BYTE_SUM >> top).max(initial=0))
 
 
 def prune(circuit: Circuit, tol: float) -> tuple[Circuit, int]:

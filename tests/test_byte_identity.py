@@ -1,6 +1,7 @@
 """The CLI's output bytes on the corpus of ``byte_corpus``, on the NumPy
 build and on the compiled one, against the committed digests; and the
-``Gate`` objects that its ``synth`` and ``verify`` runs build: none."""
+``Gate`` objects that its ``synth``, ``verify`` and ``stats`` runs build:
+none."""
 
 import json
 
@@ -16,8 +17,9 @@ def test_outputs_match_the_digests(build, tmp_path):
 
 
 def test_synth_and_verify_build_no_gate(build, tmp_path, monkeypatch):
-    """``synth`` writes its circuit from the synthesized columns, and
-    ``verify`` reads the document into columns and runs them."""
+    """``synth`` writes its circuit from the synthesized columns and counts
+    its report from them; ``verify`` and ``stats`` read the document into
+    columns, and run or count them."""
     built = []
     post_init = Gate.__post_init__
 
@@ -26,8 +28,9 @@ def test_synth_and_verify_build_no_gate(build, tmp_path, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Gate, "__post_init__", counting)
-    runs = byte_corpus.record(tmp_path, only=("synth", "verify"))
+    runs = byte_corpus.record(tmp_path, only=("synth", "verify", "stats"))
     labels = {key.split()[1] for key in runs}
     synths = {"synth-stdout", "synth--prune", "synth--no-prune"}
-    assert labels == synths | {"verify--prune", "verify--no-prune", "verify-tol"}
+    verifies = {"verify--prune", "verify--no-prune", "verify-tol"}
+    assert labels == synths | verifies | {"stats--prune", "stats--no-prune"}
     assert built == []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import reference_circuits
 from reference_circuits import ReferenceGate
-from ryprep import Circuit, Gate, export_qasm, normalize, ry, synth, x
+from ryprep import Circuit, Gate, circuits, export_qasm, normalize, ry, synth, x
 from ryprep.errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -600,3 +600,18 @@ def test_no_document_index_sizes_an_allocation(text):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_max_controls_counts_every_bit():
+    rng = np.random.default_rng(64)
+    masks = rng.integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
+    masks[:4] = [0, 1, 2**63, 2**64 - 1]
+    for mask in (masks, masks[4:], masks[:1], masks[:0]):
+        expect = max((bin(m).count("1") for m in mask.tolist()), default=0)
+        assert circuits._max_controls(mask) == expect
+    # past 64 qubits the rows hold each gate's controls as a tuple
+    wide = Circuit(10**12, (x(0), ry(0.5, 3, (1, 5, 10**11)), x(64, range(64))))._rows()[2]
+    assert wide.dtype == object and wide.tolist()[:2] == [(), (1, 5, 10**11)]
+    for controls, expect in ((wide, 64), (wide[:2], 3), (wide[:1], 0), (wide[:0], 0)):
+        assert circuits._max_controls(controls) == expect
+    assert circuits._max_controls(Circuit(65)._rows()[2]) == 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import ryprep
-from ryprep import Circuit, cli, encode, load_pgm, normalize, states, synth, synthesis
+from ryprep import Circuit, cli, encode, load_pgm, normalize, ry, states, synth, synthesis, x
 from ryprep.cli import main
 from ryprep.errors import BadMagic, FormatError
 from ryprep.tolerances import PRUNE_ATOL
@@ -462,6 +462,58 @@ def test_stats_empty_circuit(tmp_path, capsys):
     circ.write_text(Circuit(1).to_json())
     assert main(["stats", str(circ)]) == 0
     assert capsys.readouterr().out == '{"gate_count":0,"ry":0,"x":0,"max_controls":0}\n'
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        # past 64 qubits, where the controls are tuples rather than masks
+        (
+            Circuit(10**12, (x(3, (0,)), ry(0.5, 10**11 - 1, (10**10, 7)))).to_json(),
+            '{"gate_count":2,"ry":1,"x":1,"max_controls":2}\n',
+        ),
+        (
+            Circuit(65, (x(64, range(64)),)).to_json(),
+            '{"gate_count":1,"ry":0,"x":1,"max_controls":64}\n',
+        ),
+        (Circuit(65).to_json(), '{"gate_count":0,"ry":0,"x":0,"max_controls":0}\n'),
+        # read gate by gate: unsorted controls, an int angle, no controls key
+        (
+            '{"n_qubits": 4, "gates": [{"kind": "x", "target": 0, "controls": [3, 1, 2]}, '
+            '{"kind": "ry", "angle": 1, "target": 3, "controls": [2, 0]}, '
+            '{"kind": "x", "target": 2}]}',
+            '{"gate_count":3,"ry":1,"x":2,"max_controls":3}\n',
+        ),
+    ],
+    ids=["10**12-qubits", "65-qubits-64-controls", "65-qubits-empty", "gate-by-gate"],
+)
+def test_stats_of_circuits_without_canonical_columns(tmp_path, capsys, text, expect):
+    circ = tmp_path / "c.json"
+    circ.write_text(text)
+    assert main(["stats", str(circ)]) == 0
+    assert capsys.readouterr().out == expect
+
+
+@pytest.mark.parametrize("prune", ["--prune", "--no-prune"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_report_and_stats_agree(tmp_path, capsys, n, prune):
+    """The report's gate count and control arity are what ``stats`` prints
+    for the circuit written beside it, pruned or not."""
+    rng = np.random.default_rng(700 + n)
+    vec = rng.normal(size=1 << n)
+    # zeros, and the top half or three quarters zero, so that pruning
+    # drops single gates and whole blocks, and with them the widest gates
+    vec[rng.random(size=vec.size) < 0.4] = 0.0
+    vec[(1 << n) >> (n % 2 + 1) :] = 0.0
+    vec[0] = 1.0
+    src, circ, rep = (tmp_path / name for name in ("v.json", "c.json", "r.json"))
+    src.write_text(json.dumps(vec.tolist()))
+    assert main(["synth", str(src), prune, "--out", str(circ), "--report", str(rep)]) == 0
+    assert main(["stats", str(circ)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    report = json.loads(rep.read_text())
+    assert report["gate_count"] == stats["gate_count"]
+    assert report["max_control_arity"] == stats["max_controls"]
 
 
 def test_log_level_info_adds_chatter(worked_pgm, tmp_path, capsys, monkeypatch):
