@@ -2,7 +2,14 @@
 not at all.  An extension built from older source, without one of them,
 leaves every module on its NumPy twin, so no build runs in part compiled."""
 
-_HELPERS = ("run_gates", "state_json", "p2_samples", "circuit_json", "circuit_qasm")
+_HELPERS = (
+    "run_gates",
+    "state_json",
+    "p2_samples",
+    "circuit_json",
+    "circuit_qasm",
+    "circuit_columns",
+)
 
 try:
     from . import _simkernel as compiled

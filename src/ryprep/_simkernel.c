@@ -1,8 +1,8 @@
 /* Compiled helpers for ryprep: the control-subspace simulator kernel, the
-   P2 raster decoder, the state-JSON writer and the circuit writers.  Each
-   has a NumPy fallback in the package, used when this module cannot be
-   imported or lacks one of the helpers (ryprep._kernel binds them all or
-   none), which is also its reference in the tests.
+   P2 raster decoder, the state-JSON writer, and the circuit writers and
+   reader.  Each has a NumPy fallback in the package, used when this module
+   cannot be imported or lacks one of the helpers (ryprep._kernel binds them
+   all or none), which is also its reference in the tests.
 
    run_gates(amps, kind, target, cmask, angle) applies a whole circuit, given
    as four equal-length columns, to a float64 statevector in place:
@@ -97,6 +97,22 @@
    past its tables.  Circuit.write_json and
    qasm.write_qasm stream a circuit to a file this way, and Circuit.to_json
    and export_qasm join the pieces.
+
+   circuit_columns(text) reads back what circuit_json writes: where text, an
+   ASCII str, is that layout for 1..64 qubits, followed by nothing but JSON
+   whitespace (the CLI ends its file with a newline), it returns
+   (n_qubits, kind, target, cmask, angle), the four columns as bytes, which
+   np.frombuffer wraps read-only.  It returns None for any other text, and
+   Circuit.from_json then reads it through json, as before, so every
+   refusal keeps its class and message.  Each qubit index is 0|[1-9][0-9]?
+   and below n_qubits, the controls are strictly ascending and not the
+   target, and an Ry angle is a JSON number with a fraction or an exponent,
+   which json reads as a float; it is converted by PyOS_string_to_double,
+   as json converts it, and must be finite.  So it returns columns only
+   where json, header and circuits._read_rows would give the same ones.
+   The columns are allocated for len(text) / ROW_MIN rows, the most the
+   text can hold, and shrunk to the rows read: their size follows from the
+   length of the text, never from a number in it.
 
    short_repr writes the text of most amplitudes itself, in exact 128-bit
    integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
@@ -1177,6 +1193,246 @@ circuit_qasm(PyObject *Py_UNUSED(self), PyObject *args)
                          "");
 }
 
+/* The circuit reader.  The shortest row that circuit_json writes: every
+   row the reader takes spans at least ROW_MIN bytes of the text, so a text
+   of len bytes holds at most len / ROW_MIN of them. */
+static const char shortest_row[] = "{\"kind\": \"x\", \"target\": 0, \"controls\": []}";
+#define ROW_MIN ((Py_ssize_t)sizeof(shortest_row) - 1)
+/* The longest angle text read, plus its NUL; float.__repr__ writes at
+   most 24 bytes. */
+#define ANGLE_MAX 32
+
+/* Takes the len bytes of literal at *p; 0 where the text differs. */
+static inline int
+take(const char **p, const char *end, const char *literal, size_t len)
+{
+    if ((size_t)(end - *p) < len || memcmp(*p, literal, len) != 0) {
+        return 0;
+    }
+    *p += len;
+    return 1;
+}
+
+#define TAKE(p, end, literal) take(&(p), (end), (literal), sizeof(literal) - 1)
+
+static inline int
+is_digit(char c)
+{
+    return (unsigned)(c - '0') <= 9;
+}
+
+/* Takes a qubit index 0|[1-9][0-9]? below bound at *p; -1 where there is
+   none.  Whatever digit follows is left for the next literal to refuse. */
+static int
+take_index(const char **p, const char *end, int bound)
+{
+    const char *s = *p;
+    if (s == end || !is_digit(*s)) {
+        return -1;
+    }
+    int q = *s++ - '0';
+    if (q != 0 && s < end && is_digit(*s)) {
+        q = 10 * q + (*s++ - '0');
+    }
+    if (q >= bound) {
+        return -1;
+    }
+    *p = s;
+    return q;
+}
+
+/* Skips a run of digits at s and returns its end; NULL where there is no
+   digit. */
+static const char *
+skip_digits(const char *s, const char *end)
+{
+    if (s == end || !is_digit(*s)) {
+        return NULL;
+    }
+    while (s < end && is_digit(*s)) {
+        s++;
+    }
+    return s;
+}
+
+/* Takes a JSON number that json reads as a float, with a fraction or an
+   exponent, at *p into *angle, converted as json converts it: 1 where it
+   is finite, 0 where there is none, it is not finite or its text is
+   ANGLE_MAX bytes or longer, -1 with an exception set. */
+static int
+take_angle(const char **p, const char *end, double *angle)
+{
+    const char *s = *p;
+    if (s < end && *s == '-') {
+        s++;
+    }
+    s = s < end && *s == '0' ? s + 1 : skip_digits(s, end);
+    if (s == NULL) {
+        return 0;
+    }
+    const char *whole = s;
+    if (s < end && *s == '.' && (s = skip_digits(s + 1, end)) == NULL) {
+        return 0;
+    }
+    if (s < end && (*s == 'e' || *s == 'E')) {
+        s++;
+        if (s < end && (*s == '+' || *s == '-')) {
+            s++;
+        }
+        if ((s = skip_digits(s, end)) == NULL) {
+            return 0;
+        }
+    }
+    const Py_ssize_t len = s - *p;
+    if (s == whole || len >= ANGLE_MAX) {
+        return 0;
+    }
+    char text[ANGLE_MAX];
+    memcpy(text, *p, (size_t)len);
+    text[len] = '\0';
+    const double value = PyOS_string_to_double(text, NULL, NULL);
+    if (value == -1.0 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (!isfinite(value)) {
+        return 0;
+    }
+    *angle = value;
+    *p = s;
+    return 1;
+}
+
+/* Takes one row in circuit_json's layout, of an n-qubit register, at *p
+   into its column values: 1 where it is one, 0 where it is not, -1 with
+   an exception set. */
+static int
+take_row(const char **p, const char *end, int n, uint8_t *kind, int32_t *target,
+         uint64_t *cmask, double *angle)
+{
+    if (TAKE(*p, end, "{\"kind\": \"ry\", \"angle\": ")) {
+        const int read = take_angle(p, end, angle);
+        if (read < 1) {
+            return read;
+        }
+        if (!TAKE(*p, end, ", \"target\": ")) {
+            return 0;
+        }
+        *kind = KIND_RY;
+    }
+    else if (TAKE(*p, end, "{\"kind\": \"x\", \"target\": ")) {
+        *kind = KIND_X;
+        *angle = 0.0;
+    }
+    else {
+        return 0;
+    }
+    const int t = take_index(p, end, n);
+    if (t < 0 || !TAKE(*p, end, ", \"controls\": [")) {
+        return 0;
+    }
+    uint64_t mask = 0;
+    if (!TAKE(*p, end, "]")) {
+        /* strictly ascending, so no control repeats */
+        int last = -1;
+        do {
+            const int q = take_index(p, end, n);
+            if (q <= last || q == t) {
+                return 0;
+            }
+            mask |= (uint64_t)1 << q;
+            last = q;
+        } while (TAKE(*p, end, ", "));
+        if (!TAKE(*p, end, "]")) {
+            return 0;
+        }
+    }
+    *target = t;
+    *cmask = mask;
+    return TAKE(*p, end, "}");
+}
+
+static PyObject *
+circuit_columns(PyObject *Py_UNUSED(self), PyObject *text)
+{
+    if (!PyUnicode_CheckExact(text)) {
+        Py_RETURN_NONE;
+    }
+#if PY_VERSION_HEX < 0x030C0000
+    /* from 3.12 on every str is ready, and PyUnicode_READY is deprecated */
+    if (PyUnicode_READY(text) < 0) {
+        return NULL;
+    }
+#endif
+    if (!PyUnicode_IS_ASCII(text)) {
+        Py_RETURN_NONE;
+    }
+    const char *p = PyUnicode_DATA(text);
+    const char *const end = p + PyUnicode_GET_LENGTH(text);
+    int n;
+    if (!TAKE(p, end, "{\"n_qubits\": ") || (n = take_index(&p, end, 64 + 1)) < 1 ||
+        !TAKE(p, end, ", \"gates\": [")) {
+        Py_RETURN_NONE;
+    }
+    /* sized by the text alone: rows * 21 bytes, at most half its length */
+    const Py_ssize_t rows = (end - p) / ROW_MIN;
+    PyObject *columns[GATE_COLUMNS] = {NULL, NULL, NULL, NULL}, *result = NULL;
+    for (int k = 0; k < GATE_COLUMNS; k++) {
+        columns[k] = PyBytes_FromStringAndSize(NULL, rows * column_itemsizes[k]);
+        if (columns[k] == NULL) {
+            goto done;
+        }
+    }
+    uint8_t *kind = (uint8_t *)PyBytes_AS_STRING(columns[0]);
+    int32_t *target = (int32_t *)PyBytes_AS_STRING(columns[1]);
+    uint64_t *cmask = (uint64_t *)PyBytes_AS_STRING(columns[2]);
+    double *angle = (double *)PyBytes_AS_STRING(columns[3]);
+    Py_ssize_t count = 0;
+    int read = 1;
+    if (!TAKE(p, end, "]")) {
+        do {
+            uint8_t k;
+            int32_t t;
+            uint64_t m;
+            double a;
+            read = take_row(&p, end, n, &k, &t, &m, &a);
+            if (read == 1) {
+                /* count + 1 whole rows span (count + 1) * ROW_MIN bytes or
+                   more, so count < rows */
+                kind[count] = k;
+                target[count] = t;
+                cmask[count] = m;
+                angle[count] = a;
+                count++;
+            }
+        } while (read == 1 && TAKE(p, end, ", "));
+        if (read < 0) {
+            goto done;
+        }
+        read = read && TAKE(p, end, "]");
+    }
+    read = read && TAKE(p, end, "}");
+    /* then only JSON whitespace, such as the CLI's final newline */
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
+        p++;
+    }
+    if (!read || p != end) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    for (int k = 0; k < GATE_COLUMNS; k++) {
+        if (_PyBytes_Resize(&columns[k], count * column_itemsizes[k]) < 0) {
+            goto done;
+        }
+    }
+    result = Py_BuildValue("(iOOOO)", n, columns[0], columns[1], columns[2], columns[3]);
+
+done:
+    for (int k = 0; k < GATE_COLUMNS; k++) {
+        Py_XDECREF(columns[k]);
+    }
+    return result;
+}
+
 static PyObject *
 short_repr_py(PyObject *Py_UNUSED(self), PyObject *arg)
 {
@@ -1230,6 +1486,17 @@ static PyMethodDef methods[] = {
      "circuit_json for the OpenQASM 3 text of the circuit: a header, then one\n"
      "line per gate, with a ctrl @ modifier per control and the controls in\n"
      "ascending order before the target among the operands."},
+    {"circuit_columns", circuit_columns, METH_O,
+     "circuit_columns(text)\n--\n\n"
+     "Read the circuit document text, if it is exactly what circuit_json\n"
+     "writes for 1..64 qubits, then any JSON whitespace, and return\n"
+     "(n_qubits, kind, target, cmask, angle): the four columns that run_gates\n"
+     "takes, each as bytes.  Return None for any other text, such as one that\n"
+     "is not an ASCII str, has other spacing or key order, a control that is\n"
+     "not above the one before or is the target, an index outside the\n"
+     "register or with a leading zero, or an Ry angle that json would not\n"
+     "read as a finite float.  The columns take at most half the length of\n"
+     "text, however many gates it names."},
     {"p2_samples", p2_samples, METH_VARARGS,
      "p2_samples(rest, out)\n--\n\n"
      "Fill the C-contiguous writable int32 buffer out with the first len(out)\n"
@@ -1249,8 +1516,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "ryprep._simkernel",
-    .m_doc = "Compiled simulator kernel, P2 raster decoder and state and circuit writers for "
-             "ryprep.",
+    .m_doc = "Compiled simulator kernel, P2 raster decoder, state and circuit writers and "
+             "circuit reader for ryprep.",
     .m_size = 0,
     .m_methods = methods,
 };

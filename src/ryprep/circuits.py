@@ -9,8 +9,12 @@ A circuit of at most 64 qubits can also be held as the four columns that
 control bit mask and angle (0.0 for X).  A synthesized circuit holds only
 its columns, and so does one that ``Circuit.from_json`` reads from a
 document as ``to_json`` writes it; either builds ``Circuit.gates`` on first
-read.  Any other document is read gate by gate, and a circuit built from
-gates packs its columns when something first reads them.
+read.  Such a document is read straight into the columns by
+``_simkernel.circuit_columns``, without ``json``; one that it declines, or
+every document where the extension is absent or stale, is parsed by
+``json`` and read by ``_read_rows``.  Any other document is read gate by
+gate, and a circuit built from gates packs its columns when something
+first reads them.
 
 This is the one module that knows how controls are held: a ``uint64``
 mask per gate up to 64 qubits, a tuple per gate past 64, where a circuit
@@ -160,14 +164,14 @@ def _read_rows(n: int, docs: list) -> tuple | None:
     if every entry is one that ``to_json`` writes for a gate inside the
     register; otherwise None, at the first entry that is not.
 
-    An entry costs a few dict lookups and C-level scans: a missing key or a
-    negative or too large index fails a lookup, a repeated control or the
-    target among the controls the bit count, so no index is shifted into a
-    mask before it is known to be below n.  This accepts only what ``Gate``
-    and the register bound accept, and is kept for speed alone: with it
-    ``from_json`` took 13-14 ms per ``thumbs`` cycle and 75-82 ms per
-    ``photo14`` image (perfbench seed 5, GC off), against 25-28 and 142-146
-    ms gate by gate.
+    It reads every document that ``_simkernel.circuit_columns`` declines,
+    such as one with other spacing or an int angle, and every document on
+    the NumPy build.  An entry costs a few dict lookups and C-level scans: a
+    missing key or a negative or too large index fails a lookup, a repeated
+    control or the target among the controls the bit count, so no index is
+    shifted into a mask before it is known to be below n.  This accepts
+    only what ``Gate`` and the register bound accept, and is kept for speed
+    alone: gate by gate, ``from_json`` takes about twice as long.
     """
     isfinite = math.isfinite
     kinds, targets, masks, angles = bytearray(), array("i"), array("Q"), array("d")
@@ -296,6 +300,16 @@ def _circuit_json_numpy(
 
 
 _circuit_json = _circuit_json_numpy if compiled is None else compiled.circuit_json
+
+
+def _circuit_columns_numpy(text: str) -> None:
+    """``_simkernel.circuit_columns``'s twin, which declines every text:
+    ``from_json`` then parses it, and ``_read_rows`` reads the layout that
+    ``to_json`` writes into the same columns."""
+    return None
+
+
+_circuit_columns = _circuit_columns_numpy if compiled is None else compiled.circuit_columns
 
 
 class Circuit(Value):
@@ -434,6 +448,9 @@ class Circuit(Value):
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
+        read = _circuit_columns(text)
+        if read is not None:
+            return cls._of_columns(read[0], tuple(map(np.frombuffer, read[1:], _DTYPES)))
         n_qubits, gate_docs = header(parse(text, "circuit JSON"), "circuit JSON", "gates")
         if 1 <= n_qubits <= _MASK_BITS:
             columns = _read_rows(n_qubits, gate_docs)

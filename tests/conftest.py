@@ -89,6 +89,7 @@ BINDINGS = (
     (states, "_state_json", states._state_json_numpy, "state_json"),
     (encoding, "_p2_decode", encoding._p2_samples, "p2_samples"),
     (circuits, "_circuit_json", circuits._circuit_json_numpy, "circuit_json"),
+    (circuits, "_circuit_columns", circuits._circuit_columns_numpy, "circuit_columns"),
     (qasm, "_circuit_qasm", qasm._circuit_qasm_numpy, "circuit_qasm"),
 )
 

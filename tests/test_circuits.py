@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import reference_circuits
 from reference_circuits import ReferenceGate
 from ryprep import Circuit, Gate, circuits, export_qasm, normalize, ry, synth, x
+from ryprep._values import header, parse
 from ryprep.errors import (
     ControlCollision,
     ControlEqualsTarget,
@@ -550,16 +551,67 @@ PARITY_DOCS = [
     _doc("true"),
     '{"n_qubits": 2, "gates": {}}',
     '{"n_qubits": 2}',
+    # the layout that to_json writes, but for one detail that the compiled
+    # reader declines, or refuses as json does: indices with a leading zero,
+    # and n_qubits past its range
+    _doc(3, _gate("01")),
+    _doc(3, _gate(2, "[00]")),
+    _doc(3, _gate(2, "[0, 01]", "ry", 0.5)),
+    _doc("01", _gate(0)),
+    _doc(65, _gate(0, "[1]")),
+    _doc(65, _gate(64, "[63]", "ry", 0.5)),
+    # angles that json reads as ints, refuses, or reads as floats of every
+    # spelling, finite or not
+    *(
+        _doc(3, _gate(2, "[0, 1]"), _gate(0, "[1]", "ry", angle), _gate(1))
+        for angle in ("1", "1.", "-0.0", "1E5", "1e+05", "1e-400", "1e400", "NaN", "Infinity")
+    ),
+    # controls unsorted, repeated or on the target; a target or a control at n
+    _doc(4, _gate(3), _gate(0, "[2, 1]", "ry", 0.5)),
+    _doc(4, _gate(3), _gate(0, "[1, 1]", "ry", 0.5)),
+    _doc(4, _gate(3), _gate(2, "[0, 2]", "ry", 0.5)),
+    _doc(4, _gate(3), _gate(4, "[0]", "ry", 0.5)),
+    _doc(4, _gate(3), _gate(0, "[1, 4]")),
+    # whitespace before and after the document, and trailing garbage
+    " " + _doc(2, _gate(0, "[1]")),
+    _doc(2, _gate(0, "[1]")) + "\n \t",
+    _doc(2, _gate(0, "[1]")) + "\r\n",
+    _doc(2, _gate(0, "[1]")) + "\x0b",
+    _doc(2, _gate(0, "[1]")) + "\n}",
+    _doc(2, _gate(0, "[1]")) + "x",
+    _doc(2, _gate(0, "[1]"))[:-1],
+    # keys reordered or added, in the header and in a gate
+    '{"gates": [' + _gate(0, "[1]") + '], "n_qubits": 2}',
+    _doc(2, '{"kind": "x", "controls": [1], "target": 0}'),
+    _doc(2, '{"kind": "ry", "target": 0, "angle": 0.5, "controls": [1]}'),
+    _doc(2, _gate(0, "[1]"))[:-1] + ', "extra": 1}',
+    _doc(2, '{"kind": "x", "target": 0, "controls": [1], "extra": 1}'),
+    # a string value that is not ASCII, and one spelled with an escape
+    _doc(2, _gate(1), '{"kind": "x\u00e9", "target": 0, "controls": [1]}'),
+    _doc(2, _gate(1), '{"kind": "\\u0078", "target": 0, "controls": [1]}'),
+    # no gates, then whitespace
+    _doc(3) + "\n",
 ]
 
 
+def synthesized_texts(n):
+    """The JSON of the circuits that synthesis makes, pruned and not, for a
+    seeded state of n qubits with about 30% zero amplitudes."""
+    rng = np.random.default_rng(700 + n)
+    vec = rng.normal(size=1 << n)
+    vec[rng.random(size=vec.size) < 0.3] = 0.0
+    vec[0] = 1.0
+    state = normalize(vec.tolist())
+    return [synth(state, prune=prune)[0].to_json() for prune in (False, True)]
+
+
 @pytest.mark.parametrize("text", PARITY_DOCS)
-def test_from_json_reads_as_reference(text):
+def test_from_json_reads_as_reference(text, build):
     assert_reads_as_reference(text)
 
 
 @pytest.mark.parametrize("circuit", TEXT_CIRCUITS)
-def test_from_json_reads_text_circuits_as_reference(circuit, monkeypatch):
+def test_from_json_reads_text_circuits_as_reference(circuit, monkeypatch, build):
     text = circuit.to_json()
     assert_reads_as_reference(text)
     if circuit.n_qubits <= 64:
@@ -567,16 +619,46 @@ def test_from_json_reads_text_circuits_as_reference(circuit, monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_from_json_reads_synthesized_circuits_as_reference(n, monkeypatch):
-    rng = np.random.default_rng(700 + n)
-    vec = rng.normal(size=1 << n)
-    vec[rng.random(size=vec.size) < 0.3] = 0.0
-    vec[0] = 1.0
-    state = normalize(vec.tolist())
-    for prune in (False, True):
-        text = synth(state, prune=prune)[0].to_json()
+def test_from_json_reads_synthesized_circuits_as_reference(n, monkeypatch, build):
+    for text in synthesized_texts(n):
         assert_reads_as_reference(text)
         assert_reads_into_columns(monkeypatch, text)
+
+
+def reads_as_parsed(read, text):
+    """Whether read, ``circuit_columns``, read columns from text; if it did,
+    they are n_qubits and the four columns, as bytes, that ``parse``,
+    ``header`` and ``_read_rows`` give for text, compared bit for bit, so
+    that -0.0 counts."""
+    got = read(text)
+    if got is None:
+        return False
+    n, docs = header(parse(text, "circuit JSON"), "circuit JSON", "gates")
+    expect = circuits._read_rows(n, docs)
+    assert expect is not None
+    assert got == (n, *(column.tobytes() for column in expect))
+    return True
+
+
+@pytest.mark.parametrize("circuit", [c for c in TEXT_CIRCUITS if c.n_qubits <= 64])
+def test_reader_reads_what_to_json_writes(simkernel, circuit):
+    text = circuit.to_json()
+    for ending in ("", "\n", " \r\n\t"):
+        assert reads_as_parsed(simkernel.circuit_columns, text + ending)
+    # only a str is read
+    assert simkernel.circuit_columns(text.encode()) is None
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_reader_reads_what_synthesis_writes(simkernel, n):
+    for text in synthesized_texts(n):
+        for ending in ("", "\n"):
+            assert reads_as_parsed(simkernel.circuit_columns, text + ending)
+
+
+@pytest.mark.parametrize("text", PARITY_DOCS)
+def test_reader_reads_only_what_json_reads_alike(simkernel, text):
+    reads_as_parsed(simkernel.circuit_columns, text)
 
 
 @pytest.mark.parametrize(
@@ -585,9 +667,11 @@ def test_from_json_reads_synthesized_circuits_as_reference(n, monkeypatch):
         _doc(3, _gate(0, f"[{BIG}]")),
         _doc(3, _gate(BIG, f"[1, {BIG - 1}]", "ry", 1.0)),
         _doc(BIG, _gate(BIG - 1, f"[{BIG - 2}]")),
+        # the layout that to_json writes, with a 13-digit index
+        _doc(64, _gate(63, "[0, 62]"), _gate(BIG + 1, "[0]", "ry", 0.5)),
     ],
 )
-def test_no_document_index_sizes_an_allocation(text):
+def test_no_document_index_sizes_an_allocation(text, build):
     """An index of 10**12 is compared, never shifted into a mask: reading
     the document, and asking its circuit for columns, stays within 1 MiB."""
     tracemalloc.start()

@@ -315,7 +315,7 @@ def test_synth_bad_prune_tol_is_domain_error(tmp_path, capsys, tol):
     assert not out.exists()
 
 
-def test_state_file_is_parsed_once(tmp_path, monkeypatch):
+def test_state_file_is_parsed_once(tmp_path, monkeypatch, build):
     state = tmp_path / "s.json"
     state.write_text(normalize([1, 2, 3, 4]).to_json())
     circ = tmp_path / "c.json"
@@ -332,7 +332,9 @@ def test_state_file_is_parsed_once(tmp_path, monkeypatch):
     assert parsed == [state.read_text()]
     parsed.clear()
     assert main(["verify", str(state), str(circ)]) == 0
-    assert parsed == [state.read_text(), circ.read_text()]
+    # the compiled build reads the circuit, as synth wrote it, without json
+    circuit_texts = [circ.read_text()] if build == "numpy" else []
+    assert parsed == [state.read_text(), *circuit_texts]
 
 
 def test_synth_prune_flag_matters(tmp_path):

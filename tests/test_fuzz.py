@@ -5,9 +5,10 @@ constructors in code.
 
 Only ``RyprepError`` may leave the library, and the CLI returns 0, 1 or 2
 without raising.  Every circuit document is also read as the gate-by-gate
-reference reads it.  Generated states hold at most 2**6 amplitudes, so nothing
-large is simulated.  Examples are derandomized, which keeps tier-1
-deterministic.
+reference reads it, and the compiled circuit reader reads synthesized
+documents edited by one character as ``json`` does, or declines them.
+Generated states hold at most 2**6 amplitudes, so nothing large is
+simulated.  Examples are derandomized, which keeps tier-1 deterministic.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from ryprep import AngleList, Circuit, Gate, GrayImage, RealState, normalize
 from ryprep.cli import main
 from ryprep.errors import RyprepError
-from test_circuits import assert_reads_as_reference
+from test_circuits import assert_reads_as_reference, reads_as_parsed, synthesized_texts
 
 FUZZ = settings(
     max_examples=80,
@@ -195,6 +196,30 @@ def test_from_json_raises_only_package_errors(text):
         except RyprepError:
             pass
     assert_reads_as_reference(text)
+
+
+# Synthesized documents, each edited once: a character deleted, inserted or
+# substituted, mostly one of the layout's own, at any place.
+WRITTEN = [text + end for n in (1, 2, 3, 5) for text in synthesized_texts(n) for end in ("", "\n")]
+LAYOUT = st.sampled_from(list('0123456789-+.eE ,:[]{}"\n\t\r') + ["\u00e9", "\x00"])
+EDITS = st.sampled_from(WRITTEN).flatmap(
+    lambda text: st.tuples(
+        st.just(text),
+        st.integers(0, len(text)),
+        st.sampled_from(["delete", "insert", "substitute"]),
+        LAYOUT | st.characters(max_codepoint=0x7F),
+    )
+)
+
+
+@settings(FUZZ, max_examples=600)
+@given(EDITS)
+def test_reader_on_documents_edited_by_one_character(simkernel, edit):
+    """The compiled reader gives columns only where ``json`` and
+    ``_read_rows`` give the same ones."""
+    text, at, how, char = edit
+    edited = text[:at] + ("" if how == "delete" else char) + text[at + (how != "insert") :]
+    reads_as_parsed(simkernel.circuit_columns, edited)
 
 
 # integers too long for str(), which error messages must still name

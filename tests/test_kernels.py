@@ -306,7 +306,8 @@ def _package_copy(dest: pathlib.Path) -> pathlib.Path:
 # of encode's forms: 5x7 images give states of their amplitudes, and the
 # larger ones, with more amplitudes than maxval + 1, states that hand the
 # writer their palette and pixel index; then a synthesized circuit's JSON
-# and QASM.
+# and QASM, and whether its JSON, as the CLI writes it, reads back into its
+# columns.
 _BOUND = ", ".join(f"{m.__name__}.{a}" for m, a, _, _ in BINDINGS)
 _TWINS = ", ".join(f"{m.__name__}.{t.__name__}" for m, _, t, _ in BINDINGS)
 _PROBE = f"""
@@ -328,6 +329,8 @@ rows = " ".join(map(str, rng.integers(0, 100, 1024).tolist()))
 circuit = synth(encode(load_pgm(b"P2 32 32 99 " + rows.encode())))[0]
 print(circuit.to_json())
 print(export_qasm(circuit), end="")
+read = Circuit.from_json(circuit.to_json() + "\\n")
+print(read.n_qubits == 10 and all(map(np.array_equal, read.columns, circuit.columns)))
 """
 
 
@@ -371,6 +374,7 @@ def test_package_with_extension_runs_compiled_kernel(simkernel, tmp_path):
     assert [line.split(" ", 1)[0] for line in lines[1:5]] == ["False", "False", "True", "True"]
     assert lines[5].startswith('{"n_qubits": 10, "gates": [{"kind": "ry"')
     assert lines[6] == "OPENQASM 3.0;" and len(lines) > 100
+    assert lines[-1] == "True"
     assert with_c[1] == without[1]
 
 
@@ -455,7 +459,8 @@ def test_build_without_int128_formats_every_value_with_dtoa(tmp_path):
 _SANITIZED = """
 import importlib.util, inspect, itertools, sys
 from conftest import BINDINGS
-import test_circuit_writers, test_encoding, test_kernels, test_state_json
+import test_circuit_writers, test_circuits, test_encoding, test_fuzz, test_kernels
+import test_state_json
 
 spec = importlib.util.spec_from_file_location("ryprep._simkernel", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
@@ -542,6 +547,13 @@ SANITIZED_CORPUS = [
         "test_refused_columns",
         "test_refused_arguments",
     ]
+] + [
+    # the circuit reader, on what the writers write, on the boundary
+    # documents and on single-character edits of synthesized ones
+    "test_circuits::test_reader_reads_what_to_json_writes",
+    "test_circuits::test_reader_reads_what_synthesis_writes",
+    "test_circuits::test_reader_reads_only_what_json_reads_alike",
+    "test_fuzz::test_reader_on_documents_edited_by_one_character",
 ] + [
     f"value_set::{name}"
     for name in ["log-uniform", "bit-patterns", "powers-of-two", "exact-ties", "edges"]
