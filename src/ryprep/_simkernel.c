@@ -40,41 +40,30 @@
    state_json(n_qubits, values, index, write) writes the state document
    {"n_qubits": N, "amplitudes": [a0, a1, ...]}, byte for byte what
    json.dumps writes (states._state_json_numpy is the fallback), for the
-   amplitudes values[index[0]], values[index[1]], ...: a table of values and
-   an index into it, such as encode's palette and pixel index, or the
-   distinct amplitudes of any other state.  values is a C-contiguous
-   one-dimensional float64 buffer of finite values, used or not; index is a
-   C-contiguous one-dimensional uint32 buffer of fewer than 2**32 entries,
-   each below len(values).  write, a buffered binary file's write method or
-   any callable that takes all of each piece or raises, gets the document in
-   pieces of at most CHUNK bytes, each a memoryview of one private bytearray
-   that is released when write returns.  RealState.write_json streams a
-   state to a file this way, and RealState.to_json joins the pieces.
+   amplitudes values[index[0]], values[index[1]], ...: a table of finite
+   float64 values, used or not, and a uint32 index into it of fewer than
+   2**32 entries, such as encode's palette and pixel index.  write, a
+   buffered binary file's write method or any callable that takes all of
+   each piece or raises, gets the document in pieces of at most CHUNK
+   bytes, each a memoryview of one private bytearray that is released when
+   write returns.  RealState.write_json streams a state to a file this way,
+   and RealState.to_json joins the pieces.
 
-   Each value has a record, its text formatted as float.__repr__ formats it:
-   by short_repr, or else by PyOS_double_to_string(x, 'r', 0,
-   Py_DTSF_ADD_DOT_0, NULL), the call float.__repr__ makes.  The document is
-   built in passes.  A hint pass over index marks each value it uses, in a
-   private array of one byte per value; a palette of at most one value per
-   HINT_SPAN entries is marked whole instead.  One pass over values reads
-   each value once, refuses any that is not finite, and formats with
-   short_repr the marked ones, in value order.  It calls no Python API.
-   From SPLIT_AT values on, such as a 16-bit palette's 65,536, it releases
-   the GIL, and the upper half runs on a second thread while the calling
-   thread reads the lower half; the call joins that thread before it goes
-   on.  Each half stops at its first value that is not
-   finite, and the lower half's is reported before the upper half's, so the
-   call names the lowest, as one pass would.  A value that the pass does
-   not format, being unmarked or declined by short_repr, is staged: its
-   bits go into its record, whose length is 0.  The emitting pass, holding
-   the GIL, reads each index entry once, checks it, formats a staged value
-   at its first use, with PyOS_double_to_string where short_repr declines
-   it, and copies its record to the chunk.  So a call takes 33 bytes per
-   value plus the chunk, whatever the number of amplitudes, and at most one
-   thread besides its own.  A thread that changes values or index during
-   the call, such as a NumPy ufunc running without the GIL or a write call,
-   cannot make the document inconsistent: it holds each entry as the
-   emitting pass read it and each value as the values pass read it.
+   Each value's text is formatted as float.__repr__ formats it, by
+   short_repr or else by PyOS_double_to_string(x, 'r', 0,
+   Py_DTSF_ADD_DOT_0, NULL), the call float.__repr__ makes, into a record
+   of its own, in passes (mark_used, read_all_values, emit).  A hint pass
+   marks the values that index uses; one pass over values reads each value
+   once, refuses any that is not finite and formats the marked ones, with
+   no Python API, and from SPLIT_AT values on without the GIL, on two
+   threads; the emitting pass, holding the GIL, reads each index entry
+   once, checks it and copies its value's record to the chunk.  So a call
+   takes 33 bytes per value plus the chunk, whatever the number of
+   amplitudes, and at most one thread besides its own.  A thread that
+   changes values or index during the call, such as a NumPy ufunc running
+   without the GIL or a write call, cannot make the document inconsistent:
+   it holds each entry as the emitting pass read it and each value as the
+   values pass read it.
 
    circuit_json(n_qubits, kind, target, cmask, angle, write) writes the
    circuit document {"n_qubits": N, "gates": [...]} of the gates in the four
@@ -84,35 +73,29 @@
    same arguments, writes the OpenQASM 3 text: the three header lines, then
    one line per gate, a "ctrl @ " per control, "ry(angle)" or "x", and the
    operands q[c], ..., q[target] (qasm._circuit_qasm_numpy is the
-   fallback).  The controls are the set bits of the row's mask, written in
-   ascending order, and each Ry angle is formatted as float.__repr__ formats
-   it, by short_repr or else PyOS_double_to_string.  Both check the columns
-   as run_gates does, for a register of n_qubits, 1..64 qubits, and every
-   Ry angle for being finite, before write is first called; write gets the
-   text in pieces of at most CHUNK bytes, as state_json hands them.  A row
-   is formatted straight into the chunk, which is flushed first where it
-   has less room than the longest row takes.  Each row is read once more
-   as it is written, and checked again, so that a write call or another
-   thread that changes the columns meanwhile cannot make the writer read
-   past its tables.  Circuit.write_json and
-   qasm.write_qasm stream a circuit to a file this way, and Circuit.to_json
-   and export_qasm join the pieces.
+   fallback).  The controls are the set bits of the row's mask, in
+   ascending order, and each Ry angle is formatted as state_json formats a
+   value.  Both check the columns as run_gates does, for 1..MASK_BITS
+   qubits, and every Ry angle for being finite, before write is first
+   called, and format each row straight into the chunk that write gets.
+   Circuit.write_json and qasm.write_qasm stream a circuit to a file this
+   way, and Circuit.to_json and export_qasm join the pieces.
 
-   circuit_columns(text) reads back what circuit_json writes: where text, an
-   ASCII str, is that layout for 1..64 qubits, followed by nothing but JSON
-   whitespace (the CLI ends its file with a newline), it returns
-   (n_qubits, kind, target, cmask, angle), the four columns as bytes, which
-   np.frombuffer wraps read-only.  It returns None for any other text, and
-   Circuit.from_json then reads it through json, as before, so every
-   refusal keeps its class and message.  Each qubit index is 0|[1-9][0-9]?
-   and below n_qubits, the controls are strictly ascending and not the
-   target, and an Ry angle is a JSON number with a fraction or an exponent,
-   which json reads as a float; it is converted by PyOS_string_to_double,
-   as json converts it, and must be finite.  So it returns columns only
-   where json, header and circuits._read_rows would give the same ones.
-   The columns are allocated for len(text) / ROW_MIN rows, the most the
-   text can hold, and shrunk to the rows read: their size follows from the
-   length of the text, never from a number in it.
+   circuit_columns(text) reads back what circuit_json writes, taking the
+   pieces that it puts: where text, an ASCII str, is that layout for
+   1..MASK_BITS qubits, then nothing but JSON whitespace (the CLI ends its
+   file with a newline), it returns (n_qubits, kind, target, cmask, angle),
+   the four columns as bytes, which np.frombuffer wraps read-only.  For any
+   other text it returns None, and Circuit.from_json reads that through
+   json, as before, so every refusal keeps its class and message.  Its
+   rules for indices, controls and angles (take_index, take_row,
+   take_angle) make it return columns only where json, header and
+   circuits._read_rows would give the same ones.  The columns are allocated
+   for len(text) / ROW_MIN rows, the most the text can hold, and shrunk to
+   the rows read: their size follows from the length of the text, never
+   from a number in it.  Each piece of a document is defined once, as
+   JSON_N_QUBITS and the rest, and _Static_asserts check each buffer bound
+   against the pieces, so that a layout that breaks a bound stops the build.
 
    short_repr writes the text of most amplitudes itself, in exact 128-bit
    integer arithmetic, and leaves the rest to PyOS_double_to_string.  A
@@ -132,17 +115,15 @@
    they are never equal).  It defers for zero, subnormals and a significand
    of 2**52 (whose interval is not symmetric), for s outside [0, 32] or t
    outside [1, 110] (so that every product fits), and for an exact tie when
-   rounding to p digits; so it answers only for 2**-53 <= |x| < 2**51.  The
-   three tries are inlined with constant divisors.  Before the exact 15- and
-   16-digit tries, a check in 64 bits skips a candidate that cannot read
-   back: the distance of q from a multiple of the unit in whole units of q,
-   min(rem, unit - 1 - rem) for rem = q mod unit, is at most the exact
-   distance, so where it is at least hq = (5**s >> (t + 1)) + 1, which
-   exceeds the half ulp 5**s / 2**(t + 1), so is the exact distance.  The
-   check skips no tie (rem = unit / 2), which still defers.  Most 17-digit
-   values skip both exact tries.  The 16 digits after the first are written
-   two at a time, in two independent halves, and copied with copies of
-   fixed size.  The nonzero amplitudes of an image state lie in about
+   rounding to p digits; so it answers only for 2**-53 <= |x| < 2**51.
+   Before the exact 15- and 16-digit tries, a check in 64 bits skips a
+   candidate that cannot read back: the distance of q from a multiple of
+   the unit in whole units of q, min(rem, unit - 1 - rem) for
+   rem = q mod unit, is at most the exact distance, so where it is at least
+   hq = (5**s >> (t + 1)) + 1, which exceeds the half ulp
+   5**s / 2**(t + 1), so is the exact distance.  The check skips no tie
+   (rem = unit / 2), which still defers.  Most 17-digit values skip both
+   exact tries.  The nonzero amplitudes of an image state lie in about
    [1.9e-9, 1]; of those, only a power of two, such as the 1.0 of a single
    lit pixel, defers. */
 
@@ -159,6 +140,25 @@
 #define MAX_QUBITS 26
 
 enum { KIND_RY = 0, KIND_X = 1 };
+
+/* The register width of the columns: a control mask holds a bit per qubit. */
+#define MASK_BITS 64
+_Static_assert(MASK_BITS == 8 * sizeof(uint64_t), "a control mask is not a uint64_t");
+_Static_assert(MASK_BITS <= 100, "a qubit index has more than the two digits of put_qubit");
+
+/* The pieces of the JSON documents: JSON_SEP separates amplitudes, rows
+   and controls, and JSON_CLOSE ends a row or a document. */
+#define JSON_N_QUBITS "{\"n_qubits\": "
+#define JSON_GATES ", \"gates\": ["
+#define JSON_RY "{\"kind\": \"ry\", \"angle\": "
+#define JSON_TARGET ", \"target\": "
+#define JSON_X "{\"kind\": \"x\"" JSON_TARGET
+#define JSON_CONTROLS ", \"controls\": ["
+#define JSON_SEP ", "
+#define JSON_CLOSE "]}"
+/* A literal's length without its NUL, and its copy to o, which returns its end. */
+#define LEN(literal) (sizeof(literal) - 1)
+#define PUT(o, literal) (memcpy((o), (literal), LEN(literal)), (o) + LEN(literal))
 
 /* One argument's buffer, checked for item type, shape and layout. */
 static int
@@ -273,7 +273,7 @@ release_gate_columns(Py_buffer *views)
     }
 }
 
-/* Gate g fits an n-qubit register, 1 <= n <= 64: a known kind,
+/* Gate g fits an n-qubit register, 1 <= n <= MASK_BITS: a known kind,
    0 <= target < n, and controls below 2**n that leave the target bit
    clear; and, where angle is not NULL, an Ry angle is finite.  Returns -1
    with an exception set. */
@@ -281,7 +281,7 @@ static int
 check_gate(const char *func, int n, Py_ssize_t g, uint8_t kind, int32_t target, uint64_t cmask,
            const double *angle)
 {
-    const uint64_t outside = n < 64 ? ~(((uint64_t)1 << n) - 1) : 0;
+    const uint64_t outside = n < MASK_BITS ? ~(((uint64_t)1 << n) - 1) : 0;
     if (kind != KIND_RY && kind != KIND_X) {
         PyErr_Format(PyExc_ValueError, "%s: gate %zd has unknown kind %d", func, g, (int)kind);
         return -1;
@@ -570,7 +570,7 @@ short_repr(double x, char *out)
         len--;
     }
     /* the copies of fixed size below write past the text, at most to
-       out[22], which the caller's 30 bytes hold */
+       out[22], which the caller's REPR_ROOM bytes hold */
     char *o = out;
     if (bits >> 63) {
         *o++ = '-';
@@ -623,10 +623,8 @@ init_short_repr(void)
 #else
 /* without 128-bit integers every value goes to PyOS_double_to_string */
 static int
-short_repr(double x, char *out)
+short_repr(double Py_UNUSED(x), char *Py_UNUSED(out))
 {
-    (void)x;
-    (void)out;
     return 0;
 }
 
@@ -636,18 +634,22 @@ init_short_repr(void)
 }
 #endif
 
+/* The longest text of float.__repr__, such as -2.2250738585072014e-308
+   (short_repr's are 23 bytes at most), and the room put_repr's out has. */
+#define REPR_MAX 24
+#define REPR_ROOM 30
 /* The texts of the values.  Each value has a record of RECORD bytes: the
-   separator ", ", the float's repr (at most 23 characters from short_repr,
-   17 digits, a sign, a point and an exponent such as e-16, or 24 from
-   PyOS_double_to_string, whose exponent can be e-308), and in its last
-   byte the length of both together, at most TEXT_MAX, so that the writer
-   can copy every record whole.  A value that the values pass does not
-   format, being unmarked or declined by short_repr, is staged: its
-   record's last byte is 0 and bytes STAGED..STAGED+7 hold the value's
-   bits, so that values is read once. */
+   separator and put_repr's room, whose text ends at most TEXT_MAX bytes
+   in, then in its last byte the length of both, so that the writer can
+   copy every record whole.  A value that the values pass does not format,
+   unmarked or declined by short_repr, is staged: its record's last byte is
+   0 and bytes STAGED..STAGED+7 hold its bits, so that values is read once. */
 #define RECORD 32
 #define STAGED 8
 #define TEXT_MAX 26
+_Static_assert(REPR_MAX <= REPR_ROOM, "a text overruns put_repr's room");
+_Static_assert(LEN(JSON_SEP) + REPR_MAX <= TEXT_MAX && TEXT_MAX < RECORD &&
+                   LEN(JSON_SEP) + REPR_ROOM <= RECORD, "a record overruns its length byte");
 #define EXPONENT_BITS 0x7FF0000000000000ULL
 /* the streamed document goes to write in pieces of at most this many bytes */
 #define CHUNK 65536
@@ -666,7 +668,7 @@ init_short_repr(void)
 #define SPLIT_AT PY_SSIZE_T_MAX
 #endif
 
-/* Writes float.__repr__(x) to out, which has room for 30 bytes, and
+/* Writes float.__repr__(x) to out, which has room for REPR_ROOM bytes, and
    returns the end of the text: short_repr's, or else the text of
    PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the call
    float.__repr__ makes; NULL with an exception set. */
@@ -690,9 +692,8 @@ put_repr(char *out, double x)
 static int
 format_record(char *record, double x)
 {
-    record[0] = ',';
-    record[1] = ' ';
-    const char *end = put_repr(record + 2, x);
+    memcpy(record, JSON_SEP, LEN(JSON_SEP));
+    const char *end = put_repr(record + LEN(JSON_SEP), x);
     if (end == NULL) {
         return -1;
     }
@@ -723,12 +724,10 @@ mark_used(unsigned char *used, Py_ssize_t count, const uint32_t *index, Py_ssize
     return 0;
 }
 
-/* One range lo..hi - 1 of the values pass, which calls no Python API, so
-   that a large palette's runs without the GIL, in two halves on two
-   threads: formats each value that used marks and short_repr answers for
-   into its record, and stages the bits of every other, with a record
-   length of 0, for record_of to format.  range->bad is set to the first
-   value that is not finite, where the range stops, or to -1. */
+/* One range lo..hi - 1 of the values pass, which calls no Python API:
+   formats each value that used marks and short_repr answers for into its
+   record, and stages every other for record_of to format.  range->bad is
+   set to the first value that is not finite, where the range stops, or -1. */
 typedef struct {
     char *records;
     const unsigned char *used;
@@ -753,12 +752,11 @@ read_values(void *arg)
         if (range->used[v]) {
             double x;
             memcpy(&x, &bits, sizeof x);
-            len = short_repr(x, record + 2);
+            len = short_repr(x, record + LEN(JSON_SEP));
         }
         if (len != 0) {
-            record[0] = ',';
-            record[1] = ' ';
-            record[RECORD - 1] = (char)(2 + len);
+            memcpy(record, JSON_SEP, LEN(JSON_SEP));
+            record[RECORD - 1] = (char)(LEN(JSON_SEP) + len);
         }
         else {
             memcpy(&record[STAGED], &bits, sizeof bits);
@@ -775,7 +773,7 @@ read_values(void *arg)
    0.022 ms keeping the GIL).  From SPLIT_AT on it releases the GIL and
    runs the upper half on a thread of its own while this one reads the
    lower half, or the whole range here where the thread cannot be made.
-   Returns the first value that is not finite, or -1. */
+   Returns the lowest value that is not finite, as one pass would, or -1. */
 static Py_ssize_t
 read_all_values(char *records, const unsigned char *used, const double *values,
                 Py_ssize_t count)
@@ -865,9 +863,9 @@ make_room(Sink *sink, Py_ssize_t len)
     return sink->end - sink->out < len ? flush(sink) : 0;
 }
 
-/* The record of entry i of index, formatted now if the hint pass missed its
-   value (another thread has changed index since); NULL with an exception
-   set where the entry is not below count. */
+/* The record of entry i of index, formatted now if its value was staged
+   (short_repr declined it, or another thread changed index after the hint
+   pass); NULL with an exception set where the entry is not below count. */
 static inline char *
 record_of(char *records, Py_ssize_t count, const uint32_t *index, Py_ssize_t i)
 {
@@ -910,8 +908,7 @@ copy_records(char *out, char *records, Py_ssize_t count, const uint32_t *index, 
 /* The emitting pass: reads each entry of index once, checks it, and
    appends its record to the sink, the first without its separator;
    returns -1 with an exception set.  Runs of entries are copied whole
-   while the sink has room for them at their longest, and the rest one by
-   one. */
+   while the sink has room for them at their longest, the rest one by one. */
 static int
 emit(Sink *sink, char *records, Py_ssize_t count, const uint32_t *index, Py_ssize_t size)
 {
@@ -931,9 +928,9 @@ emit(Sink *sink, char *records, Py_ssize_t count, const uint32_t *index, Py_ssiz
         if (record == NULL) {
             return -1;
         }
-        const Py_ssize_t skip = i == 0 ? 2 : 0;
+        const Py_ssize_t skip = i == 0 ? LEN(JSON_SEP) : 0;
         const Py_ssize_t len = (unsigned char)record[RECORD - 1] - skip;
-        if (make_room(sink, len + 2) < 0) {
+        if (make_room(sink, len + LEN(JSON_CLOSE)) < 0) {
             return -1;
         }
         memcpy(sink->out, record + skip, (size_t)len);
@@ -993,13 +990,12 @@ state_json(PyObject *Py_UNUSED(self), PyObject *args)
     if (open_sink(&sink, write) < 0) {
         goto done;
     }
-    sink.out += PyOS_snprintf(sink.out, CHUNK, "{\"n_qubits\": %zd, \"amplitudes\": [", n_qubits);
+    sink.out += PyOS_snprintf(sink.out, CHUNK, JSON_N_QUBITS "%zd, \"amplitudes\": [", n_qubits);
     if (emit(&sink, records, count, index.buf, size) < 0) {
         goto done;
     }
     /* each record left room for these two bytes */
-    memcpy(sink.out, "]}", 2);
-    sink.out += 2;
+    sink.out = PUT(sink.out, JSON_CLOSE);
     if (flush(&sink) == 0) {
         result = Py_NewRef(Py_None);
     }
@@ -1013,26 +1009,28 @@ done:
     return result;
 }
 
-/* The circuit writers.  A row's text, with the bytes that put_repr may
-   touch past its end, is at most ROW_MAX bytes: the longest is a QASM Ry
-   line with 63 controls, 14 bytes for each ("ctrl @ " and "q[62], "), and
-   3 + 30 + 2 + 7 for "ry(", the angle, ") " and the target. */
+/* The circuit writers.  The pieces of an OpenQASM 3 line. */
+#define QASM_CTRL "ctrl @ "
+#define QASM_RY "ry("
+#define QASM_RY_END ") "
+#define QASM_X "x "
+#define QASM_QUBIT "q["
+#define QASM_NEXT "], "
+#define QASM_END "];\n"
+/* The room of a row's text and the bytes put_repr may touch past it: the
+   longest row is an Ry gate with MASK_BITS - 1 controls of two digits. */
 #define ROW_MAX 1024
+_Static_assert(LEN(JSON_SEP JSON_RY) + REPR_ROOM + LEN(JSON_TARGET "00" JSON_CONTROLS JSON_CLOSE) +
+                   (MASK_BITS - 1) * LEN("00" JSON_SEP) <= ROW_MAX, "a JSON row overruns ROW_MAX");
+_Static_assert((MASK_BITS - 1) * LEN(QASM_CTRL QASM_QUBIT "00" QASM_NEXT) + LEN(QASM_RY) +
+                   REPR_ROOM + LEN(QASM_RY_END QASM_QUBIT "00" QASM_END) <= ROW_MAX,
+               "a QASM line overruns ROW_MAX");
 
 /* The index of the lowest set bit of m, which is not 0. */
 static inline int
 lowest_bit(uint64_t m)
 {
-#if defined(__GNUC__)
     return __builtin_ctzll(m);
-#else
-    int q = 0;
-    while (!(m & 1)) {
-        m >>= 1;
-        q++;
-    }
-    return q;
-#endif
 }
 
 /* Writes the qubit q < 100 in decimal. */
@@ -1047,8 +1045,6 @@ put_qubit(char *o, int q)
     return o + 2;
 }
 
-#define PUT(o, literal) (memcpy((o), (literal), sizeof(literal) - 1), (o) + sizeof(literal) - 1)
-
 /* Writes one row's text, in circuit_json's or circuit_qasm's layout, and
    returns its end; NULL with an exception set. */
 typedef char *(*PutRow)(char *o, Py_ssize_t g, uint8_t kind, int target, uint64_t cmask,
@@ -1058,27 +1054,27 @@ static char *
 put_json_row(char *o, Py_ssize_t g, uint8_t kind, int target, uint64_t cmask, double angle)
 {
     if (g > 0) {
-        o = PUT(o, ", ");
+        o = PUT(o, JSON_SEP);
     }
     if (kind == KIND_RY) {
-        o = PUT(o, "{\"kind\": \"ry\", \"angle\": ");
+        o = PUT(o, JSON_RY);
         if ((o = put_repr(o, angle)) == NULL) {
             return NULL;
         }
-        o = PUT(o, ", \"target\": ");
+        o = PUT(o, JSON_TARGET);
     }
     else {
-        o = PUT(o, "{\"kind\": \"x\", \"target\": ");
+        o = PUT(o, JSON_X);
     }
     o = put_qubit(o, target);
-    o = PUT(o, ", \"controls\": [");
+    o = PUT(o, JSON_CONTROLS);
     for (uint64_t m = cmask; m != 0; m &= m - 1) {
         if (m != cmask) {
-            o = PUT(o, ", ");
+            o = PUT(o, JSON_SEP);
         }
         o = put_qubit(o, lowest_bit(m));
     }
-    return PUT(o, "]}");
+    return PUT(o, JSON_CLOSE);
 }
 
 static char *
@@ -1086,26 +1082,26 @@ put_qasm_row(char *o, Py_ssize_t Py_UNUSED(g), uint8_t kind, int target, uint64_
              double angle)
 {
     for (uint64_t m = cmask; m != 0; m &= m - 1) {
-        o = PUT(o, "ctrl @ ");
+        o = PUT(o, QASM_CTRL);
     }
     if (kind == KIND_RY) {
-        o = PUT(o, "ry(");
+        o = PUT(o, QASM_RY);
         if ((o = put_repr(o, angle)) == NULL) {
             return NULL;
         }
-        o = PUT(o, ") ");
+        o = PUT(o, QASM_RY_END);
     }
     else {
-        o = PUT(o, "x ");
+        o = PUT(o, QASM_X);
     }
     for (uint64_t m = cmask; m != 0; m &= m - 1) {
-        o = PUT(o, "q[");
+        o = PUT(o, QASM_QUBIT);
         o = put_qubit(o, lowest_bit(m));
-        o = PUT(o, "], ");
+        o = PUT(o, QASM_NEXT);
     }
-    o = PUT(o, "q[");
+    o = PUT(o, QASM_QUBIT);
     o = put_qubit(o, target);
-    return PUT(o, "];\n");
+    return PUT(o, QASM_END);
 }
 
 /* circuit_json and circuit_qasm: parses (n_qubits, kind, target, cmask,
@@ -1127,8 +1123,9 @@ write_circuit(PyObject *args, const char *format, const char *func, const char *
                      Py_TYPE(write)->tp_name);
         return NULL;
     }
-    if (n_qubits < 1 || n_qubits > 64) {
-        PyErr_Format(PyExc_ValueError, "%s: n_qubits is %zd, not in 1..64", func, n_qubits);
+    if (n_qubits < 1 || n_qubits > MASK_BITS) {
+        PyErr_Format(PyExc_ValueError, "%s: n_qubits is %zd, not in 1..%d", func, n_qubits,
+                     MASK_BITS);
         return NULL;
     }
     Py_buffer views[GATE_COLUMNS];
@@ -1182,7 +1179,7 @@ static PyObject *
 circuit_json(PyObject *Py_UNUSED(self), PyObject *args)
 {
     return write_circuit(args, "nOOOOO:circuit_json", "circuit_json",
-                         "{\"n_qubits\": %zd, \"gates\": [", put_json_row, "]}");
+                         JSON_N_QUBITS "%zd" JSON_GATES, put_json_row, JSON_CLOSE);
 }
 
 static PyObject *
@@ -1193,14 +1190,17 @@ circuit_qasm(PyObject *Py_UNUSED(self), PyObject *args)
                          "");
 }
 
-/* The circuit reader.  The shortest row that circuit_json writes: every
-   row the reader takes spans at least ROW_MIN bytes of the text, so a text
-   of len bytes holds at most len / ROW_MIN of them. */
-static const char shortest_row[] = "{\"kind\": \"x\", \"target\": 0, \"controls\": []}";
-#define ROW_MIN ((Py_ssize_t)sizeof(shortest_row) - 1)
-/* The longest angle text read, plus its NUL; float.__repr__ writes at
-   most 24 bytes. */
+/* The circuit reader.  Every row it takes spans at least ROW_MIN bytes,
+   as shortest_row does, so a text of len bytes holds at most len / ROW_MIN
+   of them, whose columns take at most half of it. */
+static const char shortest_row[] = JSON_X "0" JSON_CONTROLS JSON_CLOSE;
+#define ROW_MIN ((Py_ssize_t)LEN(shortest_row))
+_Static_assert(LEN(JSON_RY "0e0" JSON_TARGET) >= LEN(JSON_X), "an Ry row is shorter");
+_Static_assert(2 * (sizeof(uint8_t) + sizeof(int32_t) + sizeof(uint64_t) + sizeof(double)) <=
+                   ROW_MIN, "a row's columns take more than half of its text");
+/* The longest angle text read, plus its NUL. */
 #define ANGLE_MAX 32
+_Static_assert(REPR_MAX < ANGLE_MAX, "the reader declines an angle that the writer puts");
 
 /* Takes the len bytes of literal at *p; 0 where the text differs. */
 static inline int
@@ -1213,7 +1213,7 @@ take(const char **p, const char *end, const char *literal, size_t len)
     return 1;
 }
 
-#define TAKE(p, end, literal) take(&(p), (end), (literal), sizeof(literal) - 1)
+#define TAKE(p, end, literal) take(&(p), (end), (literal), LEN(literal))
 
 static inline int
 is_digit(char c)
@@ -1309,17 +1309,17 @@ static int
 take_row(const char **p, const char *end, int n, uint8_t *kind, int32_t *target,
          uint64_t *cmask, double *angle)
 {
-    if (TAKE(*p, end, "{\"kind\": \"ry\", \"angle\": ")) {
+    if (TAKE(*p, end, JSON_RY)) {
         const int read = take_angle(p, end, angle);
         if (read < 1) {
             return read;
         }
-        if (!TAKE(*p, end, ", \"target\": ")) {
+        if (!TAKE(*p, end, JSON_TARGET)) {
             return 0;
         }
         *kind = KIND_RY;
     }
-    else if (TAKE(*p, end, "{\"kind\": \"x\", \"target\": ")) {
+    else if (TAKE(*p, end, JSON_X)) {
         *kind = KIND_X;
         *angle = 0.0;
     }
@@ -1327,11 +1327,11 @@ take_row(const char **p, const char *end, int n, uint8_t *kind, int32_t *target,
         return 0;
     }
     const int t = take_index(p, end, n);
-    if (t < 0 || !TAKE(*p, end, ", \"controls\": [")) {
+    if (t < 0 || !TAKE(*p, end, JSON_CONTROLS)) {
         return 0;
     }
     uint64_t mask = 0;
-    if (!TAKE(*p, end, "]")) {
+    if (!TAKE(*p, end, JSON_CLOSE)) {
         /* strictly ascending, so no control repeats */
         int last = -1;
         do {
@@ -1341,14 +1341,14 @@ take_row(const char **p, const char *end, int n, uint8_t *kind, int32_t *target,
             }
             mask |= (uint64_t)1 << q;
             last = q;
-        } while (TAKE(*p, end, ", "));
-        if (!TAKE(*p, end, "]")) {
+        } while (TAKE(*p, end, JSON_SEP));
+        if (!TAKE(*p, end, JSON_CLOSE)) {
             return 0;
         }
     }
     *target = t;
     *cmask = mask;
-    return TAKE(*p, end, "}");
+    return 1;
 }
 
 static PyObject *
@@ -1369,11 +1369,11 @@ circuit_columns(PyObject *Py_UNUSED(self), PyObject *text)
     const char *p = PyUnicode_DATA(text);
     const char *const end = p + PyUnicode_GET_LENGTH(text);
     int n;
-    if (!TAKE(p, end, "{\"n_qubits\": ") || (n = take_index(&p, end, 64 + 1)) < 1 ||
-        !TAKE(p, end, ", \"gates\": [")) {
+    if (!TAKE(p, end, JSON_N_QUBITS) || (n = take_index(&p, end, MASK_BITS + 1)) < 1 ||
+        !TAKE(p, end, JSON_GATES)) {
         Py_RETURN_NONE;
     }
-    /* sized by the text alone: rows * 21 bytes, at most half its length */
+    /* sized by the text alone, at most half its length */
     const Py_ssize_t rows = (end - p) / ROW_MIN;
     PyObject *columns[GATE_COLUMNS] = {NULL, NULL, NULL, NULL}, *result = NULL;
     for (int k = 0; k < GATE_COLUMNS; k++) {
@@ -1388,7 +1388,7 @@ circuit_columns(PyObject *Py_UNUSED(self), PyObject *text)
     double *angle = (double *)PyBytes_AS_STRING(columns[3]);
     Py_ssize_t count = 0;
     int read = 1;
-    if (!TAKE(p, end, "]")) {
+    if (!TAKE(p, end, JSON_CLOSE)) {
         do {
             uint8_t k;
             int32_t t;
@@ -1404,13 +1404,12 @@ circuit_columns(PyObject *Py_UNUSED(self), PyObject *text)
                 angle[count] = a;
                 count++;
             }
-        } while (read == 1 && TAKE(p, end, ", "));
+        } while (read == 1 && TAKE(p, end, JSON_SEP));
         if (read < 0) {
             goto done;
         }
-        read = read && TAKE(p, end, "]");
+        read = read && TAKE(p, end, JSON_CLOSE);
     }
-    read = read && TAKE(p, end, "}");
     /* then only JSON whitespace, such as the CLI's final newline */
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
         p++;
@@ -1440,7 +1439,7 @@ short_repr_py(PyObject *Py_UNUSED(self), PyObject *arg)
     if (x == -1.0 && PyErr_Occurred()) {
         return NULL;
     }
-    char text[32];
+    char text[REPR_ROOM];
     const int len = short_repr(x, text);
     if (len == 0) {
         Py_RETURN_NONE;
@@ -1528,6 +1527,7 @@ PyInit__simkernel(void)
     init_short_repr();
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && (PyModule_AddIntConstant(m, "MAX_QUBITS", MAX_QUBITS) < 0 ||
+                      PyModule_AddIntConstant(m, "MASK_BITS", MASK_BITS) < 0 ||
                       PyModule_AddIntConstant(m, "_SPLIT_AT", SPLIT_AT) < 0)) {
         Py_DECREF(m);
         return NULL;

@@ -164,14 +164,18 @@ def _read_rows(n: int, docs: list) -> tuple | None:
     if every entry is one that ``to_json`` writes for a gate inside the
     register; otherwise None, at the first entry that is not.
 
-    It reads every document that ``_simkernel.circuit_columns`` declines,
-    such as one with other spacing or an int angle, and every document on
-    the NumPy build.  An entry costs a few dict lookups and C-level scans: a
-    missing key or a negative or too large index fails a lookup, a repeated
-    control or the target among the controls the bit count, so no index is
-    shifted into a mask before it is known to be below n.  This accepts
-    only what ``Gate`` and the register bound accept, and is kept for speed
-    alone: gate by gate, ``from_json`` takes about twice as long.
+    Of the documents that ``_simkernel.circuit_columns`` declines, it reads
+    those whose entries hold what ``to_json`` writes, spelled otherwise:
+    with other spacing, key order or string escapes, extra keys, controls
+    out of order, or an angle of 32 characters or more.  It reads every
+    document on the NumPy build.  It declines an int angle, as the compiled
+    reader does, and ``from_json`` then reads that document gate by gate.
+    An entry costs a few dict lookups and C-level scans: a missing key or a
+    negative or too large index fails a lookup, a repeated control or the
+    target among the controls the bit count, so no index is shifted into a
+    mask before it is known to be below n.  This accepts only what ``Gate``
+    and the register bound accept, and is kept for speed alone: gate by
+    gate, ``from_json`` takes about twice as long.
     """
     isfinite = math.isfinite
     kinds, targets, masks, angles = bytearray(), array("i"), array("Q"), array("d")

@@ -94,6 +94,20 @@ BINDINGS = (
 )
 
 
+def count_gates(monkeypatch) -> list:
+    """Records, through monkeypatch, every ``Gate`` built from here on: the
+    list returned gets each one as its ``__post_init__`` runs."""
+    built = []
+    post_init = circuits.Gate.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(circuits.Gate, "__post_init__", counting)
+    return built
+
+
 @pytest.fixture(params=["numpy", "c"])
 def build(request, monkeypatch):
     """Patches in every helper that the extension provides: its NumPy twin

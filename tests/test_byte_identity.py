@@ -6,7 +6,7 @@ none."""
 import json
 
 import byte_corpus
-from ryprep import Gate
+from conftest import count_gates
 
 
 def test_outputs_match_the_digests(build, tmp_path):
@@ -20,14 +20,7 @@ def test_synth_and_verify_build_no_gate(build, tmp_path, monkeypatch):
     """``synth`` writes its circuit from the synthesized columns and counts
     its report from them; ``verify`` and ``stats`` read the document into
     columns, and run or count them."""
-    built = []
-    post_init = Gate.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Gate, "__post_init__", counting)
+    built = count_gates(monkeypatch)
     runs = byte_corpus.record(tmp_path, only=("synth", "verify", "stats"))
     labels = {key.split()[1] for key in runs}
     synths = {"synth-stdout", "synth--prune", "synth--no-prune"}

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_circuits
+from conftest import count_gates
 from reference_circuits import ReferenceGate
 from ryprep import Circuit, Gate, circuits, export_qasm, normalize, ry, synth, x
 from ryprep._values import header, parse
@@ -438,15 +439,8 @@ def assert_reads_as_reference(text):
 def assert_reads_into_columns(monkeypatch, text):
     """``Circuit.from_json`` reads text, which ``to_json`` wrote for at most
     64 qubits, into columns: it builds no ``Gate``."""
-    built = []
-    post_init = Gate.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
     with monkeypatch.context() as patch:
-        patch.setattr(Gate, "__post_init__", counting)
+        built = count_gates(patch)
         Circuit.from_json(text)
     assert built == []
 

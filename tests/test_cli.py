@@ -274,6 +274,19 @@ def test_non_number_amplitude_is_format_error(tmp_path, capsys, text, command):
     assert "FormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["42", '"x"', "null", "true"])
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_state_file_holding_a_scalar_is_format_error(tmp_path, capsys, text, command):
+    state = tmp_path / "s.json"
+    state.write_text(text)
+    circ = tmp_path / "c.json"
+    circ.write_text(Circuit(1).to_json())
+    argv = [command, str(state)] + ([str(circ)] if command == "verify" else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: FormatError: {state}: expected a JSON object or array\n")
+
+
 @pytest.mark.parametrize(
     "vector", ["[1e-200, 1e-200]", "[1e200, 1e200]", "[3e-162, 4e-162]", "[1.3e154, 1.3e154]"]
 )

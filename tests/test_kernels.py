@@ -18,7 +18,7 @@ import ryprep
 from conftest import BINDINGS, build_ext, built_path, import_built
 from dense_oracle import run_pairs
 from ryprep import Circuit, RealState, apply_gate, run, ry, synth, x
-from ryprep import _kernel, simulator
+from ryprep import _kernel, circuits, simulator
 from ryprep.errors import DomainError
 from ryprep.simulator import MAX_QUBITS, _run_gates_numpy
 from test_state_json import _streamed
@@ -161,6 +161,11 @@ def test_kernel_backend_names_the_dispatched_kernel():
 
 def test_extension_constant_matches_simulator(simkernel):
     assert simkernel.MAX_QUBITS == MAX_QUBITS
+
+
+def test_extension_mask_width_matches_circuits(simkernel):
+    """The register width of the columns, one constant in each language."""
+    assert simkernel.MASK_BITS == circuits._MASK_BITS
 
 
 def test_qubit_cap_is_one_check_for_run_and_apply_gate(kernel, monkeypatch):

@@ -452,7 +452,9 @@ class TestAngleList:
             with pytest.raises(DomainError):
                 AngleList((0.5,) * bad)
         for good in (1, 3, 7, 15):
-            assert AngleList((0.5,) * good).n_qubits == (good + 1).bit_length() - 1
+            angles = AngleList((0.5,) * good)
+            assert angles.n_qubits == (good + 1).bit_length() - 1
+            assert len(angles) == good
 
     @pytest.mark.parametrize(
         "angle", ["1.5", True, None, pytest.param(10**400, id="10**400"), Decimal("1.5")]

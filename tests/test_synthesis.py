@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import count_gates
 from reference_synth import emit_lifted
 from ryprep import (
-    Gate,
     AngleList,
     Circuit,
     RealState,
@@ -177,6 +177,11 @@ class TestRecursion:
         for n in range(3, 16):
             assert unpruned_gate_count(n) == 2 * unpruned_gate_count(n - 1) + n
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_unpruned_gate_count_needs_a_qubit(self, n):
+        with pytest.raises(DomainError, match=f"^n_qubits must be positive, got {n}$"):
+            unpruned_gate_count(n)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_max_control_arity(self, n):
         rng = np.random.default_rng(200 + n)
@@ -324,14 +329,7 @@ class TestBuildOnce:
         its gates are built once, on first read."""
         angles = random_angles(np.random.default_rng(29), 10)
         expect = tuple(emit_lifted(angles.angles, 10))
-        built = []
-        post_init = Gate.__post_init__
-
-        def counting(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(Gate, "__post_init__", counting)
+        built = count_gates(monkeypatch)
         circuit = synth_angles(angles)
         assert circuit.gate_count == EXPECTED_COUNTS[10] == 1780
         assert built == []
@@ -343,14 +341,7 @@ class TestBuildOnce:
         text = circuit.to_json()
         # the synthesized circuit's own gates, built before the count
         circuit.gates
-        built = []
-        post_init = Gate.__post_init__
-
-        def counting(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(Gate, "__post_init__", counting)
+        built = count_gates(monkeypatch)
         # the document is read into columns, which run takes as they are;
         # the gates are built on first read
         read = Circuit.from_json(text)
