@@ -9,8 +9,9 @@ bool, stored as a ``float``.  A rule raises ``TypeError`` for a refused value
 turns into its own ``DomainError``, or ``FormatError`` for a value read from
 JSON.  Values that already have the stored type cost one C-level type scan.
 ``num`` names a value in an error message, however many digits it has.
-``Value`` gives ``GrayImage``, ``RealState`` and ``Circuit`` the behaviour of
-a frozen dataclass, and ``joined`` gathers a streamed document into a str.
+``Value`` gives ``GrayImage``, ``RealState``, ``AngleList`` and ``Circuit``
+the behaviour of a frozen dataclass, and ``joined`` gathers a streamed
+document into a str.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        # the fields but the sequence, read by one C call
-        cls._scalars = operator.attrgetter(*(n for n in cls._FIELDS if n != cls._SEQUENCE))
+        # the fields but the sequence, read by one C call; none for a value
+        # whose one field is its sequence
+        scalars = [name for name in cls._FIELDS if name != cls._SEQUENCE]
+        cls._scalars = operator.attrgetter(*scalars) if scalars else staticmethod(lambda value: ())
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

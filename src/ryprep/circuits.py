@@ -151,9 +151,10 @@ def x(target: int, controls: Iterable[int] = ()) -> Gate:
     return Gate(X, target, tuple(controls))
 
 
-def _frozen(kinds: bytearray, targets: array, masks: array, angles: array) -> tuple:
-    """The four typed buffers as read-only NumPy arrays over their memory."""
-    columns = tuple(map(np.frombuffer, (kinds, targets, masks, angles), _DTYPES))
+def _frozen(*buffers: bytes | bytearray | array) -> tuple:
+    """The four typed buffers of kinds, targets, masks and angles as
+    read-only NumPy arrays over their memory."""
+    columns = tuple(map(np.frombuffer, buffers, _DTYPES))
     for column in columns:
         column.flags.writeable = False
     return columns
@@ -454,7 +455,7 @@ class Circuit(Value):
     def from_json(cls, text: str) -> "Circuit":
         read = _circuit_columns(text)
         if read is not None:
-            return cls._of_columns(read[0], tuple(map(np.frombuffer, read[1:], _DTYPES)))
+            return cls._of_columns(read[0], _frozen(*read[1:]))
         n_qubits, gate_docs = header(parse(text, "circuit JSON"), "circuit JSON", "gates")
         if 1 <= n_qubits <= _MASK_BITS:
             columns = _read_rows(n_qubits, gate_docs)

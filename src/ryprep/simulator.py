@@ -71,12 +71,12 @@ def _run_gates_numpy(
 _run_gates = _run_gates_numpy if compiled is None else compiled.run_gates
 
 
-def _check_qubits(n_qubits: int) -> None:
-    """Refuse more than ``MAX_QUBITS`` qubits, on either kernel."""
-    if n_qubits > MAX_QUBITS:
-        raise DomainError(
-            f"cannot simulate {n_qubits} qubits; the simulator holds at most {MAX_QUBITS}"
-        )
+def _check_qubits(n_qubits: int, cap: int, verb: str = "simulate") -> None:
+    """Refuse more than cap qubits, the caller's ``MAX_QUBITS``, to the
+    verb: the simulator on either kernel, or synthesis of a circuit it
+    could not verify."""
+    if n_qubits > cap:
+        raise DomainError(f"cannot {verb} {n_qubits} qubits; the simulator holds at most {cap}")
 
 
 def apply_gate(state: RealState, gate: Gate) -> RealState:
@@ -84,7 +84,7 @@ def apply_gate(state: RealState, gate: Gate) -> RealState:
 
     Raises ``DomainError`` when the state has more than ``MAX_QUBITS`` qubits.
     """
-    _check_qubits(state.n_qubits)
+    _check_qubits(state.n_qubits, MAX_QUBITS)
     if gate.max_index >= state.n_qubits:
         raise IndexOutOfRange(
             f"gate touches qubit {gate.max_index} but the state has {state.n_qubits} qubits"
@@ -102,7 +102,7 @@ def run(circuit: Circuit) -> RealState:
     Raises ``DomainError``, before allocating, when the circuit has more than
     ``MAX_QUBITS`` qubits.
     """
-    _check_qubits(circuit.n_qubits)
+    _check_qubits(circuit.n_qubits, MAX_QUBITS)
     amps = np.zeros(1 << circuit.n_qubits, dtype=np.float64)
     amps[0] = 1.0
     _run_gates(amps, *circuit.columns)

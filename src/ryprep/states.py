@@ -12,7 +12,6 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
@@ -36,6 +35,17 @@ def _floats(values: Iterable[float], what: str) -> tuple[float, ...]:
         return reals(values)
     except (TypeError, OverflowError) as exc:
         raise DomainError(f"{what} must be real numbers that fit a float: {exc}") from None
+
+
+def _float64s(values: Iterable[float], what: str) -> np.ndarray:
+    """values in a new read-only float64 array: a one-dimensional float64
+    array is copied, and anything else goes through the real rule."""
+    if is_vector(values) and values.dtype == np.float64:
+        array = values.copy()
+    else:
+        array = np.array(_floats(values, what), np.float64)
+    array.setflags(write=False)
+    return array
 
 
 def _fsum(squares: Iterable[float]) -> float:
@@ -133,11 +143,7 @@ class RealState(Value):
     _palette: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, n_qubits: int, amplitudes: Iterable[float]) -> None:
-        if is_vector(amplitudes) and amplitudes.dtype == np.float64:
-            amps = amplitudes.copy()
-        else:
-            amps = np.array(_floats(amplitudes, "amplitudes"), np.float64)
-        amps.setflags(write=False)
+        amps = _float64s(amplitudes, "amplitudes")
         object.__setattr__(self, "array", amps)
         try:
             (n,) = integers((n_qubits,))
@@ -223,35 +229,43 @@ class RealState(Value):
         return cls(n_qubits, json_reals(amplitudes, "amplitudes"))
 
 
-@dataclass(frozen=True)
-class AngleList:
+class AngleList(Value):
     """Spherical angles of a real unit vector; length is 2**n - 1 for n >= 1.
 
     Every angle except the last lies in [0, 2*pi]; the last lies in
     (-2*pi, 2*pi] because it alone carries the sign of the final amplitude
-    pair.
+    pair.  The angles are held in ``array``, a read-only float64 array, and
+    ``angles`` reads them as a tuple of floats; they are taken in as
+    ``RealState`` takes its amplitudes.
     """
 
-    angles: tuple[float, ...]
+    _FIELDS = ("angles",)
+    _SEQUENCE = "angles"
 
-    def __post_init__(self) -> None:
-        angles = _floats(self.angles, "angles")
-        object.__setattr__(self, "angles", angles)
-        if not angles or not _is_pow2(len(angles) + 1):
-            raise DomainError(f"angle count must be 2**n - 1 with n >= 1, got {len(angles)}")
-        for a in angles[:-1]:
-            if not 0.0 <= a <= _TWO_PI:
-                raise DomainError(f"angle {a!r} outside [0, 2*pi]")
-        last = angles[-1]
+    def __init__(self, angles: Iterable[float]) -> None:
+        array = _float64s(angles, "angles")
+        object.__setattr__(self, "array", array)
+        if not array.size or not _is_pow2(array.size + 1):
+            raise DomainError(f"angle count must be 2**n - 1 with n >= 1, got {array.size}")
+        inner = array[:-1]
+        # NaN compares false, so it is refused with the angles out of range
+        inside = (inner >= 0.0) & (inner <= _TWO_PI)
+        if not inside.all():
+            raise DomainError(f"angle {inner[inside.argmin()].item()!r} outside [0, 2*pi]")
+        last = array[-1].item()
         if not -_TWO_PI < last <= _TWO_PI:
             raise DomainError(f"final angle {last!r} outside (-2*pi, 2*pi]")
 
+    @functools.cached_property
+    def angles(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
+
     @property
     def n_qubits(self) -> int:
-        return (len(self.angles) + 1).bit_length() - 1
+        return (self.array.size + 1).bit_length() - 1
 
     def __len__(self) -> int:
-        return len(self.angles)
+        return self.array.size
 
 
 def normalize(values: Iterable[float]) -> RealState:
@@ -322,12 +336,12 @@ def to_angles(state: RealState) -> AngleList:
                 last = 2.0 * math.atan2(c[n - 1], c[k])
                 angles[k] = _TWO_PI if last == -_TWO_PI else last
         tail = norm_sq
-    return AngleList(tuple(angles))
+    return AngleList(np.array(angles))
 
 
 def from_angles(angles: AngleList) -> RealState:
     """Expand angles back into amplitudes via the running sine product."""
-    a = angles.angles
+    a = angles.array.tolist()
     amps = [0.0] * (len(a) + 1)
     prod = 1.0
     for k, angle in enumerate(a):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .circuits import RY, Circuit, checked_angle
 from .errors import DomainError
-from .simulator import MAX_QUBITS
+from .simulator import MAX_QUBITS, _check_qubits
 from .states import AngleList, RealState, to_angles
 from .tolerances import PRUNE_ATOL, check_tol
 
@@ -171,26 +171,18 @@ def _gather(n: int, angles: np.ndarray, tol: float | None) -> Circuit:
     return Circuit._of_columns(n, columns)
 
 
-def _check_qubits(n_qubits: int) -> None:
-    """Refuse a circuit too wide to verify, before any gate is built: past
-    ``MAX_QUBITS`` its 7 * 2**(n-2) gates would take tens of GB."""
-    if n_qubits > MAX_QUBITS:
-        raise DomainError(
-            f"cannot synthesize {n_qubits} qubits; the simulator holds at most {MAX_QUBITS}"
-        )
-
-
 def synth_angles(
     angles: AngleList, *, prune: bool = False, prune_tol: float = PRUNE_ATOL
 ) -> Circuit:
     """Build the preparation circuit directly from an angle list.
 
-    Raises ``DomainError`` for more than ``MAX_QUBITS`` qubits.
+    Raises ``DomainError`` for more than ``MAX_QUBITS`` qubits before any
+    gate is built: past the cap its 7 * 2**(n-2) gates would take tens of GB.
     """
     check_tol(prune_tol, "prune_tol")
     n = angles.n_qubits
-    _check_qubits(n)
-    return _gather(n, np.array(angles.angles, np.float64), prune_tol if prune else None)
+    _check_qubits(n, MAX_QUBITS, "synthesize")
+    return _gather(n, angles.array, prune_tol if prune else None)
 
 
 def synth(
@@ -205,7 +197,7 @@ def synth(
     than ``MAX_QUBITS`` qubits raise ``DomainError`` before the angles are
     extracted.
     """
-    _check_qubits(state.n_qubits)
+    _check_qubits(state.n_qubits, MAX_QUBITS, "synthesize")
     angles = to_angles(state)
     circuit = synth_angles(angles, prune=prune, prune_tol=prune_tol)
     n = state.n_qubits

@@ -479,6 +479,89 @@ class TestAngleList:
             AngleList((0.0, 0.0, math.nan))
 
 
+class TestAngleListValue:
+    """An AngleList behaves as the frozen dataclass of one field, ``angles``."""
+
+    ANGLES = (0.0, -0.0, TWO_PI, 0.5, 1.0, math.pi, -1.5)
+
+    def test_tuple_and_array_give_one_value(self):
+        from_tuple = AngleList(self.ANGLES)
+        from_array = AngleList(angles=np.array(self.ANGLES))
+        assert from_tuple == from_array and from_array == from_tuple
+        assert not from_tuple != from_array and not from_array != from_tuple
+        other = AngleList(self.ANGLES[:-1] + (1.5,))
+        assert from_array != other and other != from_array
+        assert from_array != self.ANGLES and from_array != (self.ANGLES,)
+        assert hash(from_array) == hash(from_tuple) == hash((self.ANGLES,))
+        assert repr(from_array) == repr(from_tuple) == (
+            "AngleList(angles=(0.0, -0.0, 6.283185307179586, 0.5, 1.0, "
+            "3.141592653589793, -1.5))"
+        )
+
+    def test_angles_read_as_a_tuple_of_floats(self):
+        for given in (self.ANGLES, np.array(self.ANGLES), np.array([0.5, 0.25, 1.0], np.float32)):
+            angles = AngleList(given).angles
+            assert type(angles) is tuple and {type(a) for a in angles} == {float}
+        angles = AngleList(np.array(self.ANGLES)).angles
+        assert angles == self.ANGLES
+        assert [math.copysign(1.0, a) for a in angles[:2]] == [1.0, -1.0]
+        assert AngleList(angles=self.ANGLES).n_qubits == 3 and len(AngleList(self.ANGLES)) == 7
+
+    def test_later_write_to_callers_array_does_not_reach_the_value(self):
+        given = np.array(self.ANGLES)
+        angles = AngleList(given)
+        given[:] = 0.25
+        assert angles == AngleList(self.ANGLES) and angles.angles == self.ANGLES
+
+    def test_field_cannot_be_set_or_deleted(self):
+        angles = AngleList(self.ANGLES)
+        for name in ("angles", "other"):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(angles, name, ())
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(angles, name)
+        assert angles.angles == self.ANGLES
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_copies_are_equal(self, clone):
+        for given in (self.ANGLES, np.array(self.ANGLES)):
+            angles = AngleList(given)
+            again = clone(angles)
+            assert again == angles and hash(again) == hash(angles)
+            assert repr(again) == repr(angles) and again.angles == self.ANGLES
+
+    @pytest.mark.parametrize(
+        "angles,message",
+        [
+            ((0.5,) * 2, "angle count must be 2**n - 1 with n >= 1, got 2"),
+            ((), "angle count must be 2**n - 1 with n >= 1, got 0"),
+            ((math.nan, 0.0, 0.0), "angle nan outside [0, 2*pi]"),
+            ((0.1, -0.5, 7.0), "angle -0.5 outside [0, 2*pi]"),
+            ((0.1, 7.0, -0.5), "angle 7.0 outside [0, 2*pi]"),
+            ((0.1, 0.2, -TWO_PI), "final angle -6.283185307179586 outside (-2*pi, 2*pi]"),
+            ((0.1, 0.2, math.nan), "final angle nan outside (-2*pi, 2*pi]"),
+            ((0.1, 0.2, math.inf), "final angle inf outside (-2*pi, 2*pi]"),
+            (("0.5",), "angles must be real numbers that fit a float: a str is not a real number"),
+        ],
+    )
+    def test_refusals_name_the_first_bad_angle(self, angles, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            AngleList(angles)
+        if all(type(a) is float for a in angles):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    AngleList(np.array(angles, np.float64))
+
+    def test_refused_arrays_go_through_the_real_rule(self):
+        for given, kind in [(np.array([True]), "bool"), (np.array([[0.5]]), "ndarray")]:
+            message = f"angles must be real numbers that fit a float: a {kind} is not"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+                AngleList(given)
+
+
 class TestToAngles:
     def test_basis_pairs(self):
         assert to_angles(RealState(1, (1.0, 0.0))).angles == (0.0,)
@@ -561,18 +644,34 @@ def _photo_state():
     return encode(GrayImage(128, 128, pixels.ravel().tolist()))
 
 
+def _signed_sparse_state():
+    """An n = 9 state of mostly zeros, of either sign, among signed
+    amplitudes, ending in -0.0."""
+    rng = np.random.default_rng(909)
+    amps = rng.normal(size=512) * (rng.random(512) < 0.2)
+    amps[rng.random(512) < 0.5] *= -1.0
+    amps[0], amps[-1] = 1.0, -0.0
+    return normalize(amps.tolist())
+
+
 def test_to_angles_matches_two_pass_reference():
     """The one backward loop gives the bits of the two-pass formulation
-    (every tail's squared norm in a list first) on 480 seeded states, a
-    photo state and the edge pairs, the last of which turns -2*pi into 2*pi."""
+    (every tail's squared norm in a list first), the sign of each zero
+    included, on 480 seeded states, a photo state, a signed sparse state
+    and the edge pairs, the last of which turns -2*pi into 2*pi."""
     cases = list(_angle_states())
     assert len(cases) == 480
     cases.append(("photo", _photo_state()))
-    for amps in [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0)]:
+    cases.append(("signed sparse", _signed_sparse_state()))
+    for amps in [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (1.0, -0.0)]:
         cases.append((str(amps), RealState(1, amps)))
     for kind, state in cases:
-        assert to_angles(state).angles == reference_states.to_angles(state), kind
+        got = np.array(to_angles(state).angles, np.float64).view(np.uint64)
+        expect = np.array(reference_states.to_angles(state), np.float64).view(np.uint64)
+        np.testing.assert_array_equal(got, expect, err_msg=kind)
     assert to_angles(RealState(1, (-1.0, -0.0))).angles == (TWO_PI,)
+    (last,) = to_angles(RealState(1, (1.0, -0.0))).angles
+    assert last == 0.0 and math.copysign(1.0, last) == -1.0
 
 
 class TestFromAngles:

@@ -351,6 +351,13 @@ class TestBuildOnce:
         assert len(built) == circuit.gate_count == EXPECTED_COUNTS[8]
         assert read == circuit
 
+    def test_synth_angles_builds_no_angle_tuple(self):
+        """Synthesis reads the angles' float64 array as it is."""
+        angles = to_angles(normalize(np.random.default_rng(37).normal(size=64).tolist()))
+        circuit = synth_angles(angles, prune=True)
+        assert "angles" not in vars(angles)
+        assert circuit.gates == tuple(emit_lifted(angles.angles, 6, 1e-12))
+
 
 class TestQubitCap:
     """Past simulator.MAX_QUBITS (26) a circuit is refused before it is built.
