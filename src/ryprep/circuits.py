@@ -60,10 +60,6 @@ _BITS = tuple(1 << q for q in range(_MASK_BITS))
 # the start of a row of circuit JSON, by kind
 _JSON_HEADS = np.array(['{"kind": "ry", "angle": ', '{"kind": "x"'], object)
 _DTYPES = (np.uint8, np.int32, np.uint64, np.float64)
-# the uint64 shifts and masks of _max_controls's popcount
-_SHIFTS = tuple(map(np.uint64, (1, 2, 4, 56)))
-_SPANS = tuple(map(np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F)))
-_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def checked_angle(angle: object) -> float:
@@ -243,18 +239,10 @@ def control_texts(mask: np.ndarray, form: str, skip: int = 0) -> np.ndarray:
 
 def _max_controls(mask: np.ndarray) -> int:
     """The largest number of controls in a row, 0 for no rows: of an object
-    column of control tuples, or of set bits in a uint64 mask column.
-    NumPy 1.24 has no ``bitwise_count``, so each mask's bits are summed in
-    pairs, nibbles and bytes, and the bytes by one multiplication into the
-    top byte (a uint64 product wraps)."""
+    column of control tuples, or of set bits in a uint64 mask column."""
     if mask.dtype == object:
         return max(map(len, mask.tolist()), default=0)
-    one, two, four, top = _SHIFTS
-    bits, pairs, nibbles = _SPANS
-    m = mask - (mask >> one & bits)
-    m = (m & pairs) + (m >> two & pairs)
-    m = m + (m >> four) & nibbles
-    return int((m * _BYTE_SUM >> top).max(initial=0))
+    return int(np.bitwise_count(mask).max(initial=0))
 
 
 def joined_rows(rows: int, *pieces: object) -> str:

@@ -81,6 +81,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    check_tol(args.prune_tol, "--prune-tol")
     state = _load_state(args.input)
     circuit, report = synth(state, prune=args.prune, prune_tol=args.prune_tol)
     if args.out:

@@ -30,8 +30,7 @@ from .states import RealState
 
 __all__ = ["KERNEL_BACKEND", "MAX_QUBITS", "apply_gate", "run", "max_abs_diff"]
 
-# 2**26 float64 amplitudes take 512 MiB.  The cap also keeps the
-# (2,) * n view within NumPy 1.x's limit of 32 array dimensions.
+# The cap rests on memory alone: 2**26 float64 amplitudes take 512 MiB.
 MAX_QUBITS = 26
 
 
@@ -98,6 +97,8 @@ def apply_gate(state: RealState, gate: Gate) -> RealState:
 
 def run(circuit: Circuit) -> RealState:
     """Apply every gate in order to |0...0> and return the prepared state.
+    The compiled and the NumPy kernel give the same bits, the sign of every
+    zero included.
 
     Raises ``DomainError``, before allocating, when the circuit has more than
     ``MAX_QUBITS`` qubits.

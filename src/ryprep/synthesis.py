@@ -194,9 +194,10 @@ def synth(
     With pruning, rotations within prune_tol of zero are dropped (a bare
     Ry(2*pi) is a sign flip and is never dropped) and fully degenerate
     blocks are elided; the report accounts for every removed gate.  More
-    than ``MAX_QUBITS`` qubits raise ``DomainError`` before the angles are
-    extracted.
+    than ``MAX_QUBITS`` qubits, or a NaN, infinite or negative prune_tol,
+    raise ``DomainError`` before the angles are extracted.
     """
+    check_tol(prune_tol, "prune_tol")
     _check_qubits(state.n_qubits, MAX_QUBITS, "synthesize")
     angles = to_angles(state)
     circuit = synth_angles(angles, prune=prune, prune_tol=prune_tol)

@@ -328,6 +328,18 @@ def test_synth_bad_prune_tol_is_domain_error(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prune", ["--prune", "--no-prune"])
+def test_synth_checks_prune_tol_before_reading(tmp_path, capsys, prune):
+    """As ``verify`` checks ``--tol``: a bad ``--prune-tol`` is a domain
+    error even when the input does not exist."""
+    missing = tmp_path / "missing.pgm"
+    assert main(["synth", str(missing), prune, "--prune-tol", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "--prune-tol must be finite and nonnegative, got nan"
+    assert captured.err == f"error: DomainError: {message}\n"
+
+
 def test_state_file_is_parsed_once(tmp_path, monkeypatch, build):
     state = tmp_path / "s.json"
     state.write_text(normalize([1, 2, 3, 4]).to_json())
@@ -507,6 +519,15 @@ def test_stats_of_circuits_without_canonical_columns(tmp_path, capsys, text, exp
     circ.write_text(text)
     assert main(["stats", str(circ)]) == 0
     assert capsys.readouterr().out == expect
+
+
+def test_stats_counts_bit_63(tmp_path, capsys, build):
+    """A canonical 64-qubit document reaches the uint64 mask columns, by
+    the compiled reader or by ``_read_rows``, and its top bit counts."""
+    circ = tmp_path / "c.json"
+    circ.write_text(Circuit(64, (ry(0.5, 0, range(1, 64)), x(63, range(63)))).to_json())
+    assert main(["stats", str(circ)]) == 0
+    assert capsys.readouterr().out == '{"gate_count":2,"ry":1,"x":1,"max_controls":63}\n'
 
 
 @pytest.mark.parametrize("prune", ["--prune", "--no-prune"])

@@ -119,9 +119,11 @@ def _numpy_run(circuit: Circuit) -> np.ndarray:
 
 
 def _assert_run_matches_references(circuit: Circuit) -> None:
-    prepared = run(circuit).amplitudes
-    np.testing.assert_array_equal(prepared, _numpy_run(circuit))
-    np.testing.assert_array_equal(prepared, run_pairs(circuit))
+    """The same bits from ``run`` and both references, so the sign of every
+    zero counts, which ``assert_array_equal`` on the floats would not see."""
+    prepared = run(circuit).array.view(np.uint64)
+    np.testing.assert_array_equal(prepared, _numpy_run(circuit).view(np.uint64))
+    np.testing.assert_array_equal(prepared, run_pairs(circuit).view(np.uint64))
 
 
 def test_run_matches_pair_index_reference(kernel):

@@ -256,6 +256,20 @@ class TestPruning:
         with pytest.raises(DomainError):
             prune(synth_angles(angles), tol)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_synth_refuses_tol_before_any_work(self, monkeypatch, tol):
+        """A bad prune_tol is refused before the qubit cap is checked and
+        before any angle is extracted, pruning on or off."""
+
+        def reached(*args):
+            raise AssertionError("reached before prune_tol was checked")
+
+        monkeypatch.setattr(synthesis, "_check_qubits", reached)
+        monkeypatch.setattr(synthesis, "to_angles", reached)
+        for prune_on in (True, False):
+            with pytest.raises(DomainError, match=f"^prune_tol must be finite .*, got {tol}$"):
+                synth(normalize(range(1, 9)), prune=prune_on, prune_tol=tol)
+
     def test_prune_rejects_negative_tol(self):
         with pytest.raises(DomainError):
             prune(Circuit(1), -1e-9)
